@@ -19,7 +19,6 @@ from .detect import (
     HeuristicThresholds,
     candidate_scan,
     detect_publishers,
-    diff_detections,
     extract_features,
     heuristic_flag,
 )
@@ -47,11 +46,11 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--months", help="month-manifest JSON for historical runs")
     p.add_argument("--min-sites", type=int, default=100)
     p.add_argument("--max-depth", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility and ignored; runs are single-threaded")
     p.add_argument("--ua-label", choices=["chrome", "safari", "other"],
                    help="restrict corpus to one user-agent label")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", default="json,csv", help="output formats (informational)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +99,14 @@ def _out_dir(args) -> Path:
 
 def _inputs(args) -> dict[str, str]:
     return {k: getattr(args, k) for k in
-            ("corpus", "har", "dns", "psl", "filters", "signatures", "ranking", "months")
+            ("corpus", "har", "dns", "external_dns", "psl", "filters", "signatures", "ranking",
+             "months")
             if getattr(args, k, None)}
 
 
 def _config(args) -> dict:
     return {"min_sites": args.min_sites, "max_depth": args.max_depth,
-            "ua_label": args.ua_label, "format": args.format}
+            "ua_label": args.ua_label}
 
 
 def _detection_pipeline(args, psl):
@@ -118,8 +118,7 @@ def _detection_pipeline(args, psl):
     for sig in sigs:
         for cidr in sig.cidr_ranges:
             pool.add_range(cidr, sig.tracker_id)
-    detections = detect_publishers(corpus, dns, sigs, pool, psl,
-                                   max_depth=args.max_depth, threads=args.threads)
+    detections = detect_publishers(corpus, dns, sigs, pool, psl, max_depth=args.max_depth)
     return corpus, dns, sigs, pool, detections
 
 
@@ -185,8 +184,7 @@ def cmd_history(args) -> int:
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     months = _load_months(args, psl)
-    monthly = backward_iterate(months, sigs, psl, max_depth=args.max_depth,
-                               threads=args.threads)
+    monthly = backward_iterate(months, sigs, psl, max_depth=args.max_depth)
     out = _out_dir(args)
     import csv as _csv
 
@@ -273,19 +271,7 @@ def cmd_report(args) -> int:
     pubs_path = out / "publishers.json"
     if not pubs_path.exists():
         raise CnametrackError(f"no publishers.json in {out}; run detect first")
-    with open(pubs_path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    from .detect import Context, Mechanism, PublisherDetection, TransactionRef
-
-    detections = [
-        PublisherDetection(
-            d["publisher"], d["tracker"], Context(d["context"]),
-            [TransactionRef(e["visit_id"], e["index"], e["url"], e["host"])
-             for e in d["evidence"]],
-            Mechanism(d["mechanism"]),
-        )
-        for d in doc["detections"]
-    ]
+    detections = reports.load_detections(pubs_path)
     if args.ranking:
         ranking = load_ranking(args.ranking)
         bins = reports.rank_bins(detections, ranking, bin_size=args.rank_bins)

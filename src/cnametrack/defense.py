@@ -9,7 +9,7 @@ import logging
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit, urlunsplit
 
-from .detect import PublisherDetection
+from .detect import Context, PublisherDetection, evidence_transactions, page_site
 from .dnsgraph import DnsRecordStore, resolve_chain
 from .errors import CnameCycle
 from .filterlist import FilterRule
@@ -192,44 +192,31 @@ def compare_defenses(
     max_depth: int = 10,
 ) -> DefenseReport:
     """Fraction of each tracker's evidence transactions blocked per defense."""
-    from .detect import Context
-    from .sitectx import Origin, classify_relation
-
     if domain_rules is None:
         domain_rules = pure_domain_rules(rules)
     cache = UncloakCache()
-    by_visit = {v.visit_id: v for v in corpus}
     verdicts: list[TransactionVerdict] = []
     tally: dict[str, dict[str, int]] = {}
     counts: dict[str, int] = {}
     warnings = 0
-    seen: set[tuple[str, str, int]] = set()
-    for det in sorted(detections, key=PublisherDetection.sort_key):
-        for ref in det.evidence:
-            key = (det.tracker_id, ref.visit_id, ref.index)
-            if key in seen:
-                continue
-            seen.add(key)
-            visit = by_visit.get(ref.visit_id)
-            if visit is None:
-                continue
-            txn = visit.transactions[ref.index]
-            relation = Relation.SAME_SITE if det.context is Context.SAME_SITE else Relation.CROSS_SITE
-            page_site = visit.site or psl.etld_plus_one_or_none(visit.page_host)
-            plain = match_plain(txn.request_url, relation, rules, page_site)
-            uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache, page_site, max_depth)
-            sink = match_sinkhole(txn.host, dns, domain_rules, max_depth)
-            if uncloaked.dns_missing:
-                warnings += 1
-            verdicts.append(TransactionVerdict(
-                ref.visit_id, ref.index, ref.url, det.tracker_id,
-                plain.blocked, uncloaked.blocked, sink.blocked, uncloaked.dns_missing,
-            ))
-            t = tally.setdefault(det.tracker_id, {"plain": 0, "uncloaked": 0, "sinkhole": 0})
-            counts[det.tracker_id] = counts.get(det.tracker_id, 0) + 1
-            t["plain"] += plain.blocked
-            t["uncloaked"] += uncloaked.blocked
-            t["sinkhole"] += sink.blocked
+    ordered = sorted(detections, key=PublisherDetection.sort_key)
+    for det, ref, visit, txn in evidence_transactions(corpus, ordered):
+        relation = Relation.SAME_SITE if det.context is Context.SAME_SITE else Relation.CROSS_SITE
+        site = page_site(visit, psl)
+        plain = match_plain(txn.request_url, relation, rules, site)
+        uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache, site, max_depth)
+        sink = match_sinkhole(txn.host, dns, domain_rules, max_depth)
+        if uncloaked.dns_missing:
+            warnings += 1
+        verdicts.append(TransactionVerdict(
+            ref.visit_id, ref.index, ref.url, det.tracker_id,
+            plain.blocked, uncloaked.blocked, sink.blocked, uncloaked.dns_missing,
+        ))
+        t = tally.setdefault(det.tracker_id, {"plain": 0, "uncloaked": 0, "sinkhole": 0})
+        counts[det.tracker_id] = counts.get(det.tracker_id, 0) + 1
+        t["plain"] += plain.blocked
+        t["uncloaked"] += uncloaked.blocked
+        t["sinkhole"] += sink.blocked
     fractions = {
         tracker: {d: t[d] / counts[tracker] for d in ("plain", "uncloaked", "sinkhole")}
         for tracker, t in sorted(tally.items())

@@ -4,13 +4,13 @@ matching, and publisher detection with same-site/cross-site context."""
 from __future__ import annotations
 
 import enum
+import ipaddress
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 
 from .dnsgraph import CnameChain, DnsRecordStore, IpPool, resolve_chain, uncloaked_target
-from .errors import CnameCycle
+from .errors import CnameCycle, InvalidHostname
 from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
 from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation
 
@@ -135,6 +135,50 @@ class ChainCache:
         return self._cache[host]
 
 
+def page_site(visit: PageVisit, psl: PublicSuffixTable) -> str | None:
+    """eTLD+1 of the visit's page: the loader's value, else derived from the host."""
+    return visit.site or psl.etld_plus_one_or_none(visit.page_host)
+
+
+def classified_transactions(visit: PageVisit, psl: PublicSuffixTable):
+    """Yield (txn, relation to the page) for each transaction of a visit.
+
+    Yields nothing when the page URL has no http(s) origin, and skips
+    transactions whose request URL has none.
+    """
+    try:
+        page_origin = Origin.from_url(visit.page_url)
+    except (InvalidHostname, ValueError):
+        return
+    for txn in visit.transactions:
+        try:
+            target_origin = Origin.from_url(txn.request_url)
+        except (InvalidHostname, ValueError):
+            continue
+        yield txn, classify_relation(page_origin, target_origin, psl)
+
+
+def evidence_transactions(corpus: list[PageVisit], detections: list[PublisherDetection]):
+    """Yield (det, ref, visit, txn) once per distinct (tracker, evidence
+    transaction), in detection order.
+
+    Refs to a visit missing from the corpus, or past the end of its
+    transactions, are skipped.
+    """
+    by_visit = {v.visit_id: v for v in corpus}
+    seen = set()
+    for det in detections:
+        for ref in det.evidence:
+            key = (det.tracker_id, ref.visit_id, ref.index)
+            if key in seen:
+                continue
+            seen.add(key)
+            visit = by_visit.get(ref.visit_id)
+            if visit is None or not 0 <= ref.index < len(visit.transactions):
+                continue
+            yield det, ref, visit, visit.transactions[ref.index]
+
+
 def candidate_scan(
     corpus: list[PageVisit],
     dns: DnsRecordStore,
@@ -147,19 +191,10 @@ def candidate_scan(
     chains = ChainCache(dns, max_depth)
     aggregates: dict[str, CandidateAggregate] = {}
     for visit in corpus:
-        try:
-            page_origin = Origin.from_url(visit.page_url)
-        except Exception:
-            continue
-        site = visit.site or psl.etld_plus_one_or_none(visit.page_host)
+        site = page_site(visit, psl)
         if site is None:
             continue
-        for txn in visit.transactions:
-            try:
-                target_origin = Origin.from_url(txn.request_url)
-            except Exception:
-                continue
-            relation = classify_relation(page_origin, target_origin, psl)
+        for txn, relation in classified_transactions(visit, psl):
             if relation is not Relation.SAME_SITE:
                 continue
             chain = chains.get(txn.host)
@@ -239,24 +274,15 @@ def signature_match_route(
     candidates = list(chain.terminal_ips) if chain is not None else []
     if txn.remote_ip:
         candidates.append(txn.remote_ip)
-    if candidates:
-        import ipaddress
-
-        nets = []
-        for cidr in sig.cidr_ranges:
-            try:
-                nets.append(ipaddress.ip_network(cidr, strict=False))
-            except ValueError:
-                continue
-        for addr in candidates:
-            try:
-                ip = ipaddress.ip_address(addr)
-            except ValueError:
-                continue
-            if any(ip in net for net in nets):
-                return Mechanism.DIRECT_A_RECORD
-            if pool is not None and pool.contains(addr, sig.tracker_id):
-                return Mechanism.DIRECT_A_RECORD
+    for addr in candidates:
+        try:
+            ip = ipaddress.ip_address(addr)
+        except ValueError:
+            continue
+        if any(ip in net for net in sig.networks):
+            return Mechanism.DIRECT_A_RECORD
+        if pool is not None and pool.contains(addr, sig.tracker_id):
+            return Mechanism.DIRECT_A_RECORD
     return None
 
 
@@ -269,32 +295,6 @@ def match_signature(
     return signature_match_route(txn, chain, sig, pool) is not None
 
 
-def _detect_visit(visit, chains, sigs, pool, psl):
-    hits = []
-    site = visit.site or psl.etld_plus_one_or_none(visit.page_host)
-    if site is None:
-        return hits
-    for idx, txn in enumerate(visit.transactions):
-        host = txn.host
-        if not host:
-            continue
-        chain = chains.get(host)
-        host_site = psl.etld_plus_one_or_none(host)
-        for sig in sigs:
-            route = signature_match_route(txn, chain, sig, pool)
-            if route is None:
-                continue
-            context = Context.SAME_SITE if host_site == site else Context.CROSS_SITE
-            hits.append((
-                site,
-                sig.tracker_id,
-                context,
-                TransactionRef(visit.visit_id, idx, txn.request_url, host),
-                route,
-            ))
-    return hits
-
-
 def detect_publishers(
     corpus: list[PageVisit],
     dns: DnsRecordStore,
@@ -302,32 +302,29 @@ def detect_publishers(
     pool: IpPool | None,
     psl: PublicSuffixTable,
     max_depth: int = 10,
-    threads: int = 1,
 ) -> list[PublisherDetection]:
     """One detection per (publisher eTLD+1, tracker, context), deterministic order."""
     chains = ChainCache(dns, max_depth)
-    # warm the chain cache serially: resolution is cheap and this keeps the
-    # per-visit work free of shared mutation
-    for visit in corpus:
-        for txn in visit.transactions:
-            if txn.host:
-                chains.get(txn.host)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_exec:
-            per_visit = list(pool_exec.map(
-                lambda v: _detect_visit(v, chains, sigs, pool, psl), corpus
-            ))
-    else:
-        per_visit = [_detect_visit(v, chains, sigs, pool, psl) for v in corpus]
-
-    grouped: dict[tuple[str, str, Context], list] = {}
+    grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}
     routes: dict[tuple[str, str, Context], set[Mechanism]] = {}
-    for hits in per_visit:
-        for site, tracker, context, ref, route in hits:
-            key = (site, tracker, context)
-            grouped.setdefault(key, []).append(ref)
-            routes.setdefault(key, set()).add(route)
+    for visit in corpus:
+        site = page_site(visit, psl)
+        if site is None:
+            continue
+        for idx, txn in enumerate(visit.transactions):
+            host = txn.host
+            if not host:
+                continue
+            chain = chains.get(host)
+            context = Context.SAME_SITE if psl.etld_plus_one_or_none(host) == site else Context.CROSS_SITE
+            for sig in sigs:
+                route = signature_match_route(txn, chain, sig, pool)
+                if route is None:
+                    continue
+                key = (site, sig.tracker_id, context)
+                grouped.setdefault(key, []).append(
+                    TransactionRef(visit.visit_id, idx, txn.request_url, host))
+                routes.setdefault(key, set()).add(route)
     detections = []
     for key in sorted(grouped, key=lambda k: (k[0], k[1], k[2].value)):
         site, tracker, context = key

@@ -218,7 +218,3 @@ def accumulate_ips(
         for ip in chain.terminal_ips:
             pool.add_address(ip, tracker_id, month)
     return pool
-
-
-def ip_in_pool(addr: str, pool: IpPool) -> PoolMatch | None:
-    return pool.lookup(addr)

@@ -11,7 +11,10 @@ from .detect import (
     Context,
     Mechanism,
     PublisherDetection,
+    classified_transactions,
     detect_publishers,
+    evidence_transactions,
+    page_site,
 )
 from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips, resolve_chain
 from .errors import CnameCycle, NonContiguousMonths
@@ -53,7 +56,7 @@ def _check_descending_contiguous(months: list[MonthDataset]):
             raise NonContiguousMonths(f"{prev.month} -> {cur.month}")
 
 
-def _confirmed_hosts(detections: list[PublisherDetection], sigs) -> dict[str, str]:
+def _confirmed_hosts(detections: list[PublisherDetection]) -> dict[str, str]:
     hosts: dict[str, str] = {}
     for det in detections:
         for ref in det.evidence:
@@ -66,7 +69,6 @@ def backward_iterate(
     sigs: list[TrackerSignature],
     psl: PublicSuffixTable,
     max_depth: int = 10,
-    threads: int = 1,
     pool: IpPool | None = None,
 ) -> list[MonthlyDetection]:
     """Detect publishers month by month, newest first, growing the tracker IP
@@ -87,24 +89,17 @@ def backward_iterate(
         # this month's data into the pool, then detect
         accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month)
         detections = detect_publishers(
-            month_ds.corpus, month_ds.dns, sigs, pool, psl,
-            max_depth=max_depth, threads=threads,
+            month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
         )
-        new_hosts = _confirmed_hosts(detections, sigs)
+        new_hosts = _confirmed_hosts(detections)
         # remote addresses observed on confirmed tracking transactions also
         # count as tracker-used IPs
-        by_visit = {v.visit_id: v for v in month_ds.corpus}
-        for det in detections:
-            for ref in det.evidence:
-                visit = by_visit.get(ref.visit_id)
-                if visit is None:
-                    continue
-                txn = visit.transactions[ref.index]
-                if txn.remote_ip:
-                    try:
-                        pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
-                    except ValueError:
-                        pass
+        for det, _ref, _visit, txn in evidence_transactions(month_ds.corpus, detections):
+            if txn.remote_ip:
+                try:
+                    pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
+                except ValueError:
+                    pass
         accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month)
         confirmed.update(new_hosts)
         out.append(MonthlyDetection(month_ds.month, detections, pool.summary()))
@@ -289,7 +284,7 @@ def third_party_trend(
     """Mean distinct blocked third-party tracker eTLD+1s per month offset
     around adoption (offset 0 = adoption month)."""
     from .defense import match_plain
-    from .sitectx import Origin, Relation, classify_relation
+    from .sitectx import Relation
 
     per_offset: dict[int, list[int]] = {o: [] for o in range(-window, window)}
     month_keys = sorted(months_data)
@@ -305,19 +300,10 @@ def third_party_trend(
                 continue
             trackers: set[str] = set()
             for visit in months_data[month].corpus:
-                site = visit.site or psl.etld_plus_one_or_none(visit.page_host)
+                site = page_site(visit, psl)
                 if site != pub:
                     continue
-                try:
-                    page_origin = Origin.from_url(visit.page_url)
-                except Exception:
-                    continue
-                for txn in visit.transactions:
-                    try:
-                        target = Origin.from_url(txn.request_url)
-                    except Exception:
-                        continue
-                    relation = classify_relation(page_origin, target, psl)
+                for txn, relation in classified_transactions(visit, psl):
                     if relation is not Relation.CROSS_SITE:
                         continue
                     if match_plain(txn.request_url, relation, rules, site).blocked:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-from urllib.parse import urlsplit
 
 from .dnsgraph import DnsRecordStore
 from .errors import MalformedHar, SchemaViolation
@@ -111,15 +110,14 @@ def _ingest_visit(obj, visits, order, psl):
     visit_id = obj["visit_id"]
     if visit_id in visits:
         raise SchemaViolation(f"duplicate visit_id {visit_id!r}")
-    page_url = obj["page_url"]
-    host = (urlsplit(page_url).hostname or "").lower()
     visit = PageVisit(
-        page_url=page_url,
+        page_url=obj["page_url"],
         visit_id=visit_id,
-        site=psl.etld_plus_one_or_none(host) if psl else None,
         user_agent_label=_ua_label(obj.get("user_agent")),
         month=obj.get("month"),
     )
+    if psl:
+        visit.site = psl.etld_plus_one_or_none(visit.page_host)
     visits[visit_id] = visit
     order.append(visit_id)
 
@@ -232,14 +230,13 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
     order: list[str] = []
     for page in pages:
         pid = page.get("id") or f"page_{len(order)}"
-        url = page.get("title") or page.get("_url") or ""
-        host = (urlsplit(url).hostname or "").lower()
-        visits[pid] = PageVisit(
-            page_url=url,
+        visit = visits[pid] = PageVisit(
+            page_url=page.get("title") or page.get("_url") or "",
             visit_id=pid,
-            site=psl.etld_plus_one_or_none(host) if psl and host else None,
             month=month,
         )
+        if psl and visit.page_host:
+            visit.site = psl.etld_plus_one_or_none(visit.page_host)
         order.append(pid)
 
     timed: list[tuple[str, int, HttpTransaction, str]] = []

@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass, field
 from urllib.parse import unquote
 
-from .detect import PublisherDetection, TransactionRef
+from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
 from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
 from .sitectx import CookieAttributes, PublicSuffixTable
 
@@ -144,7 +144,7 @@ def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> d
     sites: dict[str, set[str]] = {}
     visits: dict[str, set[str]] = {}
     for visit in corpus:
-        site = visit.site or psl.etld_plus_one_or_none(visit.page_host) or visit.page_host
+        site = page_site(visit, psl) or visit.page_host
         for txn in visit.transactions:
             for _name, value in txn.request_cookies:
                 sites.setdefault(value, set()).add(site)
@@ -152,12 +152,12 @@ def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> d
     return {v: (len(s), len(visits[v])) for v, s in sites.items()}
 
 
+def _of_tracker(detections: list[PublisherDetection], tracker_id: str) -> list[PublisherDetection]:
+    return [d for d in detections if d.tracker_id == tracker_id]
+
+
 def _tracker_hosts(detections: list[PublisherDetection], tracker_id: str) -> set[str]:
-    hosts = set()
-    for det in detections:
-        if det.tracker_id == tracker_id:
-            hosts.update(ref.host for ref in det.evidence)
-    return hosts
+    return {ref.host for det in _of_tracker(detections, tracker_id) for ref in det.evidence}
 
 
 def _is_tracker_setter(record: CookieRecord, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
@@ -191,24 +191,6 @@ def filter_candidates(
     return out
 
 
-def _evidence_transactions(corpus, detections, tracker_id):
-    """Yield (site, ref, visit, txn) for every evidence transaction of a tracker."""
-    by_visit = {v.visit_id: v for v in corpus}
-    seen = set()
-    for det in detections:
-        if det.tracker_id != tracker_id:
-            continue
-        for ref in det.evidence:
-            key = (ref.visit_id, ref.index)
-            if key in seen:
-                continue
-            seen.add(key)
-            visit = by_visit.get(ref.visit_id)
-            if visit is None or ref.index >= len(visit.transactions):
-                continue
-            yield det.publisher_etld1, ref, visit, visit.transactions[ref.index]
-
-
 def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
     from urllib.parse import urlsplit
 
@@ -229,7 +211,8 @@ def find_header_leaks(
     findings = []
     tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
     by_value = {(r.name, r.value): r for r in filtered}
-    for site, ref, visit, txn in _evidence_transactions(corpus, detections, sig.tracker_id):
+    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
+        site = det.publisher_etld1
         header = "; ".join(f"{n}={v}" for n, v in txn.request_cookies)
         for name, value in txn.request_cookies:
             rec = by_value.get((name, value))
@@ -260,12 +243,14 @@ def find_post_leaks(
     """Filtered cookie values found in tracker-bound POST bodies."""
     findings = []
     tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
-    for site, ref, visit, txn in _evidence_transactions(corpus, detections, sig.tracker_id):
+    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
+        site = det.publisher_etld1
         body = txn.post_body
         if not body:
             continue
         form_encoded = "form-urlencoded" in (txn.post_content_type or "")
         decoded_body = unquote(body) if form_encoded else None
+        missed = False
         for rec in filtered:
             start = body.find(rec.value)
             decoded = False
@@ -273,8 +258,7 @@ def find_post_leaks(
                 start = decoded_body.find(rec.value)
                 decoded = True
             if start < 0:
-                if txn.post_body_truncated:
-                    log.warning("POST body truncated; leak search window exceeded for %s", ref.url)
+                missed = True
                 continue
             findings.append(LeakFinding(
                 site=site,
@@ -288,6 +272,8 @@ def find_post_leaks(
                 third_party_setter=rec.site is not None and rec.site != site,
                 active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
             ))
+        if missed and txn.post_body_truncated:
+            log.warning("POST body truncated; leak search window exceeded for %s", ref.url)
     findings.sort(key=LeakFinding.sort_key)
     return findings
 
@@ -301,7 +287,8 @@ def find_url_leaks(
     """Filtered cookie values in tracker request URLs (path+query only)."""
     findings = []
     tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
-    for site, ref, visit, txn in _evidence_transactions(corpus, detections, sig.tracker_id):
+    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
+        site = det.publisher_etld1
         haystack = txn.path_and_query
         decoded_haystack = unquote(haystack)
         for rec in filtered:
@@ -333,16 +320,15 @@ def transport_audit(
 ) -> list[TransportFinding]:
     """Plain-HTTP tracker traffic on HTTPS pages."""
     findings = []
-    trackers = sorted({d.tracker_id for d in detections})
-    for tracker_id in trackers:
-        for site, ref, visit, txn in _evidence_transactions(corpus, detections, tracker_id):
-            if visit.page_scheme != "https" or txn.scheme != "http":
-                continue
-            findings.append(TransportFinding(site, TransportKind.ANALYTICS_OVER_HTTP, tracker_id, ref))
-            if txn.content_type_class in (ContentClass.SCRIPT, ContentClass.HTML):
-                findings.append(TransportFinding(site, TransportKind.INSECURE_ACTIVE_CONTENT, tracker_id, ref))
-            if txn.request_cookies:
-                findings.append(TransportFinding(site, TransportKind.NON_SECURE_COOKIE_OVER_HTTP, tracker_id, ref))
+    for det, ref, visit, txn in evidence_transactions(corpus, detections):
+        if visit.page_scheme != "https" or txn.scheme != "http":
+            continue
+        site, tracker_id = det.publisher_etld1, det.tracker_id
+        findings.append(TransportFinding(site, TransportKind.ANALYTICS_OVER_HTTP, tracker_id, ref))
+        if txn.content_type_class in (ContentClass.SCRIPT, ContentClass.HTML):
+            findings.append(TransportFinding(site, TransportKind.INSECURE_ACTIVE_CONTENT, tracker_id, ref))
+        if txn.request_cookies:
+            findings.append(TransportFinding(site, TransportKind.NON_SECURE_COOKIE_OVER_HTTP, tracker_id, ref))
     findings.sort(key=lambda f: (f.site, f.kind.value, f.tracker_id, f.carrier.visit_id, f.carrier.index))
     return findings
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import ipaddress
+import sys
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
@@ -40,9 +42,14 @@ def classify_content_type(mime: str | None) -> ContentClass:
     return ContentClass.OTHER
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpTransaction:
-    """One captured request/response pair."""
+    """One captured request/response pair.
+
+    The request URL is parsed once, at construction, into ``host``,
+    ``scheme`` and ``path_and_query``; host and scheme are interned because
+    a corpus repeats them across many transactions.
+    """
 
     request_url: str
     method: str = "GET"
@@ -59,20 +66,16 @@ class HttpTransaction:
     content_type_class: ContentClass = ContentClass.OTHER
     remote_ip: str | None = None
     initiators: tuple[str, ...] = ()
+    host: str = field(init=False)
+    scheme: str = field(init=False)
+    path_and_query: str = field(init=False)
 
-    @property
-    def host(self) -> str:
-        return (urlsplit(self.request_url).hostname or "").lower()
-
-    @property
-    def scheme(self) -> str:
-        return urlsplit(self.request_url).scheme.lower()
-
-    @property
-    def path_and_query(self) -> str:
+    def __post_init__(self):
         parts = urlsplit(self.request_url)
+        self.host = sys.intern((parts.hostname or "").lower())
+        self.scheme = sys.intern(parts.scheme.lower())
         path = parts.path or "/"
-        return f"{path}?{parts.query}" if parts.query else path
+        self.path_and_query = f"{path}?{parts.query}" if parts.query else path
 
     def header_values(self, name: str, response: bool = False) -> list[str]:
         headers = self.response_headers if response else self.request_headers
@@ -108,9 +111,13 @@ class JsCookieSet:
         return (urlsplit(self.stack[0]).hostname or "").lower()
 
 
-@dataclass
+@dataclass(slots=True)
 class PageVisit:
-    """One page load: its transactions and instrumentation records."""
+    """One page load: its transactions and instrumentation records.
+
+    The page URL is parsed once, at construction, into ``page_host`` and
+    ``page_scheme``.
+    """
 
     page_url: str
     visit_id: str
@@ -119,14 +126,13 @@ class PageVisit:
     month: str | None = None
     transactions: list[HttpTransaction] = field(default_factory=list)
     js_cookie_sets: list[JsCookieSet] = field(default_factory=list)
+    page_host: str = field(init=False)
+    page_scheme: str = field(init=False)
 
-    @property
-    def page_host(self) -> str:
-        return (urlsplit(self.page_url).hostname or "").lower()
-
-    @property
-    def page_scheme(self) -> str:
-        return urlsplit(self.page_url).scheme.lower()
+    def __post_init__(self):
+        parts = urlsplit(self.page_url)
+        self.page_host = sys.intern((parts.hostname or "").lower())
+        self.page_scheme = sys.intern(parts.scheme.lower())
 
 
 @dataclass(frozen=True)
@@ -145,12 +151,22 @@ class TrackerSignature:
     path_patterns: tuple[str, ...] = ()
     id_markers: tuple[IdMarker, ...] = ()
     notes: str = ""
+    # cidr_ranges parsed once; unparseable entries never match
+    networks: tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cname_suffixes and not self.cidr_ranges:
             raise ValueError(f"{self.tracker_id}: needs cname_suffixes or cidr_ranges")
         if not self.path_patterns:
             raise ValueError(f"{self.tracker_id}: path_patterns must be non-empty")
+        nets = []
+        for cidr in self.cidr_ranges:
+            try:
+                nets.append(ipaddress.ip_network(cidr, strict=False))
+            except ValueError:
+                continue
+        object.__setattr__(self, "networks", tuple(nets))
 
     def host_matches(self, host: str) -> bool:
         host = host.lower().rstrip(".")

@@ -9,7 +9,15 @@ import json
 from pathlib import Path
 
 from .defense import DefenseReport
-from .detect import Context, PublisherDetection
+from .detect import (
+    Context,
+    Mechanism,
+    PublisherDetection,
+    TransactionRef,
+    classified_transactions,
+    page_site,
+)
+from .errors import SchemaViolation
 from .leaks import LeakAuditResult, LeakFinding
 
 SCHEMA_VERSION = 1
@@ -69,6 +77,30 @@ def detection_to_dict(det: PublisherDetection) -> dict:
             for r in det.evidence
         ],
     }
+
+
+def load_detections(path) -> list[PublisherDetection]:
+    """Read a publishers.json back into detections; the inverse of
+    detection_to_dict.  Raises SchemaViolation naming the detection."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
+    if not isinstance(doc, dict) or not isinstance(doc.get("detections"), list):
+        raise SchemaViolation("expected an object with a detections array", path=str(path))
+    detections = []
+    for i, d in enumerate(doc["detections"]):
+        try:
+            detections.append(PublisherDetection(
+                d["publisher"], d["tracker"], Context(d["context"]),
+                [TransactionRef(e["visit_id"], e["index"], e["url"], e["host"])
+                 for e in d["evidence"]],
+                Mechanism(d["mechanism"]),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaViolation(f"detection {i}: {exc}", path=str(path))
+    return detections
 
 
 def write_detections(detections: list[PublisherDetection], out_dir):
@@ -183,26 +215,17 @@ def cooccurrence_fraction(
 ) -> float:
     """Fraction of publisher sites that also load >= 1 blocked third-party tracker."""
     from .defense import match_plain
-    from .sitectx import Origin, Relation, classify_relation
+    from .sitectx import Relation
 
     publishers = {d.publisher_etld1 for d in detections}
     if not publishers:
         return 0.0
     with_third_party = set()
     for visit in corpus:
-        site = visit.site or psl.etld_plus_one_or_none(visit.page_host)
+        site = page_site(visit, psl)
         if site not in publishers or site in with_third_party:
             continue
-        try:
-            page_origin = Origin.from_url(visit.page_url)
-        except Exception:
-            continue
-        for txn in visit.transactions:
-            try:
-                target = Origin.from_url(txn.request_url)
-            except Exception:
-                continue
-            relation = classify_relation(page_origin, target, psl)
+        for txn, relation in classified_transactions(visit, psl):
             if relation is Relation.CROSS_SITE and match_plain(
                 txn.request_url, relation, rules, site
             ).blocked:

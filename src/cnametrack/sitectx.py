@@ -165,10 +165,6 @@ class PublicSuffixTable:
             return None
 
 
-def etld_plus_one(host: str, psl: PublicSuffixTable) -> str:
-    return psl.etld_plus_one(host)
-
-
 def classify_relation(page: Origin, target: Origin, psl: PublicSuffixTable) -> Relation:
     """Same-origin iff scheme/host/port all equal; same-site iff eTLD+1 equal."""
     if page == target:

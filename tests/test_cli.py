@@ -6,7 +6,8 @@ import json
 import pytest
 
 import corpusgen
-from cnametrack.cli import main
+from cnametrack.cli import build_parser, main
+from cnametrack.errors import StaleInputs
 
 
 @pytest.fixture(scope="module")
@@ -126,12 +127,16 @@ class TestHistoryValidate:
         adoptions = json.loads((out / "adoptions.json").read_text())
         assert adoptions["adoptions"] == []  # only 3 months of data
 
-    def test_validate_command(self, world, tmp_path):
-        ext = {m: d for m, d in
-               ((e["month"], e["dns"]) for e in json.loads(
-                   (world["root"] / "months.json").read_text()))}
+    @staticmethod
+    def _external_manifest(world, tmp_path):
+        ext = {e["month"]: e["dns"]
+               for e in json.loads((world["root"] / "months.json").read_text())}
         ext_path = tmp_path / "external.json"
         ext_path.write_text(json.dumps(ext))
+        return ext, ext_path
+
+    def test_validate_command(self, world, tmp_path):
+        _ext, ext_path = self._external_manifest(world, tmp_path)
         out = tmp_path / "out"
         assert run(["validate", "--months", world["months"],
                     "--signatures", world["signatures"],
@@ -140,6 +145,21 @@ class TestHistoryValidate:
         # external data is identical to internal, so nothing is unexplained
         assert [e for e in doc["correctness"]
                 if e["reason"] == "unexplained"] == []
+
+
+    def test_report_sees_changed_external_dns(self, world, tmp_path):
+        ext, ext_path = self._external_manifest(world, tmp_path)
+        out = tmp_path / "out"
+        assert run(["validate", "--months", world["months"],
+                    "--signatures", world["signatures"],
+                    "--external-dns", ext_path, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "external_dns" in manifest["inputs"]
+        ext.pop(corpusgen.MONTHS[-1])
+        ext_path.write_text(json.dumps(ext))
+        args = build_parser().parse_args(["report", "--out", str(out)])
+        with pytest.raises(StaleInputs):
+            args.func(args)
 
 
 class TestFeaturesReport:
@@ -179,3 +199,14 @@ class TestFeaturesReport:
             fh.write("\n")
         assert run(["report", "--ranking", world["ranking"],
                     "--out", out]) == 1
+
+    def test_report_rejects_malformed_publishers(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "publishers.json").write_text(json.dumps(
+            {"detections": [{"publisher": "a.com"}]}))
+        assert run(["report", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "publishers.json" in err and "detection 0" in err
+        assert "Traceback" not in err

@@ -16,11 +16,17 @@ from cnametrack.defense import (
     match_uncloaked,
     pure_domain_rules,
 )
-from cnametrack.detect import detect_publishers
+from cnametrack.detect import (
+    Context,
+    Mechanism,
+    PublisherDetection,
+    TransactionRef,
+    detect_publishers,
+)
 from cnametrack.dnsgraph import DnsRecordStore
 from cnametrack.filterlist import parse_rule
 from cnametrack.ingest import load_crawl_jsonl
-from cnametrack.model import TrackerSignature
+from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import PublicSuffixTable, Relation
 
 CROSS = Relation.CROSS_SITE
@@ -237,3 +243,19 @@ class TestCompareDefenses:
             assert fr["plain"] <= fr["uncloaked"] <= fr["sinkhole"] + 1e-12
         # DirectARecord hosts have A records, so no coverage warnings
         assert report.coverage_warnings == 0
+
+    def test_stale_evidence_ref_is_skipped(self, psl):
+        url = "https://metrics.shop.com/ea/collect"
+        visit = PageVisit("https://www.shop.com/", "v1", site="shop.com",
+                          transactions=[HttpTransaction(url)])
+        det = PublisherDetection(
+            "shop.com", "eulertrack", Context.SAME_SITE,
+            [TransactionRef("v1", 0, url, "metrics.shop.com"),
+             TransactionRef("v1", 5, url, "metrics.shop.com")],  # past the end
+            Mechanism.CNAME,
+        )
+        dns = store_with(cnames=[("metrics.shop.com", "x.eulertrack.net")],
+                         a_records=[("x.eulertrack.net", "203.0.113.1")])
+        report = compare_defenses([visit], [det], rules_of("||eulertrack.net^"), dns, psl)
+        assert [(v.visit_id, v.index) for v in report.verdicts] == [("v1", 0)]
+        assert report.counts == {"eulertrack": 1}

@@ -136,15 +136,6 @@ class TestPlantedDetection:
             assert by_pub[f"site{i:02d}.com"].cloaking_mechanism is Mechanism.DIRECT_A_RECORD
         assert by_pub["site05.com"].cloaking_mechanism is Mechanism.CNAME
 
-    def test_threads_equivalence(self, month0, signatures, psl):
-        corpus, dns, _ = month0
-        a = detect_publishers(corpus, dns, signatures, None, psl, threads=1)
-        b = detect_publishers(corpus, dns, signatures, None, psl, threads=8)
-        assert [(d.publisher_etld1, d.tracker_id, d.context, d.evidence,
-                 d.cloaking_mechanism) for d in a] == \
-               [(d.publisher_etld1, d.tracker_id, d.context, d.evidence,
-                 d.cloaking_mechanism) for d in b]
-
     def test_deterministic_order(self, month0, signatures, psl):
         corpus, dns, _ = month0
         detections = detect_publishers(corpus, dns, signatures, None, psl)

@@ -1,23 +1,27 @@
 """Leak-audit tests: planted leaks across all three channels, decoy
 exclusion, setter attribution, and the transport audit."""
 
+import logging
+
 import pytest
 
 import corpusgen
-from cnametrack.detect import detect_publishers
+from cnametrack.detect import Context, Mechanism, PublisherDetection, TransactionRef, detect_publishers
 from cnametrack.dnsgraph import DnsRecordStore
 from cnametrack.ingest import load_crawl_jsonl
 from cnametrack.leaks import (
     Channel,
+    CookieRecord,
     SetterKind,
     TransportKind,
     audit_leaks,
     build_inventory,
     build_value_site_index,
     filter_candidates,
+    find_post_leaks,
     transport_audit,
 )
-from cnametrack.model import TrackerSignature
+from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import PublicSuffixTable
 
 
@@ -138,6 +142,25 @@ class TestPlantedLeaks:
         header = "; ".join(f"{n}={v}" for n, v in txn.request_cookies)
         lo, hi = f.matched_span
         assert header[lo:hi] == f.cookie.value
+
+
+def test_truncated_post_body_warns_once(caplog):
+    url = "https://metrics.shop.com/ea/collect"
+    txn = HttpTransaction(url, method="POST", post_body="payload=" + "z" * 40,
+                          post_body_truncated=True)
+    visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=[txn])
+    det = PublisherDetection("shop.com", "eulertrack", Context.SAME_SITE,
+                             [TransactionRef("v1", 0, url, "metrics.shop.com")], Mechanism.CNAME)
+    sig = TrackerSignature("eulertrack", cname_suffixes=("eulertrack.net",),
+                           path_patterns=("/ea/*",))
+    candidates = [CookieRecord(f"c{i}", f"value{i:08d}", "www.shop.com", None,
+                               SetterKind.UNKNOWN, None, (), "shop.com", "v1")
+                  for i in range(3)]
+    with caplog.at_level(logging.WARNING, logger="cnametrack.leaks"):
+        assert find_post_leaks([visit], candidates, [det], sig) == []
+    assert [r.message for r in caplog.records].count(
+        f"POST body truncated; leak search window exceeded for {url}") == 1
+    assert len(caplog.records) == 1
 
 
 class TestTransport:
