@@ -23,7 +23,7 @@ from .detect import (
     heuristic_flag,
 )
 from .dnsgraph import IpPool
-from .errors import CnametrackError, StaleInputs
+from .errors import CnametrackError, SchemaViolation, StaleInputs
 from .filterlist import load_filter_list
 from .history import MonthDataset, adoption_windows, backward_iterate, cross_validate
 from .ingest import load_crawl_jsonl, load_dns, load_har, load_ranking, load_signatures
@@ -159,21 +159,31 @@ def cmd_defense(args) -> int:
     return 0
 
 
-def _load_month_manifest(path):
+def _load_month_manifest(path, shape: type):
+    """A month manifest: a JSON ``list`` (--months) or ``dict`` (--external-dns)."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
+    if not isinstance(doc, shape):
+        kind = "array" if shape is list else "object"
+        raise SchemaViolation(f"month manifest must be a JSON {kind}", path=str(path))
+    return doc
 
 
 def _load_months(args, psl) -> list[MonthDataset]:
     _require(args, "months")
-    manifest = _load_month_manifest(args.months)
-    months = []
-    for entry in manifest:
-        months.append(MonthDataset(
-            month=entry["month"],
-            corpus=load_crawl_jsonl(entry["corpus"], psl),
-            dns=load_dns(entry["dns"]),
-        ))
+    manifest = _load_month_manifest(args.months, list)
+    for i, entry in enumerate(manifest):  # every entry checked before any file is read
+        if not isinstance(entry, dict):
+            raise SchemaViolation(f"entry {i}: not an object", path=args.months)
+        for key in ("month", "corpus", "dns"):
+            if not isinstance(entry.get(key), str):
+                raise SchemaViolation(f"entry {i}: {key!r} missing or not a string", path=args.months)
+    months = [MonthDataset(month=entry["month"], corpus=load_crawl_jsonl(entry["corpus"], psl),
+                           dns=load_dns(entry["dns"]))
+              for entry in manifest]
     months.sort(key=lambda m: m.month, reverse=True)
     return months
 
@@ -250,7 +260,10 @@ def cmd_validate(args) -> int:
     pool = IpPool()
     monthly = backward_iterate(months, sigs, psl, max_depth=args.max_depth,
                                pool=pool)
-    ext_manifest = _load_month_manifest(args.external_dns)
+    ext_manifest = _load_month_manifest(args.external_dns, dict)
+    for month, path in ext_manifest.items():
+        if not isinstance(path, str):
+            raise SchemaViolation(f"month {month!r}: path must be a string", path=args.external_dns)
     external = {month: load_dns(path) for month, path in ext_manifest.items()}
     report = cross_validate(monthly, external, {m.month: m for m in months},
                             sigs, pool, psl, max_depth=args.max_depth)

@@ -212,6 +212,17 @@ def save_crawl_jsonl(visits: list[PageVisit], path):
                 }, sort_keys=True) + "\n")
 
 
+def _har_headers(message: dict, entry_index: int) -> list[tuple[str, str]]:
+    """A HAR request's or response's headers as (name, value) pairs."""
+    headers = message.get("headers", [])
+    if not isinstance(headers, list):
+        raise MalformedHar("headers must be a list", entry_index=entry_index)
+    for h in headers:
+        if not (isinstance(h, dict) and isinstance(h.get("name"), str) and isinstance(h.get("value"), str)):
+            raise MalformedHar("header needs a string name and value", entry_index=entry_index)
+    return [(h["name"], h["value"]) for h in headers]
+
+
 def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = None) -> list[PageVisit]:
     """Load a HAR 1.2 capture; one PageVisit per page entry."""
     with open(path, encoding="utf-8") as fh:
@@ -257,11 +268,11 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
         txn = HttpTransaction(
             request_url=url,
             method=request.get("method", "GET"),
-            request_headers=[(h["name"], h["value"]) for h in request.get("headers", [])],
+            request_headers=_har_headers(request, idx),
         )
         response = entry.get("response")
         if response:
-            txn.response_headers = [(h["name"], h["value"]) for h in response.get("headers", [])]
+            txn.response_headers = _har_headers(response, idx)
             txn.status = int(response.get("status", 0))
             content = response.get("content", {}) or {}
             txn.response_size = max(int(content.get("size", 0) or 0), 0)
@@ -308,11 +319,14 @@ def load_dns(path) -> DnsRecordStore:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaViolation(f"bad JSON: {exc}", line=lineno, path=str(path))
-            if "name" not in obj:
+            if not isinstance(obj, dict) or "name" not in obj:
                 raise SchemaViolation("missing name", line=lineno, path=str(path))
             answers = obj.get("answers")
             if answers is None:
-                answers = (obj.get("data") or {}).get("answers", [])
+                data = obj.get("data") or {}
+                answers = data.get("answers", []) if isinstance(data, dict) else None
+            if not isinstance(answers, list):
+                raise SchemaViolation("answers must be a list", line=lineno, path=str(path))
             month = obj.get("month")
             for ans in answers:
                 try:
@@ -321,6 +335,8 @@ def load_dns(path) -> DnsRecordStore:
                     answer = ans["answer"]
                 except (KeyError, TypeError, AttributeError):
                     raise SchemaViolation("bad answer record", line=lineno, path=str(path))
+                if not isinstance(answer, str) or not isinstance(owner, str):
+                    raise SchemaViolation("answer and name must be strings", line=lineno, path=str(path))
                 if rr_type in ("A", "AAAA"):
                     store.add(owner, "A", answer, month)
                 elif rr_type == "CNAME":

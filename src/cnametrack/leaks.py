@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from urllib.parse import unquote
+from urllib.parse import unquote, urlsplit
 
 from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
 from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
@@ -152,12 +152,8 @@ def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> d
     return {v: (len(s), len(visits[v])) for v, s in sites.items()}
 
 
-def _of_tracker(detections: list[PublisherDetection], tracker_id: str) -> list[PublisherDetection]:
-    return [d for d in detections if d.tracker_id == tracker_id]
-
-
 def _tracker_hosts(detections: list[PublisherDetection], tracker_id: str) -> set[str]:
-    return {ref.host for det in _of_tracker(detections, tracker_id) for ref in det.evidence}
+    return {ref.host for det in detections if det.tracker_id == tracker_id for ref in det.evidence}
 
 
 def _is_tracker_setter(record: CookieRecord, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
@@ -167,15 +163,10 @@ def _is_tracker_setter(record: CookieRecord, sig: TrackerSignature, tracker_host
     return origin in tracker_hosts or sig.host_matches(origin)
 
 
-def filter_candidates(
-    inventory: list[CookieRecord],
-    value_site_index: dict[str, tuple[int, int]],
-    sig: TrackerSignature,
-    detections: list[PublisherDetection],
+def _site_unique_persistent(
+    inventory: list[CookieRecord], value_site_index: dict[str, tuple[int, int]]
 ) -> list[CookieRecord]:
-    """Leak candidates for one tracker: persistent, long, site-unique cookies
-    not set by the tracker itself."""
-    tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
+    """The tracker-independent filters: persistent, long, site-unique."""
     out = []
     for rec in inventory:
         if rec.attributes is not None and rec.attributes.is_session:
@@ -185,15 +176,11 @@ def filter_candidates(
         site_count, _visit_count = value_site_index.get(rec.value, (0, 0))
         if site_count >= MULTI_SITE_THRESHOLD:
             continue
-        if _is_tracker_setter(rec, sig, tracker_hosts):
-            continue
         out.append(rec)
     return out
 
 
 def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
-    from urllib.parse import urlsplit
-
     for url in txn.initiators:
         host = (urlsplit(url).hostname or "").lower()
         if host and (host in tracker_hosts or sig.host_matches(host)):
@@ -201,37 +188,140 @@ def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_host
     return False
 
 
+class TrackerScope:
+    """What one tracker's candidate filter and channel searches share, each
+    derived once: the hosts its evidence was seen on, and its evidence
+    transactions as (site, ref, txn, initiated by the tracker's own script)."""
+
+    def __init__(self, corpus: list[PageVisit], detections: list[PublisherDetection], sig: TrackerSignature):
+        own = [d for d in detections if d.tracker_id == sig.tracker_id]
+        self.hosts = _tracker_hosts(own, sig.tracker_id)
+        self.evidence = [(det.publisher_etld1, ref, txn, _active_initiators(txn, sig, self.hosts))
+                         for det, ref, _visit, txn in evidence_transactions(corpus, own)]
+
+
+def filter_candidates(
+    inventory: list[CookieRecord],
+    value_site_index: dict[str, tuple[int, int]] | None,
+    sig: TrackerSignature,
+    detections: list[PublisherDetection],
+    scope: TrackerScope | None = None,
+) -> list[CookieRecord]:
+    """Leak candidates for one tracker: persistent, long, site-unique cookies
+    not set by the tracker itself.
+
+    With ``value_site_index=None`` the inventory is taken to have passed the
+    tracker-independent filters already (``audit_leaks`` applies them once per
+    run), and only the tracker-set cookies are removed.
+    """
+    if value_site_index is not None:
+        inventory = _site_unique_persistent(inventory, value_site_index)
+    tracker_hosts = scope.hosts if scope else _tracker_hosts(detections, sig.tracker_id)
+    return [rec for rec in inventory if not _is_tracker_setter(rec, sig, tracker_hosts)]
+
+
+class _ValueIndex:
+    """Leftmost occurrence of many values, found in one pass over a haystack.
+
+    Values are bucketed on their first ``width`` characters, ``width`` being
+    the shortest value's length (at least ``MIN_VALUE_LENGTH`` for filtered
+    candidates).  A scan looks every ``width``-character window up, left to
+    right, and confirms a hit with ``startswith``; a value's first confirmed
+    position is the one ``str.find`` returns.
+    """
+
+    def __init__(self, values: list[str]):
+        self.count = len(values)
+        self.width = min(map(len, values), default=0)
+        self.buckets: dict[str, list[tuple[int, str]]] = {}
+        for pos, value in enumerate(values):
+            self.buckets.setdefault(value[:self.width], []).append((pos, value))
+
+    def _scan(self, haystack: str, found: dict[int, tuple[int, bool]], decoded: bool):
+        get, width = self.buckets.get, self.width
+        for i in range(len(haystack) - width + 1):
+            bucket = get(haystack[i:i + width])
+            if bucket:
+                for pos, value in bucket:
+                    if pos not in found and haystack.startswith(value, i):
+                        found[pos] = (i, decoded)
+
+    def search(self, haystack: str, decode: bool) -> list[tuple[int, int, bool]]:
+        """(value position, start, decoded) per value found, in value order.
+
+        A value missing from the raw haystack is looked for in its
+        percent-decoded form when ``decode`` is set.
+        """
+        if not self.count:
+            return []
+        found: dict[int, tuple[int, bool]] = {}
+        self._scan(haystack, found, False)
+        if decode and len(found) < self.count:
+            decoded_haystack = unquote(haystack)
+            if decoded_haystack != haystack:
+                self._scan(decoded_haystack, found, True)
+        return sorted((pos, start, decoded) for pos, (start, decoded) in found.items())
+
+
+def _find_leaks(
+    channel: Channel,
+    corpus: list[PageVisit],
+    filtered: list[CookieRecord],
+    detections: list[PublisherDetection],
+    sig: TrackerSignature,
+    scope: TrackerScope | None,
+) -> list[LeakFinding]:
+    """Findings of one channel for one tracker, sorted by ``sort_key``.
+
+    Each carrier's hits are emitted in ``filtered`` order (Cookie-header order
+    on the header channel), so ties in the sort keep a fixed order.
+    """
+    scope = scope or TrackerScope(corpus, detections, sig)
+    if channel is Channel.COOKIE_HEADER:
+        by_pair = {(r.name, r.value): pos for pos, r in enumerate(filtered)}
+    else:
+        index = _ValueIndex([r.value for r in filtered])
+    findings = []
+    for site, ref, txn, active in scope.evidence:
+        if channel is Channel.COOKIE_HEADER:
+            header = "; ".join(f"{n}={v}" for n, v in txn.request_cookies)
+            hits = [(by_pair[pair], header.find(pair[1]), False)
+                    for pair in txn.request_cookies if pair in by_pair]
+        elif channel is Channel.URL_PARAM:
+            hits = index.search(txn.path_and_query, decode=True)
+        else:
+            if not txn.post_body:
+                continue
+            hits = index.search(txn.post_body, decode="form-urlencoded" in (txn.post_content_type or ""))
+            if len(hits) < index.count and txn.post_body_truncated:
+                log.warning("POST body truncated; leak search window exceeded for %s", ref.url)
+        for pos, start, decoded in hits:
+            rec = filtered[pos]
+            findings.append(LeakFinding(
+                site=site,
+                tracker_id=sig.tracker_id,
+                channel=channel,
+                cookie=rec,
+                carrier=ref,
+                matched_span=(start, start + len(rec.value)),
+                decoded=decoded,
+                initiators=txn.initiators,
+                third_party_setter=rec.site is not None and rec.site != site,
+                active_exfiltration=active,
+            ))
+    findings.sort(key=LeakFinding.sort_key)
+    return findings
+
+
 def find_header_leaks(
     corpus: list[PageVisit],
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
+    scope: TrackerScope | None = None,
 ) -> list[LeakFinding]:
     """Filtered cookies present in a tracker transaction's Cookie header."""
-    findings = []
-    tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
-    by_value = {(r.name, r.value): r for r in filtered}
-    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
-        site = det.publisher_etld1
-        header = "; ".join(f"{n}={v}" for n, v in txn.request_cookies)
-        for name, value in txn.request_cookies:
-            rec = by_value.get((name, value))
-            if rec is None:
-                continue
-            start = header.find(value)
-            findings.append(LeakFinding(
-                site=site,
-                tracker_id=sig.tracker_id,
-                channel=Channel.COOKIE_HEADER,
-                cookie=rec,
-                carrier=ref,
-                matched_span=(start, start + len(value)),
-                initiators=txn.initiators,
-                third_party_setter=rec.site is not None and rec.site != site,
-                active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
-            ))
-    findings.sort(key=LeakFinding.sort_key)
-    return findings
+    return _find_leaks(Channel.COOKIE_HEADER, corpus, filtered, detections, sig, scope)
 
 
 def find_post_leaks(
@@ -239,43 +329,11 @@ def find_post_leaks(
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
+    scope: TrackerScope | None = None,
 ) -> list[LeakFinding]:
-    """Filtered cookie values found in tracker-bound POST bodies."""
-    findings = []
-    tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
-    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
-        site = det.publisher_etld1
-        body = txn.post_body
-        if not body:
-            continue
-        form_encoded = "form-urlencoded" in (txn.post_content_type or "")
-        decoded_body = unquote(body) if form_encoded else None
-        missed = False
-        for rec in filtered:
-            start = body.find(rec.value)
-            decoded = False
-            if start < 0 and decoded_body is not None:
-                start = decoded_body.find(rec.value)
-                decoded = True
-            if start < 0:
-                missed = True
-                continue
-            findings.append(LeakFinding(
-                site=site,
-                tracker_id=sig.tracker_id,
-                channel=Channel.POST_BODY,
-                cookie=rec,
-                carrier=ref,
-                matched_span=(start, start + len(rec.value)),
-                decoded=decoded,
-                initiators=txn.initiators,
-                third_party_setter=rec.site is not None and rec.site != site,
-                active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
-            ))
-        if missed and txn.post_body_truncated:
-            log.warning("POST body truncated; leak search window exceeded for %s", ref.url)
-    findings.sort(key=LeakFinding.sort_key)
-    return findings
+    """Filtered cookie values found in tracker-bound POST bodies (and in the
+    percent-decoded body of a form-urlencoded one)."""
+    return _find_leaks(Channel.POST_BODY, corpus, filtered, detections, sig, scope)
 
 
 def find_url_leaks(
@@ -283,36 +341,11 @@ def find_url_leaks(
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
+    scope: TrackerScope | None = None,
 ) -> list[LeakFinding]:
-    """Filtered cookie values in tracker request URLs (path+query only)."""
-    findings = []
-    tracker_hosts = _tracker_hosts(detections, sig.tracker_id)
-    for det, ref, _visit, txn in evidence_transactions(corpus, _of_tracker(detections, sig.tracker_id)):
-        site = det.publisher_etld1
-        haystack = txn.path_and_query
-        decoded_haystack = unquote(haystack)
-        for rec in filtered:
-            start = haystack.find(rec.value)
-            decoded = False
-            if start < 0:
-                start = decoded_haystack.find(rec.value)
-                decoded = True
-            if start < 0:
-                continue
-            findings.append(LeakFinding(
-                site=site,
-                tracker_id=sig.tracker_id,
-                channel=Channel.URL_PARAM,
-                cookie=rec,
-                carrier=ref,
-                matched_span=(start, start + len(rec.value)),
-                decoded=decoded,
-                initiators=txn.initiators,
-                third_party_setter=rec.site is not None and rec.site != site,
-                active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
-            ))
-    findings.sort(key=LeakFinding.sort_key)
-    return findings
+    """Filtered cookie values in tracker request URLs (path+query only, raw
+    or percent-decoded)."""
+    return _find_leaks(Channel.URL_PARAM, corpus, filtered, detections, sig, scope)
 
 
 def transport_audit(
@@ -348,13 +381,18 @@ def audit_leaks(
 ) -> LeakAuditResult:
     """Full three-channel leak audit plus transport audit for all trackers."""
     inventory = build_inventory(corpus, psl)
-    index = build_value_site_index(corpus, psl)
+    persistent = _site_unique_persistent(inventory, build_value_site_index(corpus, psl))
+    by_tracker: dict[str, list[PublisherDetection]] = {}
+    for det in detections:
+        by_tracker.setdefault(det.tracker_id, []).append(det)
     findings: list[LeakFinding] = []
     for sig in sigs:
-        filtered = filter_candidates(inventory, index, sig, detections)
-        findings.extend(find_header_leaks(corpus, filtered, detections, sig))
-        findings.extend(find_post_leaks(corpus, filtered, detections, sig))
-        findings.extend(find_url_leaks(corpus, filtered, detections, sig))
+        own = by_tracker.get(sig.tracker_id, [])
+        scope = TrackerScope(corpus, own, sig)
+        filtered = filter_candidates(persistent, None, sig, own, scope)
+        # module globals, read per call: wrappers installed on the module see each stage
+        for find in (find_header_leaks, find_post_leaks, find_url_leaks):
+            findings.extend(find(corpus, filtered, own, sig, scope))
     findings.sort(key=LeakFinding.sort_key)
     return LeakAuditResult(
         inventory_size=len(inventory),

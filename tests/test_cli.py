@@ -162,6 +162,34 @@ class TestHistoryValidate:
             args.func(args)
 
 
+    @pytest.mark.parametrize("manifest,where", [
+        ({"month": "2020-10"}, "must be a JSON array"),
+        (["2020-10"], "entry 0: not an object"),
+        ([{"month": "2020-10", "dns": "dns.jsonl"}], "entry 0: 'corpus' missing"),
+        ([{"month": "2020-10", "corpus": "c.jsonl", "dns": "d.jsonl"}, {"month": "2020-09", "corpus": "c.jsonl"}],
+         "entry 1: 'dns' missing"),
+        ([{"month": "2020-10", "corpus": 5, "dns": "d.jsonl"}], "entry 0: 'corpus' missing or not a string"),
+    ])
+    def test_malformed_month_manifest(self, world, tmp_path, capsys, manifest, where):
+        path = tmp_path / "months.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["history", "--months", path, "--signatures", world["signatures"],
+                    "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and where in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("manifest,where", [
+        (["dns.jsonl"], "month manifest must be a JSON object"),
+        ({"2020-10": 0}, "month '2020-10': path must be a string"),
+    ])
+    def test_malformed_external_manifest(self, world, tmp_path, capsys, manifest, where):
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps(manifest))
+        assert run(["validate", "--months", world["months"], "--signatures", world["signatures"],
+                    "--external-dns", path, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
+
 class TestFeaturesReport:
     def test_features_command(self, world, tmp_path):
         out = tmp_path / "out"

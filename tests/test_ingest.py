@@ -203,6 +203,23 @@ class TestHar:
         assert exc.value.entry_index == 0
 
 
+    @pytest.mark.parametrize("side,header", [
+        ("request", {"value": "a=1"}),
+        ("request", {"name": "Cookie"}),
+        ("response", {"name": "Set-Cookie"}),
+        ("response", {"name": "Set-Cookie", "value": 5}),
+        ("response", "Set-Cookie: a=1"),
+    ])
+    def test_bad_header_names_entry(self, tmp_path, side, header):
+        entry = {"pageref": "p1", "request": {"url": "https://a.com/x", "headers": []},
+                 "response": {"status": 200, "headers": []}}
+        entry[side]["headers"] = [header]
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
+                       "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}}, entry]}}
+        with pytest.raises(MalformedHar, match=r"^entry 1: header") as exc:
+            load_har(self._har(tmp_path, doc))
+        assert exc.value.entry_index == 1
+
 class TestDns:
     def test_flat_and_zdns_forms(self, tmp_path):
         lines = [
@@ -234,6 +251,24 @@ class TestDns:
         with pytest.raises(SchemaViolation):
             load_dns(path)
 
+
+    @pytest.mark.parametrize("line", [
+        {"name": "a.test", "answers": 5},
+        {"name": "a.test", "answers": {"type": "A", "answer": "192.0.2.1"}},
+        {"name": "a.test", "data": {"answers": "192.0.2.1"}},
+        {"name": "a.test", "data": ["192.0.2.1"]},
+        {"name": "a.test", "answers": [{"type": "CNAME", "answer": 5}]},
+        {"name": "a.test", "answers": [{"type": "A", "answer": ["192.0.2.1"]}]},
+        {"name": "a.test", "answers": [{"type": 5, "answer": "b.test"}]},
+        {"name": "a.test", "answers": [{"name": 5, "type": "CNAME", "answer": "b.test"}]},
+        ["a.test"],
+    ])
+    def test_malformed_answers_name_the_line(self, tmp_path, line):
+        good = corpusgen.dns_line("b.test", [("b.test", "A", "192.0.2.1")])
+        path = corpusgen.write_jsonl([good, line], tmp_path / "dns.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_dns(path)
+        assert exc.value.line == 2
 
 class TestSignaturesAndRanking:
     def test_signatures(self, tmp_path):

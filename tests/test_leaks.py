@@ -1,14 +1,17 @@
 """Leak-audit tests: planted leaks across all three channels, decoy
-exclusion, setter attribution, and the transport audit."""
+exclusion, setter attribution, the single-pass search against the reference
+in tests/naiveleaks.py, and the transport audit."""
 
 import logging
+from urllib.parse import quote
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corpusgen
+import naiveleaks
 from cnametrack.detect import Context, Mechanism, PublisherDetection, TransactionRef, detect_publishers
 from cnametrack.dnsgraph import DnsRecordStore
-from cnametrack.ingest import load_crawl_jsonl
 from cnametrack.leaks import (
     Channel,
     CookieRecord,
@@ -17,34 +20,14 @@ from cnametrack.leaks import (
     audit_leaks,
     build_inventory,
     build_value_site_index,
+    TrackerScope,
     filter_candidates,
+    find_header_leaks,
     find_post_leaks,
+    find_url_leaks,
     transport_audit,
 )
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
-from cnametrack.sitectx import PublicSuffixTable
-
-
-def build_store(dns_lines):
-    store = DnsRecordStore()
-    for line in dns_lines:
-        for ans in line["answers"]:
-            store.add(ans["name"], ans["type"], ans["answer"], line.get("month"))
-    return store
-
-
-@pytest.fixture(scope="module")
-def leak_setup(tmp_path_factory):
-    records, dns_lines, expected = corpusgen.leak_world()
-    path = corpusgen.write_jsonl(records, tmp_path_factory.mktemp("leaks") / "c.jsonl")
-    psl = PublicSuffixTable.bundled()
-    corpus = load_crawl_jsonl(path, psl)
-    dns = build_store(dns_lines)
-    sig = TrackerSignature(**{k: tuple(v) if isinstance(v, list) else v
-                              for k, v in corpusgen.LEAK_TRACKER_SIG.items()
-                              if k != "id_markers"})
-    detections = detect_publishers(corpus, dns, [sig], None, psl)
-    return corpus, dns, sig, detections, expected, psl
 
 
 class TestInventory:
@@ -161,6 +144,89 @@ def test_truncated_post_body_warns_once(caplog):
     assert [r.message for r in caplog.records].count(
         f"POST body truncated; leak search window exceeded for {url}") == 1
     assert len(caplog.records) == 1
+
+
+# -- differential test: single-pass search against the per-candidate reference
+
+DIFF_SIG = TrackerSignature("trk", cname_suffixes=("trk.net",), path_patterns=("/*",))
+DIFF_INITIATORS = ("https://x.trk.net/s.js", "https://m.shop.com/c.js", "https://cdn.other.com/a.js")
+SEARCHES = [
+    (find_header_leaks, naiveleaks.find_header_leaks),
+    (find_post_leaks, naiveleaks.find_post_leaks),
+    (find_url_leaks, naiveleaks.find_url_leaks),
+]
+
+
+@st.composite
+def leak_cases(draw):
+    """Candidates over a tiny alphabet (so values share 10-character prefixes
+    and overlap), and tracker transactions whose URLs and POST bodies are
+    spliced from raw, percent-encoded and cut-off values and filler."""
+    stems = draw(st.lists(st.text("ab %", min_size=10, max_size=11), min_size=1, max_size=3))
+    values = draw(st.lists(st.builds(str.__add__, st.sampled_from(stems), st.text("ab%2\u00e9 ", max_size=3)),
+                           min_size=1, max_size=6))
+    names = st.sampled_from(["a", "b", "c"])  # one value may be drawn under two names
+    filtered = [CookieRecord(draw(names), v, None, None, SetterKind.UNKNOWN, None, (),
+                             draw(st.sampled_from([None, "shop.com", "other.com"])), "v1")
+                for v in draw(st.lists(st.sampled_from(values), max_size=6))]
+    value = st.sampled_from(values)
+    piece = st.one_of(value, value.map(quote), st.builds(lambda v, k: v[:k], value, st.integers(1, 12)),
+                      st.text("ab%2=&", max_size=5))
+    text = st.lists(piece, max_size=5).map("".join)
+    txns = []
+    for _ in range(draw(st.integers(1, 4))):
+        body = draw(st.none() | text)
+        truncated = body is not None and draw(st.booleans())
+        if truncated:
+            body = body[:draw(st.integers(0, len(body)))]
+        txns.append(HttpTransaction(
+            "https://m.shop.com/" + draw(text), method="POST",
+            request_cookies=draw(st.lists(st.tuples(names, value | st.text("ab", max_size=12)), max_size=4)),
+            post_body=body, post_body_truncated=truncated,
+            post_content_type=draw(st.sampled_from([None, "application/json", "application/x-www-form-urlencoded",
+                                                    "application/x-www-form-urlencoded; charset=utf-8"])),
+            initiators=tuple(draw(st.lists(st.sampled_from(DIFF_INITIATORS), max_size=2))),
+        ))
+    visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=txns)
+
+    def refs():
+        indices = st.integers(0, len(txns))  # one past the end: a stale ref
+        return [TransactionRef("v1", i, "https://m.shop.com/", "m.shop.com")
+                for i in draw(st.lists(indices, min_size=1, max_size=4))]
+
+    detections = [PublisherDetection(site, tracker, Context.SAME_SITE, refs(), Mechanism.CNAME)
+                  for site, tracker in (("shop.com", "trk"), ("other.com", "trk"), ("shop.com", "else"))]
+    return [visit], filtered, detections
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _run_logged(fn, logger_name, *args):
+    handler = _Messages()
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        return fn(*args), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leak_cases())
+def test_single_pass_search_equals_reference(case):
+    corpus, filtered, detections = case
+    scope = TrackerScope(corpus, detections, DIFF_SIG)
+    for fast, naive in SEARCHES:
+        want = _run_logged(naive, "naiveleaks", corpus, filtered, detections, DIFF_SIG)
+        assert _run_logged(fast, "cnametrack.leaks", corpus, filtered, detections, DIFF_SIG) == want
+        assert fast(corpus, filtered, detections, DIFF_SIG, scope) == want[0]
 
 
 class TestTransport:

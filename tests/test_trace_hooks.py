@@ -11,6 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from cnametrack import leaks
+from cnametrack.model import TrackerSignature
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -32,3 +35,20 @@ def test_hook_resolves(module, dotted):
         assert hasattr(obj, attr), f"cnametrack.{module}.{dotted} is gone"
         obj = getattr(obj, attr)
     assert callable(obj)
+
+
+def test_audit_leaks_calls_traced_stages(leak_setup, monkeypatch):
+    """audit_leaks must reach the traced leak stages through the module
+    namespace, once per signature, or the tracer's leaks.*_s read zero."""
+    corpus, _dns, sig, detections, _expected, psl = leak_setup
+    other = TrackerSignature("quiet", cname_suffixes=("quiet.example",), path_patterns=("/*",))
+    names = ("filter_candidates", "find_header_leaks", "find_post_leaks", "find_url_leaks")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _fn=getattr(leaks, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(leaks, name, counting)
+    result = leaks.audit_leaks(corpus, detections, [sig, other], psl)
+    assert len(result.findings) == 12
+    assert calls == dict.fromkeys(names, 2)
