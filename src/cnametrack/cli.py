@@ -151,7 +151,7 @@ def cmd_defense(args) -> int:
     psl = _load_psl(args)
     corpus, dns, sigs, pool, detections = _detection_pipeline(args, psl)
     rules, stats = load_filter_list(args.filters)
-    report = compare_defenses(corpus, detections, rules, dns, psl,
+    report = compare_defenses(corpus, detections, rules, dns,
                               max_depth=args.max_depth)
     out = _out_dir(args)
     reports.write_defense(report, out)

@@ -1,20 +1,28 @@
 """Blocking-outcome evaluation under three defense models: plain filter-list
 matching, CNAME-uncloaked matching (extension-style), and DNS-sinkhole domain
-blocking (resolver-style)."""
+blocking (resolver-style).
+
+Plain matching tries only the rules a ``FilterList`` index offers for the
+URL's tokens; the sinkhole looks a host's label suffixes up in a
+``DomainSet``.  Both accept plain lists too and index them on the fly.  A
+transaction's content class and its page's hostname feed the ``$script`` /
+``$image`` and ``domain=`` options in every model.
+"""
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
-from .detect import Context, PublisherDetection, evidence_transactions, page_site
+from .detect import Context, PublisherDetection, evidence_transactions
 from .dnsgraph import DnsRecordStore, resolve_chain
 from .errors import CnameCycle
-from .filterlist import FilterRule
-from .model import PageVisit
-from .sitectx import PublicSuffixTable, Relation
+from .filterlist import FilterList, FilterRule, url_tokens
+from .model import ContentClass, PageVisit
+from .sitectx import Relation
 
 log = logging.getLogger(__name__)
 
@@ -45,10 +53,15 @@ class BlockDecision:
 
 
 class UncloakCache:
-    """hostname -> (terminal eTLD+1 or None, substituted-match verdict)."""
+    """hostname -> its last CNAME hop, or None where uncloaking fails open.
+
+    Only the DNS resolution is cached: each transaction's substituted URL is
+    matched on its own, so no verdict depends on which transaction of a host
+    came first.
+    """
 
     def __init__(self):
-        self._entries: dict[str, tuple[str | None, Verdict, FilterRule | None]] = {}
+        self._entries: dict[str, tuple[str | None]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -60,24 +73,29 @@ class UncloakCache:
             self.misses += 1
         return entry
 
-    def put(self, host, last_hop, verdict, rule):
-        self._entries[host] = (last_hop, verdict, rule)
+    def put(self, host, last_hop):
+        self._entries[host] = (last_hop,)
 
 
-def match_plain(url: str, relation: Relation, rules: list[FilterRule],
-                page_site: str | None = None) -> BlockDecision:
-    """Adblock-subset semantics on the literal hostname; exceptions beat blocks."""
-    matched: FilterRule | None = None
-    for rule in rules:
-        if rule.is_exception or rule.inert:
-            continue
-        if rule.matches(url, relation, page_site):
-            matched = rule
-            break
+def match_plain(url: str, relation: Relation, rules: Iterable[FilterRule],
+                page_host: str | None = None,
+                content: ContentClass | None = None) -> BlockDecision:
+    """Adblock-subset semantics on the literal hostname; exceptions beat blocks.
+
+    The first blocking rule in list order that matches decides, unless an
+    exception rule matches too; only the index's candidates for the URL's
+    tokens are tried.  ``rules`` may be a plain list, indexed on the fly.
+    ``page_host`` (the page's hostname) and ``content`` (the transaction's
+    content class) feed the ``domain=`` and ``$script``/``$image`` options.
+    """
+    rules = FilterList.of(rules)
+    tokens = url_tokens(url)
+    matched = next((rule for rule in rules.candidates(tokens)
+                    if rule.matches(url, relation, page_host, content)), None)
     if matched is None:
         return BlockDecision(Verdict.ALLOWED, Defense.PLAIN)
-    for rule in rules:
-        if rule.is_exception and rule.matches(url, relation, page_site):
+    for rule in rules.candidates(tokens, exceptions=True):
+        if rule.matches(url, relation, page_host, content):
             return BlockDecision(Verdict.ALLOWED, Defense.PLAIN, matched_rule=rule)
     return BlockDecision(Verdict.BLOCKED, Defense.PLAIN, matched_rule=matched)
 
@@ -91,57 +109,81 @@ def _substitute_host(url: str, new_host: str) -> str:
 def match_uncloaked(
     url: str,
     relation: Relation,
-    rules: list[FilterRule],
+    rules: Iterable[FilterRule],
     dns: DnsRecordStore,
     cache: UncloakCache,
-    page_site: str | None = None,
+    page_host: str | None = None,
     max_depth: int = 10,
+    content: ContentClass | None = None,
 ) -> BlockDecision:
     """Plain match first; when allowed, re-match with the last CNAME hop
-    substituted for the hostname.  Fail-open when DNS data is missing."""
-    plain = match_plain(url, relation, rules, page_site)
+    substituted for the hostname.  Fail-open when DNS data is missing
+    (``dns_missing`` is set on a host's first lookup only)."""
+    rules = FilterList.of(rules)
+    plain = match_plain(url, relation, rules, page_host, content)
     if plain.blocked:
         return BlockDecision(Verdict.BLOCKED, Defense.UNCLOAKED, matched_rule=plain.matched_rule)
     host = (urlsplit(url).hostname or "").lower()
     if not host:
         return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED)
     cached = cache.get(host)
-    if cached is not None:
-        last_hop, verdict, rule = cached
-        return BlockDecision(verdict, Defense.UNCLOAKED, matched_rule=rule, uncloak_cache_hit=True)
+    dns_missing = False
+    if cached is None:
+        last_hop, dns_missing = _last_hop(host, dns, max_depth)
+        cache.put(host, last_hop)
+    else:
+        (last_hop,) = cached
+    hit = cached is not None
+    if last_hop is None:
+        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED, uncloak_cache_hit=hit,
+                             dns_missing=dns_missing)
+    re_match = match_plain(_substitute_host(url, last_hop), relation, rules, page_host, content)
+    return BlockDecision(re_match.verdict, Defense.UNCLOAKED, matched_rule=re_match.matched_rule,
+                         uncloak_cache_hit=hit)
+
+
+def _last_hop(host: str, dns: DnsRecordStore, max_depth: int) -> tuple[str | None, bool]:
+    """(the host's last CNAME hop or None, whether DNS data is missing)."""
     if host not in dns:
         log.warning("no DNS coverage for %s; uncloaked match fails open", host)
-        cache.put(host, None, Verdict.ALLOWED, None)
-        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED, dns_missing=True)
+        return None, True
     try:
         chain = resolve_chain(host, dns, max_depth)
     except CnameCycle:
-        cache.put(host, None, Verdict.ALLOWED, None)
-        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED, dns_missing=True)
-    if not chain.hops:
-        cache.put(host, None, Verdict.ALLOWED, None)
-        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED)
-    substituted = _substitute_host(url, chain.last_hop)
-    re_match = match_plain(substituted, relation, rules, page_site)
-    cache.put(host, chain.last_hop, re_match.verdict, re_match.matched_rule)
-    return BlockDecision(re_match.verdict, Defense.UNCLOAKED, matched_rule=re_match.matched_rule)
+        return None, True
+    return (chain.last_hop if chain.hops else None), False
 
 
-def _domain_suffix_hit(host: str, domain_rules: list[str]) -> str | None:
-    host = host.lower().rstrip(".")
-    for dom in domain_rules:
-        dom = dom.lower().rstrip(".")
-        if host == dom or host.endswith("." + dom):
-            return dom
-    return None
+class DomainSet:
+    """Sinkhole domains, looked up through the label suffixes of a host."""
+
+    def __init__(self, domains: Iterable[str]):
+        self._rank: dict[str, int] = {}
+        for rank, dom in enumerate(domains):
+            self._rank.setdefault(dom.lower().rstrip("."), rank)
+
+    def hit(self, host: str) -> str | None:
+        """The listed domain equal to ``host`` or to one of its label
+        suffixes; when several are, the one listed first."""
+        host = host.lower().rstrip(".")
+        best = None
+        suffix, rest = host, True
+        while rest:
+            rank = self._rank.get(suffix)
+            if rank is not None and (best is None or rank < best[0]):
+                best = (rank, suffix)
+            _, rest, suffix = suffix.partition(".")
+        return None if best is None else best[1]
 
 
-def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: list[str],
+def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[str],
                    max_depth: int = 10) -> BlockDecision:
     """Resolver-level blocking: the hostname or ANY chain hop matching a
-    listed domain (suffix semantics) sinks the query."""
+    listed domain (suffix semantics) sinks the query.  ``domain_rules`` may
+    be a plain list, indexed on the fly."""
+    domains = domain_rules if isinstance(domain_rules, DomainSet) else DomainSet(domain_rules)
     hostname = hostname.lower().rstrip(".")
-    hit = _domain_suffix_hit(hostname, domain_rules)
+    hit = domains.hit(hostname)
     if hit:
         return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
     try:
@@ -149,7 +191,7 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: list[str],
     except CnameCycle:
         return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
     for hop in chain.hops:
-        hit = _domain_suffix_hit(hop, domain_rules)
+        hit = domains.hit(hop)
         if hit:
             return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
     return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
@@ -185,15 +227,14 @@ class DefenseReport:
 def compare_defenses(
     corpus: list[PageVisit],
     detections: list[PublisherDetection],
-    rules: list[FilterRule],
+    rules: Iterable[FilterRule],
     dns: DnsRecordStore,
-    psl: PublicSuffixTable,
     domain_rules: list[str] | None = None,
     max_depth: int = 10,
 ) -> DefenseReport:
     """Fraction of each tracker's evidence transactions blocked per defense."""
-    if domain_rules is None:
-        domain_rules = pure_domain_rules(rules)
+    rules = FilterList.of(rules)
+    domains = DomainSet(pure_domain_rules(rules) if domain_rules is None else domain_rules)
     cache = UncloakCache()
     verdicts: list[TransactionVerdict] = []
     tally: dict[str, dict[str, int]] = {}
@@ -202,10 +243,11 @@ def compare_defenses(
     ordered = sorted(detections, key=PublisherDetection.sort_key)
     for det, ref, visit, txn in evidence_transactions(corpus, ordered):
         relation = Relation.SAME_SITE if det.context is Context.SAME_SITE else Relation.CROSS_SITE
-        site = page_site(visit, psl)
-        plain = match_plain(txn.request_url, relation, rules, site)
-        uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache, site, max_depth)
-        sink = match_sinkhole(txn.host, dns, domain_rules, max_depth)
+        content = txn.content_type_class
+        plain = match_plain(txn.request_url, relation, rules, visit.page_host, content)
+        uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache,
+                                    visit.page_host, max_depth, content)
+        sink = match_sinkhole(txn.host, dns, domains, max_depth)
         if uncloaked.dns_missing:
             warnings += 1
         verdicts.append(TransactionVerdict(

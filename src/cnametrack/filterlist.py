@@ -1,10 +1,20 @@
-"""Adblock-style filter list parsing and network-rule matching.
+"""Adblock-style filter list parsing and token-indexed network-rule matching.
 
 Supported subset: domain anchors (``||example.com^``), plain URL patterns
 with ``*`` wildcards, ``^`` separators and ``|`` anchors, exception rules
 (``@@`` prefix) and the options ``third-party``, ``~third-party`` /
-``first-party`` and ``domain=``.  Cosmetic rules, regex rules and any rule
-carrying an unsupported option are kept but marked inert.
+``first-party``, ``script`` / ``image`` (the transaction's content class)
+and ``domain=`` (the page hostname, with suffix semantics).  Cosmetic rules,
+regex rules and any rule carrying an unsupported option are kept but marked
+inert.
+
+``load_filter_list`` returns a ``FilterList``: the rules in file order plus
+an index from one *bounded* literal token of each rule to that rule.  A
+token is a run of ``[a-z0-9%]``; it is bounded when nothing the rule can
+match lets a token character touch it on either side, so every URL the rule
+matches contains it as a whole token.  ``FilterList.candidates`` returns,
+in rule order, only the rules that can match a URL; each candidate is still
+confirmed by ``FilterRule.matches``, whose regex is compiled on first use.
 """
 
 from __future__ import annotations
@@ -12,8 +22,11 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
+from functools import cached_property
 
+from .model import ContentClass
 from .sitectx import Relation
 
 log = logging.getLogger(__name__)
@@ -22,6 +35,9 @@ _SEPARATOR = r"(?:[^a-zA-Z0-9_.%-]|$)"
 _SCHEME = r"^[a-z][a-z0-9+.-]*://"
 
 SUPPORTED_OPTIONS = {"third-party", "~third-party", "first-party", "script", "image"}
+_TYPE_OPTIONS = {"script": ContentClass.SCRIPT, "image": ContentClass.IMAGE}
+
+_TOKEN = re.compile(r"[a-z0-9%]+")
 
 
 class RuleKind(enum.Enum):
@@ -30,15 +46,22 @@ class RuleKind(enum.Enum):
     EXCEPTION = "exception"
 
 
+def _host_in(host: str, domains: tuple[str, ...]) -> bool:
+    return any(host == d or host.endswith("." + d) for d in domains)
+
+
 @dataclass
 class FilterRule:
     raw: str
     kind: RuleKind
     domain: str | None = None
     options: frozenset[str] = frozenset()
-    domain_option: tuple[str, ...] = ()  # domain= values, "~"-prefixed excludes
+    content_types: frozenset[ContentClass] = frozenset()  # $script / $image
+    domain_include: tuple[str, ...] = ()  # domain= values
+    domain_exclude: tuple[str, ...] = ()  # domain=~ values, "~" removed
     inert: bool = False
-    regex: re.Pattern | None = None
+    pattern: str | None = None  # regex source; None for inert rules
+    token: str | None = None  # bounded literal token the index keys on
 
     @property
     def is_exception(self) -> bool:
@@ -50,25 +73,33 @@ class FilterRule:
         return (
             self.domain is not None
             and not self.options
-            and not self.domain_option
+            and not self.domain_include
+            and not self.domain_exclude
             and re.fullmatch(r"@?@?\|\|[^/^*|$]+\^?", self.raw.split("$")[0]) is not None
         )
 
-    def matches(self, url: str, relation: Relation, page_site: str | None = None) -> bool:
-        if self.inert or self.regex is None:
+    @cached_property
+    def regex(self) -> re.Pattern | None:
+        return None if self.pattern is None else re.compile(self.pattern, re.IGNORECASE)
+
+    def matches(self, url: str, relation: Relation, page_host: str | None = None,
+                content: ContentClass | None = None) -> bool:
+        """``page_host`` is the page's hostname; ``content`` the transaction's
+        content class (a ``$script``/``$image`` rule matches nothing without it)."""
+        if self.inert or self.pattern is None:
             return False
         if "third-party" in self.options and relation is not Relation.CROSS_SITE:
             return False
         if "first-party" in self.options and relation is Relation.CROSS_SITE:
             return False
-        if self.domain_option:
-            includes = [d for d in self.domain_option if not d.startswith("~")]
-            excludes = [d[1:] for d in self.domain_option if d.startswith("~")]
-            if page_site is None:
+        if self.content_types and content not in self.content_types:
+            return False
+        if self.domain_include or self.domain_exclude:
+            if page_host is None:
                 return False
-            if includes and page_site not in includes:
+            if self.domain_include and not _host_in(page_host, self.domain_include):
                 return False
-            if page_site in excludes:
+            if _host_in(page_host, self.domain_exclude):
                 return False
         return self.regex.search(url) is not None
 
@@ -85,6 +116,27 @@ def _translate_pattern(pattern: str) -> str:
     return "".join(out)
 
 
+def _bounded_token(shape: str) -> str | None:
+    """The longest bounded token of a rule's shape, or None.
+
+    ``shape`` is the matched text as the regex sees it, framed by ``^``
+    where the edge forces a token boundary and ``*`` where it does not.  A
+    non-ASCII character counts as ``*``: under ``re.IGNORECASE`` it can match
+    an ASCII token character (U+017F, the long s, matches ``s``; U+212A, the
+    Kelvin sign, matches ``k``).  Every other character that is not a token
+    character is a literal the URL must contain there, or ``^``, so it is a
+    boundary.
+    """
+    shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
+    best = None
+    for m in _TOKEN.finditer(shape):
+        if shape[m.start() - 1] == "*" or shape[m.end()] == "*":
+            continue
+        if best is None or len(m.group()) > len(best):
+            best = m.group()
+    return best
+
+
 def parse_rule(line: str) -> FilterRule | None:
     """Parse one non-comment, non-cosmetic line; None when unparseable."""
     raw = line
@@ -93,7 +145,7 @@ def parse_rule(line: str) -> FilterRule | None:
         line = line[2:]
 
     options: set[str] = set()
-    domain_option: tuple[str, ...] = ()
+    domain_option: list[str] = []
     inert = False
     if "$" in line:
         line, _, opts = line.rpartition("$")
@@ -102,7 +154,7 @@ def parse_rule(line: str) -> FilterRule | None:
             if not opt:
                 continue
             if opt.startswith("domain="):
-                domain_option = tuple(opt[len("domain="):].split("|"))
+                domain_option = opt[len("domain="):].lower().split("|")
             elif opt == "~third-party":
                 options.add("first-party")
             elif opt in SUPPORTED_OPTIONS:
@@ -122,8 +174,10 @@ def parse_rule(line: str) -> FilterRule | None:
         if not m:
             return None
         domain = m.group(1).lower().rstrip(".")
-        rest = body[m.end():]
-        pattern = _SCHEME + r"(?:[^/?#]*\.)?" + re.escape(domain) + _translate_pattern(rest or "^")
+        rest = body[m.end():] or "^"
+        pattern = _SCHEME + r"(?:[^/?#]*\.)?" + re.escape(domain) + _translate_pattern(rest)
+        # the domain starts after "://" or a "." label separator
+        shape = "^" + domain + rest + "*"
         kind = RuleKind.DOMAIN_ANCHOR
     else:
         anchored_start = line.startswith("|")
@@ -134,20 +188,96 @@ def parse_rule(line: str) -> FilterRule | None:
             pattern = "^" + pattern
         if anchored_end:
             pattern = pattern + "$"
+        shape = ("^" if anchored_start else "*") + body + ("^" if anchored_end else "*")
         kind = RuleKind.PLAIN_PATTERN
 
     if exception:
         kind = RuleKind.EXCEPTION
-    regex = None if inert else re.compile(pattern, re.IGNORECASE)
     return FilterRule(
         raw=raw,
         kind=kind,
         domain=domain,
         options=frozenset(options),
-        domain_option=domain_option,
+        content_types=frozenset(_TYPE_OPTIONS[o] for o in options if o in _TYPE_OPTIONS),
+        domain_include=tuple(d for d in domain_option if not d.startswith("~")),
+        domain_exclude=tuple(d[1:] for d in domain_option if d.startswith("~")),
         inert=inert,
-        regex=regex,
+        pattern=None if inert else pattern,
+        token=None if inert else _bounded_token(shape),
     )
+
+
+def url_tokens(url: str) -> frozenset[str] | None:
+    """The URL's tokens, or None for a non-ASCII URL (every rule is then a
+    candidate: case-insensitive matching relates ASCII letters to non-ASCII
+    ones that ``str.lower`` leaves apart)."""
+    if not url.isascii():
+        return None
+    return frozenset(_TOKEN.findall(url.lower()))
+
+
+class _Bucket:
+    """Rule positions of one kind (blocking or exception), keyed by token."""
+
+    def __init__(self):
+        self.by_token: dict[str, list[int]] = {}
+        self.fallback: list[int] = []  # rules without a bounded token
+        self.every: list[int] = []
+
+    def add(self, pos: int, token: str | None):
+        self.every.append(pos)
+        if token is None:
+            self.fallback.append(pos)
+        else:
+            self.by_token.setdefault(token, []).append(pos)
+
+    def positions(self, tokens: frozenset[str] | None) -> list[int]:
+        if tokens is None:
+            return self.every
+        hit = set(self.fallback)
+        for tok in tokens:
+            found = self.by_token.get(tok)
+            if found:
+                hit.update(found)
+        return sorted(hit)
+
+
+class FilterList(Sequence):
+    """Filter rules in list order, indexed by their bounded tokens.
+
+    Inert rules stay in the sequence (and in ``FilterListStats``) but are
+    never candidates, as they match nothing.
+    """
+
+    def __init__(self, rules: Iterable[FilterRule]):
+        self.rules = list(rules)
+        self._blocking = _Bucket()
+        self._exceptions = _Bucket()
+        for pos, rule in enumerate(self.rules):
+            if not rule.inert:
+                bucket = self._exceptions if rule.is_exception else self._blocking
+                bucket.add(pos, rule.token)
+
+    @classmethod
+    def of(cls, rules: Iterable[FilterRule]) -> FilterList:
+        """``rules`` itself when already indexed, else a new index over it."""
+        return rules if isinstance(rules, cls) else cls(rules)
+
+    def __len__(self) -> int:
+        return len(self.rules)
+
+    def __getitem__(self, i):
+        return self.rules[i]
+
+    def __iter__(self):
+        return iter(self.rules)
+
+    def candidates(self, tokens: frozenset[str] | None,
+                   exceptions: bool = False) -> list[FilterRule]:
+        """Blocking (or exception) rules that can match a URL with these
+        ``url_tokens``, in list order."""
+        bucket = self._exceptions if exceptions else self._blocking
+        return [self.rules[pos] for pos in bucket.positions(tokens)]
 
 
 @dataclass
@@ -159,7 +289,7 @@ class FilterListStats:
     unparseable: int = 0
 
 
-def load_filter_list(path) -> tuple[list[FilterRule], FilterListStats]:
+def load_filter_list(path) -> tuple[FilterList, FilterListStats]:
     """Parse a filter list file; never fatal, per-line diagnostics only."""
     rules: list[FilterRule] = []
     stats = FilterListStats()
@@ -182,4 +312,4 @@ def load_filter_list(path) -> tuple[list[FilterRule], FilterListStats]:
                 log.debug("%s:%d: unsupported options, rule inert: %r", path, lineno, line)
             rules.append(rule)
             stats.rules += 1
-    return rules, stats
+    return FilterList(rules), stats

@@ -7,6 +7,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+from .defense import match_plain
 from .detect import (
     Context,
     Mechanism,
@@ -18,9 +19,9 @@ from .detect import (
 )
 from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips, resolve_chain
 from .errors import CnameCycle, NonContiguousMonths
-from .filterlist import FilterRule
+from .filterlist import FilterList, FilterRule
 from .model import PageVisit, TrackerSignature
-from .sitectx import PublicSuffixTable
+from .sitectx import PublicSuffixTable, Relation
 
 log = logging.getLogger(__name__)
 
@@ -283,9 +284,7 @@ def third_party_trend(
 ) -> dict[int, float]:
     """Mean distinct blocked third-party tracker eTLD+1s per month offset
     around adoption (offset 0 = adoption month)."""
-    from .defense import match_plain
-    from .sitectx import Relation
-
+    rules = FilterList.of(rules)
     per_offset: dict[int, list[int]] = {o: [] for o in range(-window, window)}
     month_keys = sorted(months_data)
     for pub, _tracker, adoption_month in adoptions:
@@ -306,7 +305,8 @@ def third_party_trend(
                 for txn, relation in classified_transactions(visit, psl):
                     if relation is not Relation.CROSS_SITE:
                         continue
-                    if match_plain(txn.request_url, relation, rules, site).blocked:
+                    if match_plain(txn.request_url, relation, rules, visit.page_host,
+                                   txn.content_type_class).blocked:
                         t_site = psl.etld_plus_one_or_none(txn.host)
                         if t_site:
                             trackers.add(t_site)

@@ -122,6 +122,15 @@ def _ingest_visit(obj, visits, order, psl):
     order.append(visit_id)
 
 
+def _jsonl_headers(obj, key: str) -> list[tuple[str, str]]:
+    headers = obj.get(key, [])
+    if not (isinstance(headers, list) and all(
+            isinstance(h, list) and len(h) == 2 and isinstance(h[0], str) and isinstance(h[1], str)
+            for h in headers)):
+        raise SchemaViolation(f"{key} must be a list of [name, value] string pairs")
+    return [(name, value) for name, value in headers]
+
+
 def _ingest_transaction(obj, visits):
     visit = visits.get(obj["visit_id"])
     if visit is None:
@@ -129,8 +138,8 @@ def _ingest_transaction(obj, visits):
     txn = HttpTransaction(
         request_url=obj["url"],
         method=obj.get("method", "GET"),
-        request_headers=[tuple(h) for h in obj.get("request_headers", [])],
-        response_headers=[tuple(h) for h in obj.get("response_headers", [])],
+        request_headers=_jsonl_headers(obj, "request_headers"),
+        response_headers=_jsonl_headers(obj, "response_headers"),
         status=int(obj.get("status", 0)),
         response_size=int(obj.get("response_size", 0)),
         content_type_class=classify_content_type(obj.get("content_type")),
@@ -155,6 +164,8 @@ def _ingest_js_cookie(obj, visits):
     if visit is None:
         raise SchemaViolation(f"js_cookie for unknown visit_id {obj['visit_id']!r}")
     assigned = obj["assigned"]
+    if not isinstance(assigned, str):
+        raise SchemaViolation("js_cookie assigned must be a string")
     visit.js_cookie_sets.append(
         JsCookieSet(
             page_url=visit.page_url,
@@ -223,6 +234,13 @@ def _har_headers(message: dict, entry_index: int) -> list[tuple[str, str]]:
     return [(h["name"], h["value"]) for h in headers]
 
 
+def _har_int(value, field: str, entry_index: int) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise MalformedHar(f"{field} must be a number, not {value!r}", entry_index=entry_index) from None
+
+
 def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = None) -> list[PageVisit]:
     """Load a HAR 1.2 capture; one PageVisit per page entry."""
     with open(path, encoding="utf-8") as fh:
@@ -272,10 +290,14 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
         )
         response = entry.get("response")
         if response:
+            if not isinstance(response, dict):
+                raise MalformedHar("response must be an object", entry_index=idx)
             txn.response_headers = _har_headers(response, idx)
-            txn.status = int(response.get("status", 0))
+            txn.status = _har_int(response.get("status", 0), "response.status", idx)
             content = response.get("content", {}) or {}
-            txn.response_size = max(int(content.get("size", 0) or 0), 0)
+            if not isinstance(content, dict):
+                raise MalformedHar("response.content must be an object", entry_index=idx)
+            txn.response_size = max(_har_int(content.get("size", 0) or 0, "content.size", idx), 0)
             txn.content_type_class = classify_content_type(content.get("mimeType"))
         else:
             log.warning("%s: entry %d has no response; recorded with status 0", path, idx)

@@ -8,7 +8,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from .defense import DefenseReport
+from .defense import DefenseReport, match_plain
 from .detect import (
     Context,
     Mechanism,
@@ -18,7 +18,9 @@ from .detect import (
     page_site,
 )
 from .errors import SchemaViolation
+from .filterlist import FilterList
 from .leaks import LeakAuditResult, LeakFinding
+from .sitectx import Relation
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -214,12 +216,10 @@ def cooccurrence_fraction(
     corpus, detections: list[PublisherDetection], rules, psl
 ) -> float:
     """Fraction of publisher sites that also load >= 1 blocked third-party tracker."""
-    from .defense import match_plain
-    from .sitectx import Relation
-
     publishers = {d.publisher_etld1 for d in detections}
     if not publishers:
         return 0.0
+    rules = FilterList.of(rules)
     with_third_party = set()
     for visit in corpus:
         site = page_site(visit, psl)
@@ -227,7 +227,7 @@ def cooccurrence_fraction(
             continue
         for txn, relation in classified_transactions(visit, psl):
             if relation is Relation.CROSS_SITE and match_plain(
-                txn.request_url, relation, rules, site
+                txn.request_url, relation, rules, visit.page_host, txn.content_type_class
             ).blocked:
                 with_third_party.add(site)
                 break

@@ -26,7 +26,7 @@ from cnametrack.detect import (
 from cnametrack.dnsgraph import DnsRecordStore
 from cnametrack.filterlist import parse_rule
 from cnametrack.ingest import load_crawl_jsonl
-from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
+from cnametrack.model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import PublicSuffixTable, Relation
 
 CROSS = Relation.CROSS_SITE
@@ -50,7 +50,7 @@ class TestPlain:
         rules = rules_of("||tracker.net^", "@@||tracker.net^$domain=trusted.com")
         assert match_plain("https://tracker.net/x", CROSS, rules).blocked
         assert not match_plain("https://tracker.net/x", CROSS, rules,
-                               page_site="trusted.com").blocked
+                               page_host="trusted.com").blocked
 
     def test_cloaked_host_not_matched(self):
         rules = rules_of("||tracker.net^")
@@ -231,7 +231,7 @@ class TestCompareDefenses:
         pool.add_range("203.0.113.0/28", "eulertrack")
         detections = detect_publishers(corpus, dns, sigs, pool, psl)
         rules = rules_of("||eulertrack.net^", "||pixelstats.io^")
-        report = compare_defenses(corpus, detections, rules, dns, psl)
+        report = compare_defenses(corpus, detections, rules, dns)
         # plain matching never sees the cloaked names
         assert report.fractions["eulertrack"]["plain"] == 0.0
         # uncloaking recovers the CNAME-routed transactions but not the
@@ -244,7 +244,7 @@ class TestCompareDefenses:
         # DirectARecord hosts have A records, so no coverage warnings
         assert report.coverage_warnings == 0
 
-    def test_stale_evidence_ref_is_skipped(self, psl):
+    def test_stale_evidence_ref_is_skipped(self):
         url = "https://metrics.shop.com/ea/collect"
         visit = PageVisit("https://www.shop.com/", "v1", site="shop.com",
                           transactions=[HttpTransaction(url)])
@@ -256,6 +256,57 @@ class TestCompareDefenses:
         )
         dns = store_with(cnames=[("metrics.shop.com", "x.eulertrack.net")],
                          a_records=[("x.eulertrack.net", "203.0.113.1")])
-        report = compare_defenses([visit], [det], rules_of("||eulertrack.net^"), dns, psl)
+        report = compare_defenses([visit], [det], rules_of("||eulertrack.net^"), dns)
         assert [(v.visit_id, v.index) for v in report.verdicts] == [("v1", 0)]
         assert report.counts == {"eulertrack": 1}
+
+
+class TestOptionsInDefense:
+    """``$script``/``$image`` follow each transaction's content class and
+    ``domain=`` the page hostname, in every defense column."""
+
+    def _report(self, page_url, urls, classes, rules, dns=None):
+        txns = [HttpTransaction(u, content_type_class=c) for u, c in zip(urls, classes)]
+        visit = PageVisit(page_url, "v1", site="example.com" if "example.com" in page_url else "shop.com",
+                          transactions=txns)
+        det = PublisherDetection(
+            visit.site, "trk", Context.CROSS_SITE,
+            [TransactionRef("v1", i, u, txns[i].host) for i, u in enumerate(urls)],
+            Mechanism.CNAME,
+        )
+        return compare_defenses([visit], [det], rules_of(*rules), dns or store_with())
+
+    def test_type_option_follows_content_class(self):
+        report = self._report("https://www.shop.com/",
+                              ["https://tracker.net/p.gif", "https://tracker.net/t.js"],
+                              [ContentClass.IMAGE, ContentClass.SCRIPT], ["||tracker.net^$script"])
+        assert [v.plain for v in report.verdicts] == [False, True]
+        assert [v.uncloaked for v in report.verdicts] == [False, True]
+
+    def test_domain_option_matches_page_hostname(self):
+        url = ["https://tracker.net/x"]
+        cls = [ContentClass.OTHER]
+        blocked = self._report("https://shop.example.com/", url, cls,
+                               ["||tracker.net^$domain=shop.example.com"])
+        excluded = self._report("https://shop.example.com/", url, cls,
+                                ["||tracker.net^$domain=~shop.example.com"])
+        assert [v.plain for v in blocked.verdicts] == [True]
+        assert [v.plain for v in excluded.verdicts] == [False]
+
+    def test_uncloaked_verdict_is_per_transaction(self):
+        dns = store_with(cnames=[("metrics.shop.com", "x.tracker.net")],
+                         a_records=[("x.tracker.net", "198.51.100.1")])
+        report = self._report("https://www.shop.com/",
+                              ["https://metrics.shop.com/p.gif", "https://metrics.shop.com/t.js"],
+                              [ContentClass.IMAGE, ContentClass.SCRIPT], ["||tracker.net^$script"], dns)
+        assert [v.uncloaked for v in report.verdicts] == [False, True]
+
+    def test_uncloak_cache_holds_no_verdict(self):
+        dns = store_with(cnames=[("metrics.shop.com", "x.tracker.net")],
+                         a_records=[("x.tracker.net", "198.51.100.1")])
+        rules = rules_of("||tracker.net^$third-party")
+        cache = UncloakCache()
+        url = "https://metrics.shop.com/x"
+        first = match_uncloaked(url, Relation.SAME_SITE, rules, dns, cache)
+        second = match_uncloaked(url, CROSS, rules, dns, cache)
+        assert not first.blocked and second.blocked and second.uncloak_cache_hit

@@ -9,6 +9,7 @@ from cnametrack.filterlist import (
     load_filter_list,
     parse_rule,
 )
+from cnametrack.model import ContentClass
 from cnametrack.sitectx import Relation
 
 CROSS = Relation.CROSS_SITE
@@ -85,6 +86,46 @@ class TestOptions:
         rule = "||t.net^$domain=~shop.com"
         assert not match(rule, "https://t.net/x", CROSS, page_site="shop.com")
         assert match(rule, "https://t.net/x", CROSS, page_site="other.com")
+
+    @pytest.mark.parametrize("opt,content,expected", [
+        ("script", ContentClass.SCRIPT, True),
+        ("script", ContentClass.IMAGE, False),
+        ("script", None, False),
+        ("image", ContentClass.IMAGE, True),
+        ("image", ContentClass.SCRIPT, False),
+        ("script,image", ContentClass.IMAGE, True),
+        ("script,image", ContentClass.HTML, False),
+    ])
+    def test_type_option_matches_only_its_content_class(self, opt, content, expected):
+        rule = parse_rule(f"||x.net^${opt}")
+        assert rule.matches("https://x.net/p.gif", CROSS, None, content) is expected
+
+    @pytest.mark.parametrize("page_host,expected", [
+        ("shop.example.com", True),
+        ("www.shop.example.com", True),
+        ("example.com", False),
+        ("notshop.example.com", False),
+        (None, False),
+    ])
+    def test_domain_option_matches_page_host_suffix(self, page_host, expected):
+        assert match("||t.net^$domain=shop.example.com", "https://t.net/x", CROSS,
+                     page_site=page_host) is expected
+        assert match("||t.net^$domain=Shop.Example.com", "https://t.net/x", CROSS,
+                     page_site=page_host) is expected
+
+    @pytest.mark.parametrize("page_host,expected", [
+        ("shop.example.com", False),
+        ("a.shop.example.com", False),
+        ("www.example.com", True),
+    ])
+    def test_domain_exclude_matches_page_host_suffix(self, page_host, expected):
+        assert match("||t.net^$domain=~shop.example.com", "https://t.net/x", CROSS,
+                     page_site=page_host) is expected
+
+    def test_domain_option_split_at_parse_time(self):
+        rule = parse_rule("||t.net^$domain=a.com|~b.a.com|c.org")
+        assert rule.domain_include == ("a.com", "c.org")
+        assert rule.domain_exclude == ("b.a.com",)
 
     def test_unsupported_option_goes_inert(self):
         rule = parse_rule("||t.net^$websocket")

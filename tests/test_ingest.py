@@ -112,6 +112,25 @@ class TestCaptureJsonl:
         with pytest.raises(SchemaViolation):
             load_crawl_jsonl(path)
 
+    @pytest.mark.parametrize("headers", [[[5, "x"]], [["Cookie"]], ["Cookie: a=1"], {"Cookie": "a"}])
+    def test_bad_header_names_the_line(self, tmp_path, headers):
+        rec = corpusgen.txn_record("v1", "https://a.com/x")
+        rec["request_headers"] = headers
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="request_headers") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    def test_non_string_js_cookie_names_the_line(self, tmp_path):
+        path = corpusgen.write_jsonl([
+            corpusgen.visit_record("v1", "https://a.com/"),
+            {"record_type": "js_cookie", "visit_id": "v1", "assigned": 5},
+        ], tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="assigned must be a string") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
     def test_huge_post_body_digested(self, tmp_path, psl):
         body = "A" * (1024 * 1024 + 10)
         path = corpusgen.write_jsonl([
@@ -219,6 +238,25 @@ class TestHar:
         with pytest.raises(MalformedHar, match=r"^entry 1: header") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("response,message", [
+        ("ok", "response must be an object"),
+        ([200], "response must be an object"),
+        ({"status": 200, "content": "text/html"}, "response.content must be an object"),
+        ({"status": "OK"}, "response.status must be a number"),
+        ({"status": [200]}, "response.status must be a number"),
+        ({"status": 200, "content": {"size": "big"}}, "content.size must be a number"),
+        ({"status": 200, "content": {"size": [1]}}, "content.size must be a number"),
+    ])
+    def test_malformed_response_names_entry(self, tmp_path, response, message):
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
+                       "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}},
+                                   {"pageref": "p1", "request": {"url": "https://a.com/x"},
+                                    "response": response}]}}
+        with pytest.raises(MalformedHar, match=f"^entry 1: {message}") as exc:
+            load_har(self._har(tmp_path, doc))
+        assert exc.value.entry_index == 1
+
 
 class TestDns:
     def test_flat_and_zdns_forms(self, tmp_path):
