@@ -7,7 +7,6 @@ import enum
 import ipaddress
 import logging
 from dataclasses import dataclass, field
-from fnmatch import fnmatchcase
 
 from .dnsgraph import CnameChain, DnsRecordStore, IpPool, resolve_chain, uncloaked_target
 from .errors import CnameCycle, InvalidHostname
@@ -117,11 +116,17 @@ class PublisherDetection:
 
 
 class ChainCache:
-    """Memoized chain resolution over one immutable DNS snapshot."""
+    """Memoized chain resolution over one immutable DNS snapshot.
 
-    def __init__(self, store: DnsRecordStore, max_depth: int = 10):
+    A host whose chain cycles resolves to None, with one warning per host in
+    ``warned``; callers running several snapshots share one set so that a
+    cycle is reported once per run, not once per snapshot.
+    """
+
+    def __init__(self, store: DnsRecordStore, max_depth: int = 10, warned: set[str] | None = None):
         self.store = store
         self.max_depth = max_depth
+        self._warned = set() if warned is None else warned
         self._cache: dict[str, CnameChain | None] = {}
 
     def get(self, host: str) -> CnameChain | None:
@@ -130,9 +135,70 @@ class ChainCache:
             try:
                 self._cache[host] = resolve_chain(host, self.store, self.max_depth)
             except CnameCycle as exc:
-                log.warning("skipping host with CNAME cycle: %s", exc)
+                if host not in self._warned:
+                    self._warned.add(host)
+                    log.warning("skipping host with CNAME cycle: %s", exc)
                 self._cache[host] = None
         return self._cache[host]
+
+
+def _label_suffixes(host: str):
+    """host itself, then what follows each of its dots, longest first."""
+    yield host
+    dot = host.find(".")
+    while dot >= 0:
+        yield host[dot + 1:]
+        dot = host.find(".", dot + 1)
+
+
+class SignatureIndex:
+    """Signatures looked up by what can reach them instead of scanned.
+
+    Positions refer to ``sigs``, so iterating them sorted keeps signature
+    order.  ``cname_positions`` maps chain hops to the signatures carrying
+    one of their label suffixes: a hop matches suffix ``s`` iff it equals
+    ``s`` or ends with ``"." + s``, exactly ``TrackerSignature.host_matches``.
+    ``address_positions`` memoizes, per address string, the signatures whose
+    declared networks contain it or whose tracker the pool credits with it;
+    the pool must not change while the index is in use.
+    """
+
+    def __init__(self, sigs: list[TrackerSignature], pool: IpPool | None = None):
+        self.sigs = sigs
+        self.pool = pool
+        self._by_suffix: dict[str, list[int]] = {}
+        self._by_tracker: dict[str, list[int]] = {}
+        self._networks: list[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, int]] = []
+        for pos, sig in enumerate(sigs):
+            for suffix in sig.cname_suffixes:
+                self._by_suffix.setdefault(suffix, []).append(pos)
+            self._by_tracker.setdefault(sig.tracker_id, []).append(pos)
+            self._networks.extend((net, pos) for net in sig.networks)
+        self._by_addr: dict[str, frozenset[int]] = {}
+
+    def cname_positions(self, hops) -> frozenset[int]:
+        by_suffix = self._by_suffix
+        found: set[int] = set()
+        for hop in hops:
+            for suffix in _label_suffixes(hop.lower().rstrip(".")):
+                found.update(by_suffix.get(suffix, ()))
+        return frozenset(found)
+
+    def address_positions(self, addr: str) -> frozenset[int]:
+        found = self._by_addr.get(addr)
+        if found is None:
+            try:
+                ip = ipaddress.ip_address(addr)
+            except ValueError:
+                found = frozenset()
+            else:
+                hits = {pos for net, pos in self._networks if ip in net}
+                if self.pool is not None:
+                    for tracker_id in self.pool.owners(addr):
+                        hits.update(self._by_tracker.get(tracker_id, ()))
+                found = frozenset(hits)
+            self._by_addr[addr] = found
+        return found
 
 
 def page_site(visit: PageVisit, psl: PublicSuffixTable) -> str | None:
@@ -140,22 +206,33 @@ def page_site(visit: PageVisit, psl: PublicSuffixTable) -> str | None:
     return visit.site or psl.etld_plus_one_or_none(visit.page_host)
 
 
-def classified_transactions(visit: PageVisit, psl: PublicSuffixTable):
+def _origin_or_none(url: str) -> Origin | None:
+    try:
+        return Origin.from_url(url)
+    except (InvalidHostname, ValueError):
+        return None
+
+
+def classified_transactions(visit: PageVisit, psl: PublicSuffixTable,
+                            origins: dict[tuple, Origin | None]):
     """Yield (txn, relation to the page) for each transaction of a visit.
 
     Yields nothing when the page URL has no http(s) origin, and skips
-    transactions whose request URL has none.
+    transactions whose request URL has none.  Request origins are built once
+    per (scheme, host, port) and kept in ``origins``, a dict the caller owns
+    and passes for every visit of one scan.
     """
-    try:
-        page_origin = Origin.from_url(visit.page_url)
-    except (InvalidHostname, ValueError):
+    page_origin = _origin_or_none(visit.page_url)
+    if page_origin is None:
         return
     for txn in visit.transactions:
+        key = (txn.scheme, txn.host, txn.port)
         try:
-            target_origin = Origin.from_url(txn.request_url)
-        except (InvalidHostname, ValueError):
-            continue
-        yield txn, classify_relation(page_origin, target_origin, psl)
+            target_origin = origins[key]
+        except KeyError:
+            target_origin = origins[key] = _origin_or_none(txn.request_url)
+        if target_origin is not None:
+            yield txn, classify_relation(page_origin, target_origin, psl)
 
 
 def evidence_transactions(corpus: list[PageVisit], detections: list[PublisherDetection]):
@@ -189,12 +266,13 @@ def candidate_scan(
     """Aggregate same-site (non-same-origin) requests whose host uncloaks to a
     different eTLD+1, grouped by the uncloaked target."""
     chains = ChainCache(dns, max_depth)
+    origins: dict[tuple, Origin | None] = {}
     aggregates: dict[str, CandidateAggregate] = {}
     for visit in corpus:
         site = page_site(visit, psl)
         if site is None:
             continue
-        for txn, relation in classified_transactions(visit, psl):
+        for txn, relation in classified_transactions(visit, psl, origins):
             if relation is not Relation.SAME_SITE:
                 continue
             chain = chains.get(txn.host)
@@ -267,7 +345,7 @@ def signature_match_route(
     ranges or the accumulated pool for that tracker.  Either way the request
     path+query must match one of the path patterns.
     """
-    if not any(fnmatchcase(txn.path_and_query, pat) for pat in sig.path_patterns):
+    if not sig.path_match(txn.path_and_query):
         return None
     if chain is not None and any(sig.host_matches(hop) for hop in chain.hops):
         return Mechanism.CNAME
@@ -302,9 +380,19 @@ def detect_publishers(
     pool: IpPool | None,
     psl: PublicSuffixTable,
     max_depth: int = 10,
+    warned_cycles: set[str] | None = None,
 ) -> list[PublisherDetection]:
-    """One detection per (publisher eTLD+1, tracker, context), deterministic order."""
-    chains = ChainCache(dns, max_depth)
+    """One detection per (publisher eTLD+1, tracker, context), deterministic order.
+
+    Each transaction is checked, with ``signature_match_route`` and in
+    signature order, against only the signatures that can reach it: those
+    carrying a label suffix of a chain hop, and those owning a terminal or
+    remote address by declared range or pool.  ``warned_cycles`` is passed
+    to the ``ChainCache``.
+    """
+    chains = ChainCache(dns, max_depth, warned_cycles)
+    index = SignatureIndex(sigs, pool)
+    hosts: dict[str, tuple[CnameChain | None, frozenset[int], str | None]] = {}
     grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}
     routes: dict[tuple[str, str, Context], set[Mechanism]] = {}
     for visit in corpus:
@@ -315,9 +403,22 @@ def detect_publishers(
             host = txn.host
             if not host:
                 continue
-            chain = chains.get(host)
-            context = Context.SAME_SITE if psl.etld_plus_one_or_none(host) == site else Context.CROSS_SITE
-            for sig in sigs:
+            facts = hosts.get(host)
+            if facts is None:
+                chain = chains.get(host)
+                candidates = frozenset()
+                if chain is not None:
+                    candidates = index.cname_positions(chain.hops).union(
+                        *map(index.address_positions, chain.terminal_ips))
+                facts = hosts[host] = (chain, candidates, psl.etld_plus_one_or_none(host))
+            chain, candidates, host_site = facts
+            if txn.remote_ip:
+                candidates = candidates | index.address_positions(txn.remote_ip)
+            if not candidates:
+                continue
+            context = Context.SAME_SITE if host_site == site else Context.CROSS_SITE
+            for pos in sorted(candidates):
+                sig = sigs[pos]
                 route = signature_match_route(txn, chain, sig, pool)
                 if route is None:
                     continue

@@ -157,33 +157,28 @@ class IpPool:
                 return  # already covered by this tracker's range
         self._upsert(self._singles.setdefault(ip, []), tracker_id, month)
 
-    def lookup(self, addr: str) -> PoolMatch | None:
-        """Tracker owning an address; lexicographic tie-break when several claim it."""
+    def owners(self, addr: str) -> set[str]:
+        """Tracker ids holding an address, as a single or by range; none when
+        the address does not parse."""
         try:
             ip = ipaddress.ip_address(addr)
         except ValueError:
-            return None
-        hits: set[str] = set()
-        for e in self._singles.get(ip, []):
-            hits.add(e.tracker_id)
+            return set()
+        hits = {e.tracker_id for e in self._singles.get(ip, ())}
         for net, entries in self._ranges.items():
             if ip in net:
                 hits.update(e.tracker_id for e in entries)
+        return hits
+
+    def lookup(self, addr: str) -> PoolMatch | None:
+        """Tracker owning an address; lexicographic tie-break when several claim it."""
+        hits = self.owners(addr)
         if not hits:
             return None
         return PoolMatch(min(hits), ambiguous=len(hits) > 1)
 
     def contains(self, addr: str, tracker_id: str) -> bool:
-        try:
-            ip = ipaddress.ip_address(addr)
-        except ValueError:
-            return False
-        if any(e.tracker_id == tracker_id for e in self._singles.get(ip, [])):
-            return True
-        return any(
-            ip in net and any(e.tracker_id == tracker_id for e in entries)
-            for net, entries in self._ranges.items()
-        )
+        return tracker_id in self.owners(addr)
 
     def summary(self) -> dict:
         """Deterministic snapshot for reports: per-tracker single/range counts."""

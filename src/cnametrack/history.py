@@ -12,6 +12,7 @@ from .detect import (
     Context,
     Mechanism,
     PublisherDetection,
+    SignatureIndex,
     classified_transactions,
     detect_publishers,
     evidence_transactions,
@@ -84,6 +85,7 @@ def backward_iterate(
         pool = IpPool()
     declared = {s.tracker_id: list(s.cidr_ranges) for s in sigs if s.cidr_ranges}
     confirmed: dict[str, str] = {}
+    warned_cycles: set[str] = set()  # each cycle host is reported once, not once per month
     out: list[MonthlyDetection] = []
     for month_ds in months:
         # fold addresses that already-confirmed tracking domains resolve to in
@@ -91,6 +93,7 @@ def backward_iterate(
         accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month)
         detections = detect_publishers(
             month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
+            warned_cycles=warned_cycles,
         )
         new_hosts = _confirmed_hosts(detections)
         # remote addresses observed on confirmed tracking transactions also
@@ -121,16 +124,15 @@ class ValidationReport:
     completeness: dict[str, list[dict]]
 
 
-def _external_tracker_chain(host, store, sigs, max_depth=10):
-    """Signature whose suffix the host's external chain reaches, if any."""
+def _external_tracker_chain(host, store, index: SignatureIndex, max_depth=10):
+    """First signature, in list order, whose suffix the host's external chain
+    reaches, if any."""
     try:
         chain = resolve_chain(host, store, max_depth)
     except CnameCycle:
         return None, None
-    for sig in sigs:
-        if any(sig.host_matches(hop) for hop in chain.hops):
-            return sig, chain
-    return None, chain
+    positions = index.cname_positions(chain.hops)
+    return (index.sigs[min(positions)] if positions else None), chain
 
 
 def _near_miss_suffix(host: str, sigs: list[TrackerSignature]) -> str | None:
@@ -165,7 +167,7 @@ def cross_validate(
         "signature-mismatch": [],
         "ip-outside-pool": [],
     }
-    sig_by_id = {s.tracker_id: s for s in sigs}
+    index = SignatureIndex(sigs)
 
     for monthly_det in monthly:
         month = monthly_det.month
@@ -174,7 +176,7 @@ def cross_validate(
             continue
         for det in monthly_det.detections:
             for host in sorted({r.host for r in det.evidence}):
-                sig, chain = _external_tracker_chain(host, ext, sigs, max_depth)
+                sig, chain = _external_tracker_chain(host, ext, index, max_depth)
                 if sig is not None:
                     continue  # external data agrees
                 entry = {"month": month, "publisher": det.publisher_etld1,
@@ -182,7 +184,7 @@ def cross_validate(
                 if chain is None or (not chain.hops and not chain.terminal_ips):
                     later = [m for m in ordered_months if m > month]
                     appears_later = any(
-                        _external_tracker_chain(host, external_dns[m], sigs, max_depth)[0]
+                        _external_tracker_chain(host, external_dns[m], index, max_depth)[0]
                         for m in later
                     )
                     entry["reason"] = "timing-gap" if appears_later else "missing-external-data"
@@ -216,7 +218,7 @@ def cross_validate(
                 for txn in visit.transactions:
                     corpus_hosts.setdefault(txn.host, []).append(txn)
         for host in sorted(ext.hostnames()):
-            sig, chain = _external_tracker_chain(host, ext, sigs, max_depth)
+            sig, chain = _external_tracker_chain(host, ext, index, max_depth)
             if sig is None:
                 continue
             if host in detected_hosts.get(month, set()):
@@ -226,14 +228,8 @@ def cross_validate(
             if not txns:
                 buckets["absent-from-corpus"].append(entry)
             else:
-                from fnmatch import fnmatchcase
-
-                path_hit = any(
-                    fnmatchcase(t.path_and_query, pat)
-                    for t in txns for pat in sig.path_patterns
-                )
+                path_hit = any(sig.path_match(t.path_and_query) for t in txns)
                 if not path_hit:
-                    has_any_request = any(t.method for t in txns)
                     # requests exist but none matches the tracking signature;
                     # distinguish "no tracking-shaped request at all" from a
                     # near-miss on the pattern
@@ -257,16 +253,8 @@ def adoption_windows(
     consecutive months then present for the following `window` months."""
     by_month = sorted(monthly, key=lambda m: m.month)
     months = [m.month for m in by_month]
-    presence: dict[tuple[str, str], list[bool]] = {}
-    keys = set()
-    for m in by_month:
-        for pub, tracker, _ctx in m.publishers:
-            keys.add((pub, tracker))
-    for key in keys:
-        presence[key] = [
-            any((key[0], key[1]) == (p, t) for p, t, _c in m.publishers)
-            for m in by_month
-        ]
+    present = [{(d.publisher_etld1, d.tracker_id) for d in m.detections} for m in by_month]
+    presence = {key: [key in p for p in present] for key in set().union(*present)}
     events = []
     for (pub, tracker), bits in sorted(presence.items()):
         for i in range(window, len(bits) - window + 1):
@@ -285,6 +273,7 @@ def third_party_trend(
     """Mean distinct blocked third-party tracker eTLD+1s per month offset
     around adoption (offset 0 = adoption month)."""
     rules = FilterList.of(rules)
+    origins: dict = {}
     per_offset: dict[int, list[int]] = {o: [] for o in range(-window, window)}
     month_keys = sorted(months_data)
     for pub, _tracker, adoption_month in adoptions:
@@ -302,7 +291,7 @@ def third_party_trend(
                 site = page_site(visit, psl)
                 if site != pub:
                     continue
-                for txn, relation in classified_transactions(visit, psl):
+                for txn, relation in classified_transactions(visit, psl, origins):
                     if relation is not Relation.CROSS_SITE:
                         continue
                     if match_plain(txn.request_url, relation, rules, visit.page_host,

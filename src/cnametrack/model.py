@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import enum
+import fnmatch
 import hashlib
 import ipaddress
+import re
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from urllib.parse import urlsplit
 
 from .sitectx import CookieAttributes
@@ -47,8 +50,9 @@ class HttpTransaction:
     """One captured request/response pair.
 
     The request URL is parsed once, at construction, into ``host``,
-    ``scheme`` and ``path_and_query``; host and scheme are interned because
-    a corpus repeats them across many transactions.
+    ``scheme``, ``port`` and ``path_and_query``; host and scheme are
+    interned because a corpus repeats them across many transactions.
+    ``port`` is the URL's explicit port: None when absent, -1 when malformed.
     """
 
     request_url: str
@@ -68,12 +72,17 @@ class HttpTransaction:
     initiators: tuple[str, ...] = ()
     host: str = field(init=False)
     scheme: str = field(init=False)
+    port: int | None = field(init=False)
     path_and_query: str = field(init=False)
 
     def __post_init__(self):
         parts = urlsplit(self.request_url)
         self.host = sys.intern((parts.hostname or "").lower())
         self.scheme = sys.intern(parts.scheme.lower())
+        try:  # a netloc without ":" has no port; skip parsing it again
+            self.port = parts.port if ":" in parts.netloc else None
+        except ValueError:  # not a number, or out of range
+            self.port = -1
         path = parts.path or "/"
         self.path_and_query = f"{path}?{parts.query}" if parts.query else path
 
@@ -171,3 +180,9 @@ class TrackerSignature:
     def host_matches(self, host: str) -> bool:
         host = host.lower().rstrip(".")
         return any(host == s or host.endswith("." + s) for s in self.cname_suffixes)
+
+    @cached_property
+    def path_match(self):
+        """Match a path+query against any of the ``path_patterns`` (case-sensitive
+        ``fnmatch``): one regex over every pattern, compiled on first use."""
+        return re.compile("|".join(fnmatch.translate(p) for p in self.path_patterns)).match

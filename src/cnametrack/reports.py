@@ -220,12 +220,13 @@ def cooccurrence_fraction(
     if not publishers:
         return 0.0
     rules = FilterList.of(rules)
+    origins: dict = {}
     with_third_party = set()
     for visit in corpus:
         site = page_site(visit, psl)
         if site not in publishers or site in with_third_party:
             continue
-        for txn, relation in classified_transactions(visit, psl):
+        for txn, relation in classified_transactions(visit, psl, origins):
             if relation is Relation.CROSS_SITE and match_plain(
                 txn.request_url, relation, rules, visit.page_host, txn.content_type_class
             ).blocked:

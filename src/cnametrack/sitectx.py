@@ -83,11 +83,16 @@ class Origin:
 
 
 class PublicSuffixTable:
-    """Parsed public-suffix rules; immutable after load, shareable."""
+    """Parsed public-suffix rules; immutable after load, shareable.
+
+    ``etld_plus_one_or_none`` memoizes its answer per host string, so the
+    memo grows with the distinct hosts asked about, never with requests.
+    """
 
     def __init__(self, rules: dict[str, bool]):
         # rule text (without "!") -> is_exception
         self._rules = rules
+        self._sites: dict[str, str | None] = {}
 
     @classmethod
     def from_lines(cls, lines) -> "PublicSuffixTable":
@@ -159,21 +164,35 @@ class PublicSuffixTable:
         return ".".join(labels[-width:])
 
     def etld_plus_one_or_none(self, host: str) -> str | None:
+        """eTLD+1 of host, or None for a bad host, a public suffix or an IP literal."""
         try:
-            return self.etld_plus_one(host)
+            return self._sites[host]
+        except KeyError:
+            pass
+        try:
+            site = self.etld_plus_one(host)
         except (InvalidHostname, HostIsPublicSuffix):
-            return None
+            site = None
+        self._sites[host] = site
+        return site
 
 
 def classify_relation(page: Origin, target: Origin, psl: PublicSuffixTable) -> Relation:
-    """Same-origin iff scheme/host/port all equal; same-site iff eTLD+1 equal."""
+    """Same-origin iff scheme/host/port all equal; same-site iff eTLD+1 equal.
+
+    A host without an eTLD+1 (an IP literal, a public suffix such as
+    ``github.io``, a single label such as ``localhost``) is its own site:
+    it is same-site only with the identical host.
+    """
     if page == target:
         return Relation.SAME_ORIGIN
-    if is_ip_literal(page.host) or is_ip_literal(target.host):
-        return Relation.SAME_SITE if page.host == target.host else Relation.CROSS_SITE
-    if psl.etld_plus_one(page.host) == psl.etld_plus_one(target.host):
-        return Relation.SAME_SITE
-    return Relation.CROSS_SITE
+    page_site = psl.etld_plus_one_or_none(page.host)
+    target_site = psl.etld_plus_one_or_none(target.host)
+    if page_site is None or target_site is None:
+        same = page.host == target.host
+    else:
+        same = page_site == target_site
+    return Relation.SAME_SITE if same else Relation.CROSS_SITE
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,23 @@ class TestFeaturesReport:
         assert by_target["fastcdn.net"]["flag"] == "likely-cdn"
         assert by_target["eulertrack.net"]["flag"] == "likely-tracker"
 
+    @pytest.mark.parametrize("url", ["http://localhost:8080/x.js", "https://github.io/x.js"])
+    def test_request_to_host_without_registrable_domain(self, world, tmp_path, capsys, url):
+        """Such a request is cross-site to the page; it used to abort the run."""
+        corpus = tmp_path / "corpus.jsonl"
+        corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://www.shop00.net/"),
+                               corpusgen.txn_record("v1", url, content_type="text/javascript")],
+                              corpus)
+        corpus.write_text(open(world["corpus"]).read() + corpus.read_text())
+        out = tmp_path / "out"
+        assert run(["features", "--corpus", corpus, "--dns", world["dns"],
+                    "--min-sites", 1, "--out", out]) == 0
+        assert run(["detect", "--corpus", corpus, "--dns", world["dns"],
+                    "--signatures", world["signatures"], "--out", out]) == 0
+        assert run(["report", "--corpus", corpus, "--filters", world["filters"], "--out", out]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert json.loads((out / "features.json").read_text())["candidates"]
+
     def test_report_command(self, world, tmp_path):
         out = tmp_path / "out"
         assert run(["detect", "--corpus", world["corpus"], "--dns", world["dns"],

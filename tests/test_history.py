@@ -1,6 +1,7 @@
 """Historical-reconstruction tests: backward iteration with the IP pool,
 cross-validation archetypes, and adoption-window analytics."""
 
+import logging
 import random
 
 import pytest
@@ -18,7 +19,7 @@ from cnametrack.history import (
     third_party_trend,
 )
 from cnametrack.ingest import load_crawl_jsonl
-from cnametrack.model import TrackerSignature
+from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import PublicSuffixTable
 
 
@@ -89,6 +90,24 @@ class TestBackwardIterate:
             [TrackerSignature("t", cname_suffixes=("t.net",), path_patterns=("/x",))],
             psl,
         )[0].detections == []
+
+    def test_cycle_warned_once_per_run(self, psl, caplog):
+        def month(name):
+            store = DnsRecordStore()
+            for a, b in (("loop.shop.com", "a.loop.net"), ("a.loop.net", "loop.shop.com"),
+                         ("spin.shop.com", "b.loop.net"), ("b.loop.net", "spin.shop.com")):
+                store.add(a, "CNAME", b)
+            visit = PageVisit("https://www.shop.com/", f"v-{name}", transactions=[
+                HttpTransaction("https://loop.shop.com/x"), HttpTransaction("https://spin.shop.com/x"),
+                HttpTransaction("https://loop.shop.com/y")])
+            return MonthDataset(name, [visit], store)
+
+        sigs = [TrackerSignature("t", cname_suffixes=("loop.net",), path_patterns=("/*",))]
+        with caplog.at_level(logging.WARNING, logger="cnametrack.detect"):
+            backward_iterate([month("2020-03"), month("2020-02"), month("2020-01")], sigs, psl)
+        cycles = [r.getMessage() for r in caplog.records if "CNAME cycle" in r.getMessage()]
+        assert len(cycles) == 2
+        assert "loop.shop.com" in cycles[0] and "spin.shop.com" in cycles[1]
 
 
 class TestCrossValidate:

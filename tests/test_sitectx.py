@@ -132,6 +132,16 @@ class TestOriginAndRelation:
         assert classify_relation(a, Origin.from_url("http://192.0.2.1/"), psl) is Relation.SAME_SITE
         assert classify_relation(a, Origin.from_url("https://192.0.2.2/"), psl) is Relation.CROSS_SITE
 
+    @pytest.mark.parametrize("host", ["localhost", "github.io"])
+    def test_host_without_registrable_domain_is_its_own_site(self, psl, host):
+        page = Origin.from_url("https://www.example.com/")
+        bare = Origin.from_url(f"http://{host}:8080/x.js")
+        assert classify_relation(page, bare, psl) is Relation.CROSS_SITE
+        assert classify_relation(bare, page, psl) is Relation.CROSS_SITE
+        assert classify_relation(bare, Origin.from_url(f"https://{host}/"), psl) is Relation.SAME_SITE
+        sub = Origin.from_url(f"https://a.{host}/")
+        assert classify_relation(bare, sub, psl) is Relation.CROSS_SITE
+
 
 class TestSetCookieParsing:
     def test_full_header(self):
