@@ -8,7 +8,14 @@ import ipaddress
 import logging
 from dataclasses import dataclass, field
 
-from .dnsgraph import CnameChain, DnsRecordStore, IpPool, resolve_chain, uncloaked_target
+from .dnsgraph import (
+    CnameChain,
+    DnsRecordStore,
+    IpPool,
+    NetworkIndex,
+    resolve_chain,
+    uncloaked_target,
+)
 from .errors import CnameCycle, InvalidHostname
 from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
 from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation
@@ -159,8 +166,9 @@ class SignatureIndex:
     one of their label suffixes: a hop matches suffix ``s`` iff it equals
     ``s`` or ends with ``"." + s``, exactly ``TrackerSignature.host_matches``.
     ``address_positions`` memoizes, per address string, the signatures whose
-    declared networks contain it or whose tracker the pool credits with it;
-    the pool must not change while the index is in use.
+    declared networks contain it (a ``NetworkIndex`` lookup) or whose tracker
+    the pool credits with it; the pool must not change while the index is in
+    use.
     """
 
     def __init__(self, sigs: list[TrackerSignature], pool: IpPool | None = None):
@@ -168,12 +176,13 @@ class SignatureIndex:
         self.pool = pool
         self._by_suffix: dict[str, list[int]] = {}
         self._by_tracker: dict[str, list[int]] = {}
-        self._networks: list[tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, int]] = []
+        self._networks = NetworkIndex()
         for pos, sig in enumerate(sigs):
             for suffix in sig.cname_suffixes:
                 self._by_suffix.setdefault(suffix, []).append(pos)
             self._by_tracker.setdefault(sig.tracker_id, []).append(pos)
-            self._networks.extend((net, pos) for net in sig.networks)
+            for net in sig.networks:
+                self._networks.add(net, pos)
         self._by_addr: dict[str, frozenset[int]] = {}
 
     def cname_positions(self, hops) -> frozenset[int]:
@@ -192,9 +201,9 @@ class SignatureIndex:
             except ValueError:
                 found = frozenset()
             else:
-                hits = {pos for net, pos in self._networks if ip in net}
+                hits = set(self._networks.lookup(ip))
                 if self.pool is not None:
-                    for tracker_id in self.pool.owners(addr):
+                    for tracker_id in self.pool.owners(ip):
                         hits.update(self._by_tracker.get(tracker_id, ()))
                 found = frozenset(hits)
             self._by_addr[addr] = found

@@ -1,4 +1,10 @@
-"""DNS snapshot store, CNAME chain resolution, and tracker IP pools."""
+"""DNS snapshot store, CNAME chain resolution, and tracker IP pools.
+
+Addresses are found in networks through a ``NetworkIndex``: one table per
+(IP version, prefix length) maps each network address, as an integer, to
+what is filed under it, so a lookup masks the address once per prefix
+length present and probes one dict, instead of testing every network.
+"""
 
 from __future__ import annotations
 
@@ -110,6 +116,29 @@ def uncloaked_target(chain: CnameChain, psl: PublicSuffixTable) -> str | None:
     return target_site
 
 
+class NetworkIndex:
+    """Values filed under IP networks, found by the addresses they hold.
+
+    ``lookup(ip)`` gives exactly the values of the networks ``net`` with
+    ``ip in net``: same version, and equal under the network's mask (host
+    bits of ``strict=False`` networks are already cleared; IPv6 scope ids
+    take no part).
+    """
+
+    def __init__(self):
+        # version -> netmask (one per prefix length) -> network address -> values
+        self._tables: dict[int, dict[int, dict[int, list]]] = {4: {}, 6: {}}
+
+    def add(self, net: ipaddress.IPv4Network | ipaddress.IPv6Network, value):
+        table = self._tables[net.version].setdefault(int(net.netmask), {})
+        table.setdefault(int(net.network_address), []).append(value)
+
+    def lookup(self, ip: ipaddress.IPv4Address | ipaddress.IPv6Address) -> list:
+        n = int(ip)
+        return [value for mask, table in self._tables[ip.version].items()
+                for value in table.get(n & mask, ())]
+
+
 @dataclass(frozen=True)
 class PoolMatch:
     tracker_id: str
@@ -128,6 +157,7 @@ class IpPool:
     def __init__(self):
         self._singles: dict[ipaddress._BaseAddress, list[_PoolEntry]] = {}
         self._ranges: dict[ipaddress._BaseNetwork, list[_PoolEntry]] = {}
+        self._range_index = NetworkIndex()  # each range's entry list, by network
 
     def _upsert(self, entries: list[_PoolEntry], tracker_id: str, month: str | None):
         for e in entries:
@@ -142,7 +172,14 @@ class IpPool:
             net = ipaddress.ip_network(cidr, strict=False)
         except ValueError as exc:
             raise InvalidCidr(str(exc)) from exc
-        self._upsert(self._ranges.setdefault(net, []), tracker_id, month)
+        entries = self._ranges.get(net)
+        if entries is None:
+            entries = self._ranges[net] = []
+            self._range_index.add(net, entries)
+        held = any(e.tracker_id == tracker_id for e in entries)
+        self._upsert(entries, tracker_id, month)
+        if held:  # by the invariant below, no single of this tracker is in the range
+            return
         # keep the no-single-covered-by-own-range invariant
         for addr in [a for a in self._singles if a in net]:
             entries = self._singles[addr]
@@ -152,22 +189,24 @@ class IpPool:
 
     def add_address(self, addr: str, tracker_id: str, month: str | None = None):
         ip = ipaddress.ip_address(addr)
-        for net, entries in self._ranges.items():
-            if ip in net and any(e.tracker_id == tracker_id for e in entries):
+        for entries in self._range_index.lookup(ip):
+            if any(e.tracker_id == tracker_id for e in entries):
                 return  # already covered by this tracker's range
         self._upsert(self._singles.setdefault(ip, []), tracker_id, month)
 
-    def owners(self, addr: str) -> set[str]:
-        """Tracker ids holding an address, as a single or by range; none when
-        the address does not parse."""
-        try:
-            ip = ipaddress.ip_address(addr)
-        except ValueError:
-            return set()
+    def owners(self, addr: str | ipaddress.IPv4Address | ipaddress.IPv6Address) -> set[str]:
+        """Tracker ids holding an address (a string, or one already parsed),
+        as a single or by range; none when the address does not parse."""
+        if isinstance(addr, str):
+            try:
+                ip = ipaddress.ip_address(addr)
+            except ValueError:
+                return set()
+        else:
+            ip = addr
         hits = {e.tracker_id for e in self._singles.get(ip, ())}
-        for net, entries in self._ranges.items():
-            if ip in net:
-                hits.update(e.tracker_id for e in entries)
+        for entries in self._range_index.lookup(ip):
+            hits.update(e.tracker_id for e in entries)
         return hits
 
     def lookup(self, addr: str) -> PoolMatch | None:

@@ -47,15 +47,59 @@ def _parse_cookie_header(value: str) -> list[tuple[str, str]]:
     return cookies
 
 
-def _finish_transaction(txn: HttpTransaction):
-    """Derive cookie fields from headers once both header maps are in place."""
-    for value in txn.header_values("Cookie"):
-        txn.request_cookies.extend(_parse_cookie_header(value))
-    for value in txn.header_values("Set-Cookie", response=True):
-        txn.set_cookies.append(parse_set_cookie(value))
-    for value in txn.header_values("Content-Type"):
-        txn.post_content_type = value
-        break
+def _read_headers(headers: list, response: bool, har: bool):
+    """(pairs, derived, content_type) from a header list, or None when an
+    element is not a string pair (HAR: an object with ``name`` and ``value``;
+    JSONL: a two-element list).  The pass that validates the pairs derives
+    the request's cookies and first Content-Type, or the response's
+    Set-Cookie records (``content_type`` is then None)."""
+    if not headers:
+        return [], [], None
+    pairs = []
+    derived = []
+    content_type = None
+    for h in headers:
+        if har:
+            if not isinstance(h, dict):
+                return None
+            name, value = h.get("name"), h.get("value")
+        elif isinstance(h, list) and len(h) == 2:
+            name, value = h
+        else:
+            return None
+        if not (isinstance(name, str) and isinstance(value, str)):
+            return None
+        pairs.append((name, value))
+        key = name.lower()
+        if response:
+            if key == "set-cookie":
+                derived.append(parse_set_cookie(value))
+        elif key == "cookie":
+            derived.extend(_parse_cookie_header(value))
+        elif key == "content-type" and content_type is None:
+            content_type = value
+    return pairs, derived, content_type
+
+
+_STR_OR_NULL = (str, type(None))
+
+
+def _checked(value, key: str, types, what: str):
+    """``value`` when it is an instance of ``types``, else a SchemaViolation."""
+    if not isinstance(value, types):
+        raise SchemaViolation(f"{key} must be {what}")
+    return value
+
+
+def _strings(value, key: str) -> tuple[str, ...]:
+    """A JSON list of strings as a tuple, else a SchemaViolation."""
+    if isinstance(value, list):
+        for v in value:
+            if not isinstance(v, str):
+                break
+        else:
+            return tuple(value)
+    raise SchemaViolation(f"{key} must be a list of strings")
 
 
 def _ua_label(value: str | None) -> UaLabel:
@@ -111,7 +155,7 @@ def _ingest_visit(obj, visits, order, psl):
     if visit_id in visits:
         raise SchemaViolation(f"duplicate visit_id {visit_id!r}")
     visit = PageVisit(
-        page_url=obj["page_url"],
+        page_url=_checked(obj["page_url"], "page_url", str, "a string"),
         visit_id=visit_id,
         user_agent_label=_ua_label(obj.get("user_agent")),
         month=obj.get("month"),
@@ -122,40 +166,48 @@ def _ingest_visit(obj, visits, order, psl):
     order.append(visit_id)
 
 
-def _jsonl_headers(obj, key: str) -> list[tuple[str, str]]:
+def _jsonl_headers(obj, key: str):
     headers = obj.get(key, [])
-    if not (isinstance(headers, list) and all(
-            isinstance(h, list) and len(h) == 2 and isinstance(h[0], str) and isinstance(h[1], str)
-            for h in headers)):
+    read = _read_headers(headers, key == "response_headers", har=False) \
+        if isinstance(headers, list) else None
+    if read is None:
         raise SchemaViolation(f"{key} must be a list of [name, value] string pairs")
-    return [(name, value) for name, value in headers]
+    return read
 
 
 def _ingest_transaction(obj, visits):
     visit = visits.get(obj["visit_id"])
     if visit is None:
         raise SchemaViolation(f"transaction for unknown visit_id {obj['visit_id']!r}")
+    url = _checked(obj["url"], "url", str, "a string")
+    method = _checked(obj.get("method", "GET"), "method", str, "a string")
+    request_headers, cookies, post_content_type = _jsonl_headers(obj, "request_headers")
+    response_headers, set_cookies, _ = _jsonl_headers(obj, "response_headers")
     txn = HttpTransaction(
-        request_url=obj["url"],
-        method=obj.get("method", "GET"),
-        request_headers=_jsonl_headers(obj, "request_headers"),
-        response_headers=_jsonl_headers(obj, "response_headers"),
+        request_url=url,
+        method=method,
+        request_headers=request_headers,
+        response_headers=response_headers,
+        request_cookies=cookies,
+        set_cookies=set_cookies,
+        post_content_type=post_content_type,
         status=int(obj.get("status", 0)),
         response_size=int(obj.get("response_size", 0)),
-        content_type_class=classify_content_type(obj.get("content_type")),
-        remote_ip=obj.get("remote_ip"),
-        initiators=tuple(obj.get("initiators", [])),
+        content_type_class=classify_content_type(
+            _checked(obj.get("content_type"), "content_type", _STR_OR_NULL, "a string or null")),
+        remote_ip=_checked(obj.get("remote_ip"), "remote_ip", _STR_OR_NULL, "a string or null"),
+        initiators=_strings(obj.get("initiators", []), "initiators"),
     )
     if txn.response_size < 0:
         raise SchemaViolation("negative response_size")
+    post_body = _checked(obj.get("post_body"), "post_body", _STR_OR_NULL, "a string or null")
     if obj.get("post_body_digest"):
         # pre-truncated capture: keep the declared digest and flag
-        txn.post_body = obj.get("post_body")
+        txn.post_body = post_body
         txn.post_body_digest = obj["post_body_digest"]
         txn.post_body_truncated = bool(obj.get("post_body_truncated", True))
     else:
-        txn.store_post_body(obj.get("post_body"))
-    _finish_transaction(txn)
+        txn.store_post_body(post_body)
     visit.transactions.append(txn)
 
 
@@ -171,7 +223,7 @@ def _ingest_js_cookie(obj, visits):
             page_url=visit.page_url,
             assigned_string=assigned,
             parsed=parse_set_cookie(assigned),
-            stack=tuple(obj.get("stack", [])),
+            stack=_strings(obj.get("stack", []), "stack"),
         )
     )
 
@@ -223,15 +275,15 @@ def save_crawl_jsonl(visits: list[PageVisit], path):
                 }, sort_keys=True) + "\n")
 
 
-def _har_headers(message: dict, entry_index: int) -> list[tuple[str, str]]:
-    """A HAR request's or response's headers as (name, value) pairs."""
+def _har_headers(message: dict, entry_index: int, response: bool):
+    """A HAR request's or response's headers, read by ``_read_headers``."""
     headers = message.get("headers", [])
     if not isinstance(headers, list):
         raise MalformedHar("headers must be a list", entry_index=entry_index)
-    for h in headers:
-        if not (isinstance(h, dict) and isinstance(h.get("name"), str) and isinstance(h.get("value"), str)):
-            raise MalformedHar("header needs a string name and value", entry_index=entry_index)
-    return [(h["name"], h["value"]) for h in headers]
+    read = _read_headers(headers, response, har=True)
+    if read is None:
+        raise MalformedHar("header needs a string name and value", entry_index=entry_index)
+    return read
 
 
 def _har_int(value, field: str, entry_index: int) -> int:
@@ -259,11 +311,10 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
     order: list[str] = []
     for page in pages:
         pid = page.get("id") or f"page_{len(order)}"
-        visit = visits[pid] = PageVisit(
-            page_url=page.get("title") or page.get("_url") or "",
-            visit_id=pid,
-            month=month,
-        )
+        page_url = page.get("title") or page.get("_url") or ""
+        if not isinstance(page_url, str):
+            raise MalformedHar(f"page {pid!r}: title/_url must be a string")
+        visit = visits[pid] = PageVisit(page_url=page_url, visit_id=pid, month=month)
         if psl and visit.page_host:
             visit.site = psl.etld_plus_one_or_none(visit.page_host)
         order.append(pid)
@@ -275,6 +326,8 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
             url = request["url"]
         except (KeyError, TypeError):
             raise MalformedHar("entry missing request.url", entry_index=idx)
+        if not isinstance(url, str):
+            raise MalformedHar("request.url must be a string", entry_index=idx)
         pageref = entry.get("pageref")
         if pageref not in visits:
             if not visits:  # pageless HAR: synthesize one visit per distinct page
@@ -283,29 +336,35 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
                 order.append(pageref)
             else:
                 raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
-        txn = HttpTransaction(
-            request_url=url,
-            method=request.get("method", "GET"),
-            request_headers=_har_headers(request, idx),
-        )
+        request_headers, cookies, post_content_type = _har_headers(request, idx, response=False)
+        txn = HttpTransaction(request_url=url, method=request.get("method", "GET"),
+                              request_headers=request_headers, request_cookies=cookies,
+                              post_content_type=post_content_type)
         response = entry.get("response")
         if response:
             if not isinstance(response, dict):
                 raise MalformedHar("response must be an object", entry_index=idx)
-            txn.response_headers = _har_headers(response, idx)
+            txn.response_headers, txn.set_cookies, _ = _har_headers(response, idx, response=True)
             txn.status = _har_int(response.get("status", 0), "response.status", idx)
             content = response.get("content", {}) or {}
             if not isinstance(content, dict):
                 raise MalformedHar("response.content must be an object", entry_index=idx)
             txn.response_size = max(_har_int(content.get("size", 0) or 0, "content.size", idx), 0)
-            txn.content_type_class = classify_content_type(content.get("mimeType"))
+            mime = content.get("mimeType")
+            if not isinstance(mime, _STR_OR_NULL):
+                raise MalformedHar("content.mimeType must be a string", entry_index=idx)
+            txn.content_type_class = classify_content_type(mime)
         else:
             log.warning("%s: entry %d has no response; recorded with status 0", path, idx)
         post = request.get("postData")
         if post:
             txn.store_post_body(post.get("text"))
-            txn.post_content_type = post.get("mimeType")
-        txn.remote_ip = entry.get("serverIPAddress") or None
+            if txn.post_content_type is None:  # a Content-Type header wins
+                txn.post_content_type = post.get("mimeType")
+        server_ip = entry.get("serverIPAddress")
+        if not isinstance(server_ip, _STR_OR_NULL):
+            raise MalformedHar("serverIPAddress must be a string", entry_index=idx)
+        txn.remote_ip = server_ip or None
         initiator = entry.get("_initiator")
         if isinstance(initiator, dict):
             txn.initiators = tuple(
@@ -314,7 +373,6 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
             )
         elif isinstance(initiator, str):
             txn.initiators = (initiator,)
-        _finish_transaction(txn)
         timed.append((pageref, idx, txn, entry.get("startedDateTime", "")))
 
     timed.sort(key=lambda item: (item[3], item[1]))
@@ -396,15 +454,16 @@ def load_signatures(path) -> list[TrackerSignature]:
         try:
             sigs.append(TrackerSignature(
                 tracker_id=entry["tracker_id"],
-                cname_suffixes=tuple(s.lower().rstrip(".") for s in entry.get("cname_suffixes", [])),
-                cidr_ranges=tuple(entry.get("cidr_ranges", [])),
-                path_patterns=tuple(entry.get("path_patterns", [])),
+                cname_suffixes=tuple(s.lower().rstrip(".")
+                                     for s in _strings(entry.get("cname_suffixes", []), "cname_suffixes")),
+                cidr_ranges=_strings(entry.get("cidr_ranges", []), "cidr_ranges"),
+                path_patterns=_strings(entry.get("path_patterns", []), "path_patterns"),
                 id_markers=tuple(
                     IdMarker(m["location"], m["name"]) for m in entry.get("id_markers", [])
                 ),
                 notes=entry.get("notes", ""),
             ))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, SchemaViolation) as exc:
             raise SchemaViolation(f"signature {i}: {exc}", path=str(path))
     return sigs
 

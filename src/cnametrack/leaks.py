@@ -6,10 +6,10 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass, field
-from urllib.parse import unquote, urlsplit
+from urllib.parse import unquote
 
 from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
-from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
+from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature, split_url
 from .sitectx import CookieAttributes, PublicSuffixTable
 
 log = logging.getLogger(__name__)
@@ -182,7 +182,7 @@ def _site_unique_persistent(
 
 def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
     for url in txn.initiators:
-        host = (urlsplit(url).hostname or "").lower()
+        host = split_url(url)[0]
         if host and (host in tracker_hosts or sig.host_matches(host)):
             return True
     return False

@@ -1,4 +1,14 @@
-"""Domain model for captured crawl data and tracker signatures."""
+"""Domain model for captured crawl data and tracker signatures.
+
+Request, page, script and initiator URLs are all split by ``split_url``.
+Most URLs of a corpus share a few ``scheme://authority`` prefixes, so a URL
+of plain printable ASCII (no whitespace, ``@``, ``[``, ``]`` or ``\\``) whose
+authority is followed by nothing or by ``/``, ``?`` or ``#`` is matched by
+one regex, and ``urlsplit`` runs once per distinct prefix (memoized, bounded)
+to give its host, scheme and port; path and query come from the rest of the
+URL.  Every other URL takes the full ``urlsplit`` path, so both give the
+same fields, and the same ``ValueError``, for every string.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +19,7 @@ import ipaddress
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from urllib.parse import urlsplit
 
 from .sitectx import CookieAttributes
@@ -45,6 +55,47 @@ def classify_content_type(mime: str | None) -> ContentClass:
     return ContentClass.OTHER
 
 
+# Characters excluded anywhere in an ASCII URL.  (A class reaching past ASCII
+# would take about 15 ms to compile at import.)
+_URL_CHARS = r"\x00-\x20\x7f@\[\\\]"
+_PLAIN_URL = re.compile(
+    rf"([A-Za-z][A-Za-z0-9+.\-]*://[^{_URL_CHARS}/?#]*)(?:[/?#][^{_URL_CHARS}]*)?")
+
+
+def _urlsplit_fields(url: str) -> tuple[str, str, int | None, str]:
+    """(host, scheme, port, path_and_query) by ``urlsplit``: host and scheme
+    lower-cased and interned; port None when absent, -1 when malformed."""
+    parts = urlsplit(url)
+    host = sys.intern((parts.hostname or "").lower())
+    scheme = sys.intern(parts.scheme.lower())
+    try:  # a netloc without ":" has no port; skip parsing it again
+        port = parts.port if ":" in parts.netloc else None
+    except ValueError:  # not a number, or out of range
+        port = -1
+    path = parts.path or "/"
+    return host, scheme, port, f"{path}?{parts.query}" if parts.query else path
+
+
+@lru_cache(maxsize=8192)
+def _authority(prefix: str) -> tuple[str, str, int | None]:
+    return _urlsplit_fields(prefix)[:3]
+
+
+def split_url(url: str) -> tuple[str, str, int | None, str]:
+    """(host, scheme, port, path_and_query) of a URL, as ``_urlsplit_fields``
+    gives them; see the module docstring for the memoized fast path."""
+    m = _PLAIN_URL.fullmatch(url) if url.isascii() else None
+    if m is None:
+        return _urlsplit_fields(url)
+    end = m.end(1)
+    host, scheme, port = _authority(url[:end])
+    rest = url[end:].partition("#")[0]
+    path, _, query = rest.partition("?")
+    if query:
+        return host, scheme, port, rest if path else "/" + rest
+    return host, scheme, port, path or "/"
+
+
 @dataclass(slots=True)
 class HttpTransaction:
     """One captured request/response pair.
@@ -76,15 +127,7 @@ class HttpTransaction:
     path_and_query: str = field(init=False)
 
     def __post_init__(self):
-        parts = urlsplit(self.request_url)
-        self.host = sys.intern((parts.hostname or "").lower())
-        self.scheme = sys.intern(parts.scheme.lower())
-        try:  # a netloc without ":" has no port; skip parsing it again
-            self.port = parts.port if ":" in parts.netloc else None
-        except ValueError:  # not a number, or out of range
-            self.port = -1
-        path = parts.path or "/"
-        self.path_and_query = f"{path}?{parts.query}" if parts.query else path
+        self.host, self.scheme, self.port, self.path_and_query = split_url(self.request_url)
 
     def header_values(self, name: str, response: bool = False) -> list[str]:
         headers = self.response_headers if response else self.request_headers
@@ -117,7 +160,7 @@ class JsCookieSet:
         """Host of the script at the top of the stack trace."""
         if not self.stack:
             return None
-        return (urlsplit(self.stack[0]).hostname or "").lower()
+        return split_url(self.stack[0])[0]
 
 
 @dataclass(slots=True)
@@ -139,9 +182,7 @@ class PageVisit:
     page_scheme: str = field(init=False)
 
     def __post_init__(self):
-        parts = urlsplit(self.page_url)
-        self.page_host = sys.intern((parts.hostname or "").lower())
-        self.page_scheme = sys.intern(parts.scheme.lower())
+        self.page_host, self.page_scheme, _, _ = split_url(self.page_url)
 
 
 @dataclass(frozen=True)

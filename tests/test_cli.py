@@ -69,6 +69,18 @@ class TestDetect:
                     "--dns", world["dns"], "--signatures", world["signatures"],
                     "--out", tmp_path]) == 1
 
+    @pytest.mark.parametrize("field,value", [("url", 5), ("remote_ip", 5), ("initiators", "abc")])
+    def test_mistyped_corpus_field_exits_1_naming_the_line(self, world, tmp_path, capsys, field, value):
+        rec = corpusgen.txn_record("v1", "https://www.shop00.net/x")
+        rec[field] = value
+        corpus = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://www.shop00.net/"), rec],
+                                       tmp_path / "corpus.jsonl")
+        assert run(["detect", "--corpus", corpus, "--dns", world["dns"],
+                    "--signatures", world["signatures"], "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == f"error: {corpus}:2: {field} must be " + (
+            "a list of strings\n" if field == "initiators" else
+            "a string\n" if field == "url" else "a string or null\n")
+
     def test_threads_byte_identical(self, world, tmp_path):
         outs = []
         for threads in (1, 8):

@@ -1,6 +1,7 @@
 """Chain resolution and IP-pool tests, including the exhaustive small-graph
 totality check against the independent reference walker."""
 
+import ipaddress
 import random
 
 import pytest
@@ -11,11 +12,13 @@ from chainref import enumerate_graphs, random_graph, reference_walk, store_from_
 from cnametrack.dnsgraph import (
     DnsRecordStore,
     IpPool,
+    NetworkIndex,
     accumulate_ips,
     resolve_chain,
     uncloaked_target,
 )
 from cnametrack.errors import CnameCycle, InvalidCidr
+from naivepool import NaiveIpPool
 
 
 def make_store(cnames=(), a_records=()):
@@ -197,3 +200,110 @@ class TestIpPool:
             pool.add_address(addr, "trk")
             seen.append(addr)
             assert all(pool.contains(a, "trk") for a in seen)
+
+
+# Small address universes so that random networks overlap and hold the probes.
+_V4 = st.builds(lambda n: str(ipaddress.IPv4Address(0x0A000000 + n)), st.integers(0, 1023))
+_V6 = st.builds(lambda n: str(ipaddress.IPv6Address((0xFE80 << 112) + n)), st.integers(0, 1023))
+_SCOPED = st.builds(lambda a, z: f"{a}%{z}", _V6, st.sampled_from(["eth0", "1"]))
+_ADDRS = st.one_of(_V4, _V6, _SCOPED, st.builds(lambda a: f"::ffff:{a}", _V4),
+                   st.sampled_from(["10.0.0.0", "10.0.3.255", "fe80::", "0.0.0.0", "::", "255.255.255.255"]))
+_NETS = st.one_of(
+    st.builds("{}/{}".format, _V4, st.sampled_from([0, 1, 8, 22, 23, 24, 30, 31, 32])),
+    st.builds("{}/{}".format, st.one_of(_V6, _SCOPED), st.sampled_from([0, 1, 64, 118, 120, 127, 128])),
+)
+
+
+class TestNetworkIndex:
+    """``NetworkIndex.lookup`` against a linear ``ip in net`` scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(nets=st.lists(_NETS, max_size=12), probes=st.lists(_ADDRS, min_size=1, max_size=12))
+    def test_lookup_equals_linear_scan(self, nets, probes):
+        networks = [ipaddress.ip_network(n, strict=False) for n in nets]
+        index = NetworkIndex()
+        for pos, net in enumerate(networks):
+            index.add(net, pos)
+        for addr in probes:
+            ip = ipaddress.ip_address(addr)
+            assert sorted(index.lookup(ip)) == [pos for pos, net in enumerate(networks) if ip in net]
+
+    def test_listed_edges(self):
+        nets = ["0.0.0.0/0", "10.0.0.7/32", "10.0.0.0/24", "10.0.0.9/24", "::/0",
+                "fe80::1/128", "fe80::%eth0/64", "fe80::/64", "::ffff:10.0.0.0/120"]
+        index = NetworkIndex()
+        for n in nets:
+            index.add(ipaddress.ip_network(n, strict=False), n)
+        assert sorted(index.lookup(ipaddress.ip_address("10.0.0.7"))) == sorted(
+            ["0.0.0.0/0", "10.0.0.7/32", "10.0.0.0/24", "10.0.0.9/24"])
+        assert sorted(index.lookup(ipaddress.ip_address("fe80::1%eth1"))) == sorted(
+            ["::/0", "fe80::1/128", "fe80::%eth0/64", "fe80::/64"])
+        assert index.lookup(ipaddress.ip_address("::ffff:10.0.0.7")) == ["::/0", "::ffff:10.0.0.0/120"]
+        assert NetworkIndex().lookup(ipaddress.ip_address("10.0.0.7")) == []
+
+
+def _pool_state(pool):
+    """Every single and range with its (tracker, first_seen) entries, in order."""
+    return ({str(k): [(e.tracker_id, e.first_seen) for e in v] for k, v in pool._singles.items()},
+            {str(k): [(e.tracker_id, e.first_seen) for e in v] for k, v in pool._ranges.items()})
+
+
+_OPS = st.lists(st.tuples(st.sampled_from(["range", "address"]), st.one_of(_NETS, _ADDRS),
+                          st.sampled_from(["a", "b", "c"]),
+                          st.sampled_from([None, "2020-01", "2020-02", "2020-03"])), max_size=25)
+
+
+class TestIpPoolAgainstReference:
+    """``IpPool`` (range index, no rescan for a range its tracker already
+    holds) against ``NaiveIpPool``, the pool with linear scans and a rescan on
+    every ``add_range``."""
+
+    @staticmethod
+    def _apply(pools, kind, value, tracker, month):
+        for pool in pools:
+            if kind == "range":
+                pool.add_range(value, tracker, month)
+            else:
+                pool.add_address(value.split("/")[0], tracker, month)
+
+    @staticmethod
+    def _assert_same(pool, ref, probes):
+        assert pool.summary() == ref.summary()
+        assert _pool_state(pool) == _pool_state(ref)
+        for addr in probes:
+            assert pool.owners(addr) == ref.owners(addr)
+            assert pool.lookup(addr) == ref.lookup(addr)
+            assert all(pool.contains(addr, t) == ref.contains(addr, t) for t in "abc")
+
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS, probes=st.lists(_ADDRS, max_size=10))
+    def test_random_add_sequences(self, ops, probes):
+        pool, ref = IpPool(), NaiveIpPool()
+        for op in ops:
+            self._apply((pool, ref), *op)
+        self._assert_same(pool, ref, probes + ["not-an-ip"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(declared=st.lists(st.tuples(_NETS, st.sampled_from("abc")), min_size=1, max_size=5),
+           found=st.lists(st.lists(st.tuples(_ADDRS, st.sampled_from("abc")), max_size=6),
+                          min_size=1, max_size=6),
+           probes=st.lists(_ADDRS, max_size=10))
+    def test_multi_month_backward_sequence(self, declared, found, probes):
+        """As ``history.backward_iterate`` drives it: newest month first, every
+        month re-adds the declared ranges, then that month's addresses."""
+        pool, ref = IpPool(), NaiveIpPool()
+        for i, addrs in enumerate(found):
+            month = f"2020-{12 - i:02d}"
+            for cidr, tracker in declared:
+                self._apply((pool, ref), "range", cidr, tracker, month)
+            for addr, tracker in addrs:
+                self._apply((pool, ref), "address", addr, tracker, month)
+            self._assert_same(pool, ref, probes + [a for a, _ in addrs])
+
+    def test_readding_a_held_range_moves_first_seen_back(self):
+        pool = IpPool()
+        pool.add_range("203.0.113.0/28", "trk", "2020-10")
+        pool.add_address("198.51.100.7", "trk", "2020-10")
+        pool.add_range("203.0.113.0/28", "trk", "2020-08")
+        assert _pool_state(pool)[1] == {"203.0.113.0/28": [("trk", "2020-08")]}
+        assert pool.summary() == {"trk": {"singles": 1, "ranges": 1}}

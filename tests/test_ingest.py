@@ -122,12 +122,94 @@ class TestCaptureJsonl:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("url", 5),
+        ("method", 5),
+        ("method", None),
+        ("content_type", 5),
+        ("content_type", [1]),
+        ("remote_ip", 5),
+        ("post_body", ["a"]),
+        ("post_body", 5),
+        ("initiators", "abc"),
+        ("initiators", [5]),
+        ("initiators", None),
+    ])
+    def test_mistyped_transaction_field_names_the_line(self, tmp_path, field, value):
+        rec = corpusgen.txn_record("v1", "https://a.com/x", remote_ip="192.0.2.1")
+        rec[field] = value
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match=f"{field} must be") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    def test_mistyped_post_body_with_digest_names_the_line(self, tmp_path):
+        rec = corpusgen.txn_record("v1", "https://a.com/x", method="POST")
+        rec.update(post_body=5, post_body_digest="ab" * 32, post_body_truncated=True)
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="post_body must be") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", [5, None, ["https://a.com/"]])
+    def test_mistyped_page_url_names_the_line(self, tmp_path, value):
+        rec = corpusgen.visit_record("v2", "https://b.com/")
+        rec["page_url"] = value
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="page_url must be a string") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    def test_null_optional_fields_accepted(self, tmp_path, psl):
+        rec = corpusgen.txn_record("v1", "https://a.com/x")
+        rec.update(content_type=None, remote_ip=None, post_body=None)
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        txn = load_crawl_jsonl(path, psl)[0].transactions[0]
+        assert (txn.content_type_class, txn.remote_ip, txn.post_body) == (ContentClass.OTHER, None, None)
+
+    def test_headers_derived_in_order(self, tmp_path, psl):
+        rec = corpusgen.txn_record("v1", "https://a.com/x")
+        rec["request_headers"] = [["cookie", "a=1; b=2"], ["Content-Type", "text/plain"],
+                                  ["COOKIE", "c=3"], ["content-type", "application/json"]]
+        rec["response_headers"] = [["Set-Cookie", "x=1"], ["X-Other", "y"], ["set-cookie", "z=2"]]
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        txn = load_crawl_jsonl(path, psl)[0].transactions[0]
+        assert txn.request_cookies == [("a", "1"), ("b", "2"), ("c", "3")]
+        assert txn.post_content_type == "text/plain"
+        assert [c.name for c in txn.set_cookies] == ["x", "z"]
+        assert txn.response_headers[1] == ("X-Other", "y")
+
+    @pytest.mark.parametrize("text", ['{"record_type": "visit"} x', "\ufeff{}", "[1] [2]", "{"])
+    def test_bad_json_words_the_error_as_json_loads(self, tmp_path, text):
+        path = tmp_path / "c.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(SchemaViolation) as exc:
+            load_crawl_jsonl(path)
+        with pytest.raises(json.JSONDecodeError) as ref:
+            json.loads(text.strip())
+        assert str(exc.value) == f"{path}:1: bad JSON: {ref.value}"
+
     def test_non_string_js_cookie_names_the_line(self, tmp_path):
         path = corpusgen.write_jsonl([
             corpusgen.visit_record("v1", "https://a.com/"),
             {"record_type": "js_cookie", "visit_id": "v1", "assigned": 5},
         ], tmp_path / "c.jsonl")
         with pytest.raises(SchemaViolation, match="assigned must be a string") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("stack", ["https://cdn.x.net/a.js", [5], None])
+    def test_mistyped_js_cookie_stack_names_the_line(self, tmp_path, stack):
+        path = corpusgen.write_jsonl([
+            corpusgen.visit_record("v1", "https://a.com/"),
+            {"record_type": "js_cookie", "visit_id": "v1", "assigned": "a=1", "stack": stack},
+        ], tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="stack must be a list of strings") as exc:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
@@ -213,6 +295,27 @@ class TestHar:
         with pytest.raises(MalformedHar):
             load_har(self._har(tmp_path, {"log": {}}))
 
+    def test_content_type_header_wins_over_post_mime_type(self, tmp_path):
+        entries = [{"pageref": "p1", "startedDateTime": "1",
+                    "request": {"url": "https://a.com/x", "method": "POST",
+                                "headers": [{"name": "content-type", "value": "text/plain"}],
+                                "postData": {"mimeType": "application/json", "text": "{}"}}},
+                   {"pageref": "p1", "startedDateTime": "2",
+                    "request": {"url": "https://a.com/y", "method": "POST",
+                                "postData": {"mimeType": "application/json", "text": "{}"}}}]
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}], "entries": entries}}
+        visits = load_har(self._har(tmp_path, doc))
+        assert [t.post_content_type for t in visits[0].transactions] == ["text/plain", "application/json"]
+
+    @pytest.mark.parametrize("pages,url,message", [
+        ([], 5, "entry 0: request.url must be a string"),
+        ([{"id": "p1", "title": 5}], "https://a.com/", "page 'p1': title/_url must be a string"),
+    ])
+    def test_non_string_url_is_malformed(self, tmp_path, pages, url, message):
+        doc = {"log": {"pages": pages, "entries": [{"pageref": "p1", "request": {"url": url}}]}}
+        with pytest.raises(MalformedHar, match=message):
+            load_har(self._har(tmp_path, doc))
+
     def test_unknown_pageref(self, tmp_path):
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
                        "entries": [{"pageref": "p2",
@@ -247,6 +350,8 @@ class TestHar:
         ({"status": [200]}, "response.status must be a number"),
         ({"status": 200, "content": {"size": "big"}}, "content.size must be a number"),
         ({"status": 200, "content": {"size": [1]}}, "content.size must be a number"),
+        ({"status": 200, "content": {"mimeType": 5}}, "content.mimeType must be a string"),
+        ({"status": 200, "content": {"mimeType": ["image/gif"]}}, "content.mimeType must be a string"),
     ])
     def test_malformed_response_names_entry(self, tmp_path, response, message):
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
@@ -256,6 +361,23 @@ class TestHar:
         with pytest.raises(MalformedHar, match=f"^entry 1: {message}") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("server_ip", [5, ["192.0.2.1"], {"ip": "192.0.2.1"}])
+    def test_non_string_server_ip_names_entry(self, tmp_path, server_ip):
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
+                       "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}},
+                                   {"pageref": "p1", "request": {"url": "https://a.com/x"},
+                                    "serverIPAddress": server_ip}]}}
+        with pytest.raises(MalformedHar, match="^entry 1: serverIPAddress must be a string") as exc:
+            load_har(self._har(tmp_path, doc))
+        assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("server_ip,remote_ip", [("192.0.2.1", "192.0.2.1"), ("", None), (None, None)])
+    def test_server_ip_string_or_null(self, tmp_path, server_ip, remote_ip):
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
+                       "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"},
+                                    "serverIPAddress": server_ip}]}}
+        assert load_har(self._har(tmp_path, doc))[0].transactions[0].remote_ip == remote_ip
 
 
 class TestDns:
@@ -321,6 +443,17 @@ class TestSignaturesAndRanking:
         path = tmp_path / "sigs.json"
         path.write_text(json.dumps([{"tracker_id": "bad", "path_patterns": ["/x"]}]))
         with pytest.raises(SchemaViolation):
+            load_signatures(path)
+
+    @pytest.mark.parametrize("key", ["cname_suffixes", "cidr_ranges", "path_patterns"])
+    @pytest.mark.parametrize("value", ["abc", [5], [["x.net"]], None, {"x": 1}])
+    def test_signature_lists_must_hold_strings(self, tmp_path, key, value):
+        good = {"tracker_id": "good", "cname_suffixes": ["good.net"], "path_patterns": ["/*"]}
+        bad = {"tracker_id": "bad", "cname_suffixes": ["bad.net"], "cidr_ranges": ["192.0.2.0/24"],
+               "path_patterns": ["/*"], key: value}
+        path = tmp_path / "sigs.json"
+        path.write_text(json.dumps([good, bad]))
+        with pytest.raises(SchemaViolation, match=f"signature 1: {key} must be a list of strings"):
             load_signatures(path)
 
     def test_ranking_skips_header(self, tmp_path):
