@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import reports
@@ -25,7 +26,16 @@ from .detect import (
 from .dnsgraph import IpPool
 from .errors import CnametrackError, SchemaViolation, StaleInputs
 from .filterlist import load_filter_list
-from .history import MonthDataset, adoption_windows, backward_iterate, cross_validate
+from .history import (
+    MonthDataset,
+    adoption_windows,
+    backward_iterate,
+    check_descending_contiguous,
+    cross_validate,
+    external_trackers,
+    host_paths,
+    is_month,
+)
 from .ingest import load_crawl_jsonl, load_dns, load_har, load_ranking, load_signatures
 from .leaks import audit_leaks
 from .model import UaLabel
@@ -172,20 +182,36 @@ def _load_month_manifest(path, shape: type):
     return doc
 
 
-def _load_months(args, psl) -> list[MonthDataset]:
+def _month_entries(args) -> list[dict]:
+    """The --months manifest's entries, newest first.  Every entry and the
+    months' contiguity are checked; no corpus or DNS file is opened."""
     _require(args, "months")
     manifest = _load_month_manifest(args.months, list)
-    for i, entry in enumerate(manifest):  # every entry checked before any file is read
+    for i, entry in enumerate(manifest):
         if not isinstance(entry, dict):
             raise SchemaViolation(f"entry {i}: not an object", path=args.months)
         for key in ("month", "corpus", "dns"):
             if not isinstance(entry.get(key), str):
                 raise SchemaViolation(f"entry {i}: {key!r} missing or not a string", path=args.months)
-    months = [MonthDataset(month=entry["month"], corpus=load_crawl_jsonl(entry["corpus"], psl),
-                           dns=load_dns(entry["dns"]))
-              for entry in manifest]
-    months.sort(key=lambda m: m.month, reverse=True)
-    return months
+        if not is_month(entry["month"]):
+            raise SchemaViolation(f"entry {i}: month {entry['month']!r} is not YYYY-MM", path=args.months)
+    manifest.sort(key=lambda entry: entry["month"], reverse=True)
+    check_descending_contiguous([entry["month"] for entry in manifest])
+    return manifest
+
+
+def _load_months(entries, psl, seen=None) -> Iterator[MonthDataset]:
+    """The months of ``entries``, each read only when the consumer reaches
+    it, so that one month is in memory at a time.  ``seen`` is called with
+    each month as it is read."""
+    def read(entry) -> MonthDataset:
+        month = MonthDataset(entry["month"], load_crawl_jsonl(entry["corpus"], psl),
+                             load_dns(entry["dns"]))
+        if seen is not None:
+            seen(month)
+        return month
+
+    return map(read, entries)
 
 
 def cmd_history(args) -> int:
@@ -193,8 +219,8 @@ def cmd_history(args) -> int:
     _require(args, "signatures")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
-    months = _load_months(args, psl)
-    monthly = backward_iterate(months, sigs, psl, max_depth=args.max_depth)
+    monthly = backward_iterate(_load_months(_month_entries(args), psl), sigs, psl,
+                               max_depth=args.max_depth)
     out = _out_dir(args)
     import csv as _csv
 
@@ -256,17 +282,26 @@ def cmd_validate(args) -> int:
     _require(args, "signatures", "external_dns")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
-    months = _load_months(args, psl)
-    pool = IpPool()
-    monthly = backward_iterate(months, sigs, psl, max_depth=args.max_depth,
-                               pool=pool)
     ext_manifest = _load_month_manifest(args.external_dns, dict)
     for month, path in ext_manifest.items():
+        if not is_month(month):
+            raise SchemaViolation(f"month {month!r}: not YYYY-MM", path=args.external_dns)
         if not isinstance(path, str):
             raise SchemaViolation(f"month {month!r}: path must be a string", path=args.external_dns)
+    entries = _month_entries(args)
     external = {month: load_dns(path) for month, path in ext_manifest.items()}
-    report = cross_validate(monthly, external, {m.month: m for m in months},
-                            sigs, pool, psl, max_depth=args.max_depth)
+    trackers = external_trackers(external, sigs, args.max_depth)
+    paths: dict[str, dict[str, set[str]]] = {}
+
+    def keep_paths(month: MonthDataset):  # of the hosts cross_validate looks up
+        if month.month in trackers:
+            paths[month.month] = host_paths(month.corpus, trackers[month.month])
+
+    pool = IpPool()
+    monthly = backward_iterate(_load_months(entries, psl, keep_paths), sigs, psl,
+                               max_depth=args.max_depth, pool=pool)
+    report = cross_validate(monthly, external, trackers, paths, sigs, pool, psl,
+                            max_depth=args.max_depth)
     out = _out_dir(args)
     reports.write_json({"correctness": report.correctness,
                         "completeness": report.completeness},

@@ -373,15 +373,6 @@ def signature_match_route(
     return None
 
 
-def match_signature(
-    txn: HttpTransaction,
-    chain: CnameChain | None,
-    sig: TrackerSignature,
-    pool: IpPool | None = None,
-) -> bool:
-    return signature_match_route(txn, chain, sig, pool) is not None
-
-
 def detect_publishers(
     corpus: list[PageVisit],
     dns: DnsRecordStore,
@@ -442,23 +433,3 @@ def detect_publishers(
         evidence = sorted(grouped[key], key=lambda r: (r.visit_id, r.index))
         detections.append(PublisherDetection(site, tracker, context, evidence, mech))
     return detections
-
-
-def diff_detections(
-    a: list[PublisherDetection], b: list[PublisherDetection]
-) -> dict[str, dict[str, list[str]]]:
-    """Per-tracker publisher site sets present only in one detection run."""
-    def site_map(dets):
-        out: dict[str, set[str]] = {}
-        for d in dets:
-            out.setdefault(d.tracker_id, set()).add(d.publisher_etld1)
-        return out
-
-    ma, mb = site_map(a), site_map(b)
-    diff: dict[str, dict[str, list[str]]] = {}
-    for tracker in sorted(set(ma) | set(mb)):
-        only_a = sorted(ma.get(tracker, set()) - mb.get(tracker, set()))
-        only_b = sorted(mb.get(tracker, set()) - ma.get(tracker, set()))
-        if only_a or only_b:
-            diff[tracker] = {"only_in_first": only_a, "only_in_second": only_b}
-    return diff

@@ -11,6 +11,7 @@ from __future__ import annotations
 import ipaddress
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import CnameCycle, InvalidCidr
 from .sitectx import PublicSuffixTable
@@ -20,45 +21,57 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_DEPTH = 10
 
 
-@dataclass(frozen=True)
-class DnsRecord:
+class DnsRecord(NamedTuple):
     rr_type: str  # "CNAME" or "A" (AAAA stored under "A" semantics)
     answer: str
     snapshot_month: str | None = None  # YYYY-MM
 
 
 class DnsRecordStore:
-    """Hostname -> record set, case-insensitive; immutable after load."""
+    """Hostname -> record set, case-insensitive; immutable after load.
+
+    Records are kept as ``(rr_type, answer, month)`` tuples in the order they
+    were added; ``records`` makes ``DnsRecord`` tuples of them.  The first
+    CNAME answer of each (host, month) is kept in a dict per month, so a later
+    CNAME for the same pair is dropped without a scan, with a warning when it
+    differs.
+    """
 
     def __init__(self):
-        self._records: dict[str, list[DnsRecord]] = {}
+        self._records: dict[str, list[tuple[str, str, str | None]]] = {}
+        self._first_cname: dict[str | None, dict[str, str]] = {}
 
     def add(self, host: str, rr_type: str, answer: str, month: str | None = None):
         host = host.lower().rstrip(".")
-        answer = answer.lower().rstrip(".") if rr_type == "CNAME" else answer
         recs = self._records.setdefault(host, [])
         if rr_type == "CNAME":
-            prior = [r for r in recs if r.rr_type == "CNAME" and r.snapshot_month == month]
-            if prior:
-                if prior[0].answer != answer:
+            answer = answer.lower().rstrip(".")
+            firsts = self._first_cname.get(month)
+            if firsts is None:
+                firsts = self._first_cname[month] = {}
+            first = firsts.get(host)
+            if first is not None:
+                if first != answer:
                     log.warning("multiple CNAME answers for %s (%s); keeping first", host, month)
                 return
-        recs.append(DnsRecord(rr_type, answer, month))
+            firsts[host] = answer
+        recs.append((rr_type, answer, month))
 
     def __contains__(self, host: str) -> bool:
         return host.lower().rstrip(".") in self._records
 
     def records(self, host: str) -> list[DnsRecord]:
-        return self._records.get(host.lower().rstrip("."), [])
+        return list(map(DnsRecord._make, self._records.get(host.lower().rstrip("."), ())))
 
     def cname_target(self, host: str) -> str | None:
-        for rec in self.records(host):
-            if rec.rr_type == "CNAME":
-                return rec.answer
+        for rr_type, answer, _month in self._records.get(host.lower().rstrip("."), ()):
+            if rr_type == "CNAME":
+                return answer
         return None
 
     def a_records(self, host: str) -> list[str]:
-        return [r.answer for r in self.records(host) if r.rr_type == "A"]
+        return [answer for rr_type, answer, _month in self._records.get(host.lower().rstrip("."), ())
+                if rr_type == "A"]
 
     def hostnames(self):
         return self._records.keys()

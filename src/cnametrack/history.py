@@ -5,7 +5,9 @@ analytics."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import re
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .defense import match_plain
 from .detect import (
@@ -47,15 +49,25 @@ class MonthlyDetection:
         return {(d.publisher_etld1, d.tracker_id, d.context) for d in self.detections}
 
 
+_MONTH = re.compile(r"[0-9]{4}-(?:0[1-9]|1[0-2])")
+
+
+def is_month(value) -> bool:
+    """Whether ``value`` is a ``YYYY-MM`` string with a month of 01-12."""
+    return isinstance(value, str) and _MONTH.fullmatch(value) is not None
+
+
 def _month_index(month: str) -> int:
     year, mon = month.split("-")
     return int(year) * 12 + int(mon) - 1
 
 
-def _check_descending_contiguous(months: list[MonthDataset]):
+def check_descending_contiguous(months: list[str]):
+    """Raise NonContiguousMonths unless each month directly precedes the one
+    before it."""
     for prev, cur in zip(months, months[1:]):
-        if _month_index(prev.month) - _month_index(cur.month) != 1:
-            raise NonContiguousMonths(f"{prev.month} -> {cur.month}")
+        if _month_index(prev) - _month_index(cur) != 1:
+            raise NonContiguousMonths(f"{prev} -> {cur}")
 
 
 def _confirmed_hosts(detections: list[PublisherDetection]) -> dict[str, str]:
@@ -67,7 +79,7 @@ def _confirmed_hosts(detections: list[PublisherDetection]) -> dict[str, str]:
 
 
 def backward_iterate(
-    months: list[MonthDataset],
+    months: Iterable[MonthDataset],
     sigs: list[TrackerSignature],
     psl: PublicSuffixTable,
     max_depth: int = 10,
@@ -76,11 +88,15 @@ def backward_iterate(
     """Detect publishers month by month, newest first, growing the tracker IP
     pool as confirmed tracking domains resolve to new addresses.
 
+    ``months`` may be any iterable, such as a generator that reads each month
+    only when it is reached: nothing of a month but its ``MonthlyDetection``
+    and what it added to the pool is kept once the next month is requested.
+    A list is checked for contiguity before any month is run.
+
     A caller-supplied pool is mutated in place so the accumulated addresses
     can be reused (e.g. by cross_validate)."""
-    if not months:
-        return []
-    _check_descending_contiguous(months)
+    if isinstance(months, list):
+        check_descending_contiguous([m.month for m in months])
     if pool is None:
         pool = IpPool()
     declared = {s.tracker_id: list(s.cidr_ranges) for s in sigs if s.cidr_ranges}
@@ -88,26 +104,35 @@ def backward_iterate(
     warned_cycles: set[str] = set()  # each cycle host is reported once, not once per month
     out: list[MonthlyDetection] = []
     for month_ds in months:
-        # fold addresses that already-confirmed tracking domains resolve to in
-        # this month's data into the pool, then detect
-        accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month)
-        detections = detect_publishers(
-            month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
-            warned_cycles=warned_cycles,
-        )
-        new_hosts = _confirmed_hosts(detections)
-        # remote addresses observed on confirmed tracking transactions also
-        # count as tracker-used IPs
-        for det, _ref, _visit, txn in evidence_transactions(month_ds.corpus, detections):
-            if txn.remote_ip:
-                try:
-                    pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
-                except ValueError:
-                    pass
-        accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month)
-        confirmed.update(new_hosts)
-        out.append(MonthlyDetection(month_ds.month, detections, pool.summary()))
+        if out:
+            check_descending_contiguous([out[-1].month, month_ds.month])
+        out.append(_detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed,
+                                 warned_cycles))
+        del month_ds  # release this month before the iterable reads the next
     return out
+
+
+def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, warned_cycles):
+    """One month of ``backward_iterate``: fold the addresses that already
+    confirmed tracking domains resolve to this month into the pool, detect,
+    then grow the pool and ``confirmed`` from this month's detections."""
+    accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month)
+    detections = detect_publishers(
+        month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
+        warned_cycles=warned_cycles,
+    )
+    new_hosts = _confirmed_hosts(detections)
+    # remote addresses observed on confirmed tracking transactions also
+    # count as tracker-used IPs
+    for det, _ref, _visit, txn in evidence_transactions(month_ds.corpus, detections):
+        if txn.remote_ip:
+            try:
+                pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
+            except ValueError:
+                pass
+    accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month)
+    confirmed.update(new_hosts)
+    return MonthlyDetection(month_ds.month, detections, pool.summary())
 
 
 @dataclass
@@ -150,15 +175,50 @@ def _near_miss_suffix(host: str, sigs: list[TrackerSignature]) -> str | None:
     return None
 
 
+def external_trackers(
+    external_dns: dict[str, DnsRecordStore], sigs: list[TrackerSignature], max_depth: int = 10
+) -> dict[str, dict[str, TrackerSignature]]:
+    """month -> {host: first signature its external chain reaches}, over the
+    hostnames of each external snapshot, in sorted order: the hosts whose
+    requests ``cross_validate`` looks at."""
+    index = SignatureIndex(sigs)
+    trackers: dict[str, dict[str, TrackerSignature]] = {}
+    for month, ext in external_dns.items():
+        hosts = trackers[month] = {}
+        for host in sorted(ext.hostnames()):
+            sig = _external_tracker_chain(host, ext, index, max_depth)[0]
+            if sig is not None:
+                hosts[host] = sig
+    return trackers
+
+
+def host_paths(corpus: list[PageVisit], hosts) -> dict[str, set[str]]:
+    """Each of ``hosts`` that a corpus requests, with the paths (with query)
+    requested from it: all that ``cross_validate`` reads of a month's corpus."""
+    paths: dict[str, set[str]] = {}
+    for visit in corpus:
+        for txn in visit.transactions:
+            if txn.host in hosts:
+                paths.setdefault(txn.host, set()).add(txn.path_and_query)
+    return paths
+
+
 def cross_validate(
     monthly: list[MonthlyDetection],
     external_dns: dict[str, DnsRecordStore],
-    months_data: dict[str, MonthDataset],
+    trackers: dict[str, dict[str, TrackerSignature]],
+    corpus_paths: dict[str, dict[str, set[str]]],
     sigs: list[TrackerSignature],
     pool: IpPool | None,
     psl: PublicSuffixTable,
     max_depth: int = 10,
 ) -> ValidationReport:
+    """Check ``monthly`` against the external DNS snapshots.
+
+    ``trackers`` is ``external_trackers`` of the snapshots.  ``corpus_paths``
+    maps a month to ``host_paths`` of its corpus for (at least) the month's
+    ``trackers`` hosts, so no corpus has to stay loaded; a month or host
+    missing from it counts as never requested."""
     ordered_months = sorted(external_dns)
     correctness: list[dict] = []
     buckets: dict[str, list[dict]] = {
@@ -182,11 +242,8 @@ def cross_validate(
                 entry = {"month": month, "publisher": det.publisher_etld1,
                          "tracker": det.tracker_id, "host": host}
                 if chain is None or (not chain.hops and not chain.terminal_ips):
-                    later = [m for m in ordered_months if m > month]
-                    appears_later = any(
-                        _external_tracker_chain(host, external_dns[m], index, max_depth)[0]
-                        for m in later
-                    )
+                    key = host.lower().rstrip(".")
+                    appears_later = any(key in trackers[m] for m in ordered_months if m > month)
                     entry["reason"] = "timing-gap" if appears_later else "missing-external-data"
                 else:
                     typo = next(
@@ -210,31 +267,23 @@ def cross_validate(
         for det in monthly_det.detections:
             hosts.update(r.host for r in det.evidence)
 
-    for month, ext in sorted(external_dns.items()):
-        month_ds = months_data.get(month)
-        corpus_hosts: dict[str, list] = {}
-        if month_ds:
-            for visit in month_ds.corpus:
-                for txn in visit.transactions:
-                    corpus_hosts.setdefault(txn.host, []).append(txn)
-        for host in sorted(ext.hostnames()):
-            sig, chain = _external_tracker_chain(host, ext, index, max_depth)
-            if sig is None:
-                continue
+    for month in ordered_months:
+        corpus_hosts = corpus_paths.get(month, {})
+        for host, sig in trackers[month].items():
             if host in detected_hosts.get(month, set()):
                 continue
             entry = {"month": month, "host": host, "tracker": sig.tracker_id}
-            txns = corpus_hosts.get(host)
-            if not txns:
+            paths = corpus_hosts.get(host)
+            if not paths:
                 buckets["absent-from-corpus"].append(entry)
             else:
-                path_hit = any(sig.path_match(t.path_and_query) for t in txns)
+                path_hit = any(sig.path_match(p) for p in paths)
                 if not path_hit:
                     # requests exist but none matches the tracking signature;
                     # distinguish "no tracking-shaped request at all" from a
                     # near-miss on the pattern
                     tracking_shaped = any(
-                        any(t.path_and_query.startswith(pat.split("*")[0]) for t in txns)
+                        any(p.startswith(pat.split("*")[0]) for p in paths)
                         for pat in sig.path_patterns if pat.split("*")[0]
                     )
                     if tracking_shaped:

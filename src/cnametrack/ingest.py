@@ -158,7 +158,7 @@ def _ingest_visit(obj, visits, order, psl):
         page_url=_checked(obj["page_url"], "page_url", str, "a string"),
         visit_id=visit_id,
         user_agent_label=_ua_label(obj.get("user_agent")),
-        month=obj.get("month"),
+        month=_checked(obj.get("month"), "month", _STR_OR_NULL, "a string or null"),
     )
     if psl:
         visit.site = psl.etld_plus_one_or_none(visit.page_host)
@@ -293,6 +293,25 @@ def _har_int(value, field: str, entry_index: int) -> int:
         raise MalformedHar(f"{field} must be a number, not {value!r}", entry_index=entry_index) from None
 
 
+def _har_initiators(initiator, entry_index: int) -> tuple[str, ...]:
+    """The script URLs of an entry's ``_initiator``: the string itself, or the
+    non-empty ``url`` of each of its ``stack.callFrames`` objects."""
+    if isinstance(initiator, str):
+        return (initiator,)
+    if not isinstance(initiator, dict):
+        return ()
+    stack = initiator.get("stack") or {}
+    frames = (stack.get("callFrames") or []) if isinstance(stack, dict) else None
+    if not isinstance(frames, list):
+        raise MalformedHar("_initiator.stack must be an object with a callFrames list",
+                           entry_index=entry_index)
+    for frame in frames:
+        if not (isinstance(frame, dict) and isinstance(frame.get("url"), _STR_OR_NULL)):
+            raise MalformedHar("call frame must be an object with a string url",
+                               entry_index=entry_index)
+    return tuple(frame["url"] for frame in frames if frame.get("url"))
+
+
 def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = None) -> list[PageVisit]:
     """Load a HAR 1.2 capture; one PageVisit per page entry."""
     with open(path, encoding="utf-8") as fh:
@@ -337,7 +356,10 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
             else:
                 raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
         request_headers, cookies, post_content_type = _har_headers(request, idx, response=False)
-        txn = HttpTransaction(request_url=url, method=request.get("method", "GET"),
+        method = request.get("method", "GET")
+        if not isinstance(method, str):
+            raise MalformedHar("request.method must be a string", entry_index=idx)
+        txn = HttpTransaction(request_url=url, method=method,
                               request_headers=request_headers, request_cookies=cookies,
                               post_content_type=post_content_type)
         response = entry.get("response")
@@ -358,21 +380,19 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
             log.warning("%s: entry %d has no response; recorded with status 0", path, idx)
         post = request.get("postData")
         if post:
-            txn.store_post_body(post.get("text"))
+            if not isinstance(post, dict):
+                raise MalformedHar("request.postData must be an object", entry_index=idx)
+            text, post_mime = post.get("text"), post.get("mimeType")
+            if not (isinstance(text, _STR_OR_NULL) and isinstance(post_mime, _STR_OR_NULL)):
+                raise MalformedHar("postData text and mimeType must be strings", entry_index=idx)
+            txn.store_post_body(text)
             if txn.post_content_type is None:  # a Content-Type header wins
-                txn.post_content_type = post.get("mimeType")
+                txn.post_content_type = post_mime
         server_ip = entry.get("serverIPAddress")
         if not isinstance(server_ip, _STR_OR_NULL):
             raise MalformedHar("serverIPAddress must be a string", entry_index=idx)
         txn.remote_ip = server_ip or None
-        initiator = entry.get("_initiator")
-        if isinstance(initiator, dict):
-            txn.initiators = tuple(
-                frame.get("url") for frame in initiator.get("stack", {}).get("callFrames", [])
-                if frame.get("url")
-            )
-        elif isinstance(initiator, str):
-            txn.initiators = (initiator,)
+        txn.initiators = _har_initiators(entry.get("_initiator"), idx)
         timed.append((pageref, idx, txn, entry.get("startedDateTime", "")))
 
     timed.sort(key=lambda item: (item[3], item[1]))
@@ -390,6 +410,7 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
 def load_dns(path) -> DnsRecordStore:
     """Load zdns-style line-delimited JSON into a DnsRecordStore."""
     store = DnsRecordStore()
+    add = store.add
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -408,19 +429,22 @@ def load_dns(path) -> DnsRecordStore:
             if not isinstance(answers, list):
                 raise SchemaViolation("answers must be a list", line=lineno, path=str(path))
             month = obj.get("month")
+            if not isinstance(month, _STR_OR_NULL):
+                raise SchemaViolation("month must be a string or null", line=lineno, path=str(path))
+            name = obj["name"]
             for ans in answers:
                 try:
                     rr_type = ans["type"].upper()
-                    owner = ans.get("name", obj["name"])
+                    owner = ans.get("name", name)
                     answer = ans["answer"]
                 except (KeyError, TypeError, AttributeError):
                     raise SchemaViolation("bad answer record", line=lineno, path=str(path))
                 if not isinstance(answer, str) or not isinstance(owner, str):
                     raise SchemaViolation("answer and name must be strings", line=lineno, path=str(path))
-                if rr_type in ("A", "AAAA"):
-                    store.add(owner, "A", answer, month)
-                elif rr_type == "CNAME":
-                    store.add(owner, "CNAME", answer, month)
+                if rr_type == "CNAME":
+                    add(owner, "CNAME", answer, month)
+                elif rr_type == "A" or rr_type == "AAAA":
+                    add(owner, "A", answer, month)
                 # other record types are ignored but not an error
     return store
 
@@ -453,7 +477,7 @@ def load_signatures(path) -> list[TrackerSignature]:
     for i, entry in enumerate(doc):
         try:
             sigs.append(TrackerSignature(
-                tracker_id=entry["tracker_id"],
+                tracker_id=_checked(entry["tracker_id"], "tracker_id", str, "a string"),
                 cname_suffixes=tuple(s.lower().rstrip(".")
                                      for s in _strings(entry.get("cname_suffixes", []), "cname_suffixes")),
                 cidr_ranges=_strings(entry.get("cidr_ranges", []), "cidr_ranges"),

@@ -21,7 +21,13 @@ from cnametrack.detect import candidate_scan, detect_publishers, extract_feature
 from cnametrack.dnsgraph import DnsRecordStore, IpPool, resolve_chain
 from cnametrack.errors import CnameCycle
 from cnametrack.filterlist import parse_rule
-from cnametrack.history import MonthDataset, backward_iterate, cross_validate
+from cnametrack.history import (
+    MonthDataset,
+    backward_iterate,
+    cross_validate,
+    external_trackers,
+    host_paths,
+)
 from cnametrack.ingest import load_crawl_jsonl
 from cnametrack.leaks import audit_leaks
 from cnametrack.model import TrackerSignature
@@ -233,8 +239,10 @@ def test_08_validation_partition(tmp_path):
     ext11.add("m.alpha.com", "CNAME", "x0.2o7.net")
     ext11.add("x0.2o7.net", "A", "198.51.100.0")
 
-    rep = cross_validate(monthly, {"2020-10": ext10, "2020-11": ext11},
-                         {"2020-10": ds}, [sig], pool, psl)
+    external = {"2020-10": ext10, "2020-11": ext11}
+    trackers = external_trackers(external, [sig])
+    rep = cross_validate(monthly, external, trackers,
+                         {"2020-10": host_paths(ds.corpus, trackers["2020-10"])}, [sig], pool, psl)
     reasons = {e["host"]: e["reason"] for e in rep.correctness}
     assert reasons == {"m.alpha.com": "timing-gap",
                        "m.beta.com": "typo-domain",

@@ -202,6 +202,79 @@ class TestHistoryValidate:
                     "--external-dns", path, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
 
+    @staticmethod
+    def _no_corpus_reads(monkeypatch):
+        """Make any corpus or DNS read fail the command with exit code 2."""
+        import cnametrack.cli as cli
+
+        def refuse(path, *args):
+            raise AssertionError(f"{path} read before the manifests were checked")
+        monkeypatch.setattr(cli, "load_crawl_jsonl", refuse)
+        monkeypatch.setattr(cli, "load_dns", refuse)
+
+    @pytest.mark.parametrize("months,where", [
+        (["2020-10", "2020-08"], "NonContiguous"),
+        (["2020-10", "2020-10"], "NonContiguous"),
+        (["2020-10", "bad"], "entry 1: month 'bad' is not YYYY-MM"),
+        (["2020-13", "2020-12"], "entry 0: month '2020-13' is not YYYY-MM"),
+        (["2020-1", "2020-09"], "entry 0: month '2020-1' is not YYYY-MM"),
+    ])
+    @pytest.mark.parametrize("command", ["history", "validate"])
+    def test_bad_month_manifest_fails_before_any_corpus_read(
+            self, world, tmp_path, capsys, monkeypatch, command, months, where):
+        manifest = [{"month": m, "corpus": world["corpus"], "dns": world["dns"]} for m in months]
+        path = tmp_path / "months.json"
+        path.write_text(json.dumps(manifest))
+        ext_path = tmp_path / "external.json"
+        ext_path.write_text(json.dumps({"2020-10": world["dns"]}))
+        self._no_corpus_reads(monkeypatch)
+        argv = [command, "--months", path, "--signatures", world["signatures"], "--out", tmp_path / "out"]
+        if command == "validate":
+            argv += ["--external-dns", ext_path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if where == "NonContiguous":
+            assert f"{months[0]} -> {months[1]}" in err
+        else:
+            assert err.startswith(f"error: {path}: {where}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["x", "2020-13", "2020-1", "2020-10 ", "20201"])
+    def test_external_month_must_be_yyyy_mm(self, world, tmp_path, capsys, monkeypatch, key):
+        """A key like "x" sorted after every real month, so it was read as a later month."""
+        path = tmp_path / "external.json"
+        path.write_text(json.dumps({"2020-10": world["dns"], key: world["dns"]}))
+        self._no_corpus_reads(monkeypatch)
+        assert run(["validate", "--months", world["months"], "--signatures", world["signatures"],
+                    "--external-dns", path, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: month {key!r}: not YYYY-MM")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("bad", ["corpus", "dns"])
+    @pytest.mark.parametrize("command", ["history", "validate"])
+    def test_malformed_month_file_mid_stream(self, world, tmp_path, capsys, command, bad):
+        """Months are read one at a time: a broken file in the middle month
+        still stops the run with a located error, before any output."""
+        manifest = json.loads((world["root"] / "months.json").read_text())
+        middle = next(e for e in manifest if e["month"] == corpusgen.MONTHS[1])
+        broken = tmp_path / f"broken-{bad}.jsonl"
+        broken.write_text(open(middle[bad]).read() + "{not json\n")
+        middle[bad] = str(broken)
+        path = tmp_path / "months.json"
+        path.write_text(json.dumps(manifest))
+        _ext, ext_path = self._external_manifest(world, tmp_path)
+        out = tmp_path / "out"
+        argv = [command, "--months", path, "--signatures", world["signatures"], "--out", out]
+        if command == "validate":
+            argv += ["--external-dns", ext_path]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        lines = len(open(broken).read().splitlines())
+        assert err.startswith(f"error: {broken}:{lines}: bad JSON")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 class TestFeaturesReport:
     def test_features_command(self, world, tmp_path):
         out = tmp_path / "out"

@@ -12,10 +12,8 @@ from cnametrack.detect import (
     Mechanism,
     candidate_scan,
     detect_publishers,
-    diff_detections,
     extract_features,
     heuristic_flag,
-    match_signature,
     signature_match_route,
 )
 from cnametrack.dnsgraph import DnsRecordStore, IpPool, resolve_chain
@@ -106,11 +104,6 @@ class TestSignatureRouting:
         chain = resolve_chain("m.shop.com", store)
         assert signature_match_route(txn, chain, self.SIG) is Mechanism.CNAME
 
-    def test_match_signature_wrapper(self):
-        txn = HttpTransaction("https://m.shop.com/ea/collect",
-                              remote_ip="203.0.113.4")
-        assert match_signature(txn, None, self.SIG)
-
 
 class TestPlantedDetection:
     def test_precision_recall_one(self, month0, signatures, psl):
@@ -197,13 +190,3 @@ class TestCandidatesAndFeatures:
         strict = HeuristicThresholds(tracker_min_set_cookie_pct=90.0,
                                      tracker_max_requests_per_site=1.0)
         assert heuristic_flag(fv, strict) is not Flag.LIKELY_TRACKER
-
-
-class TestDiff:
-    def test_diff_detections(self, month0, signatures, psl):
-        corpus, dns, _ = month0
-        full = detect_publishers(corpus, dns, signatures, None, psl)
-        partial = [d for d in full if d.publisher_etld1 != "site05.com"]
-        diff = diff_detections(full, partial)
-        assert diff["pixelstats"]["only_in_first"] == ["site05.com"]
-        assert diff_detections(full, full) == {}

@@ -2,6 +2,8 @@
 totality check against the independent reference walker."""
 
 import ipaddress
+import json
+import logging
 import random
 
 import pytest
@@ -18,6 +20,8 @@ from cnametrack.dnsgraph import (
     uncloaked_target,
 )
 from cnametrack.errors import CnameCycle, InvalidCidr
+from cnametrack.ingest import load_dns
+from naivedns import NaiveDnsRecordStore
 from naivepool import NaiveIpPool
 
 
@@ -307,3 +311,93 @@ class TestIpPoolAgainstReference:
         pool.add_range("203.0.113.0/28", "trk", "2020-08")
         assert _pool_state(pool)[1] == {"203.0.113.0/28": [("trk", "2020-08")]}
         assert pool.summary() == {"trk": {"singles": 1, "ranges": 1}}
+
+
+_DNS_HOSTS = ["a.shop.com", "A.Shop.com.", "a.shop.com.", "b.shop.com", "x.trk.net", "X.TRK.NET"]
+_DNS_ANSWERS = ["x.trk.net", "X.trk.net.", "y.trk.net", "192.0.2.1", "2001:db8::1", "Edge.CDN.net."]
+_dns_ops = st.lists(st.tuples(st.sampled_from(_DNS_HOSTS),
+                              st.sampled_from(["CNAME", "A", "TXT"]),
+                              st.sampled_from(_DNS_ANSWERS),
+                              st.sampled_from([None, "2020-09", "2020-10"])), max_size=25)
+
+
+class _Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _store_view(store):
+    """Everything a store answers, with records as plain tuples."""
+    hosts = list(store.hostnames())
+    return hosts, {h: ([tuple(r) if isinstance(r, tuple) else (r.rr_type, r.answer, r.snapshot_month)
+                        for r in store.records(h)],
+                       store.cname_target(h), store.a_records(h), h in store)
+                   for h in hosts + _DNS_HOSTS + ["absent.example"]}
+
+
+def _run_ops(store, ops):
+    handler = _Messages()
+    logger = logging.getLogger("cnametrack.dnsgraph")
+    logger.addHandler(handler)
+    try:
+        for op in ops:
+            store.add(*op)
+    finally:
+        logger.removeHandler(handler)
+    return _store_view(store), handler.messages
+
+
+class TestDnsRecordStoreAgainstReference:
+    """The store keeps the first CNAME of each (host, month) in a dict; the
+    reference scans the host's records for it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_dns_ops)
+    def test_random_add_sequences(self, ops):
+        assert _run_ops(DnsRecordStore(), ops) == _run_ops(NaiveDnsRecordStore(), ops)
+
+    def test_first_cname_wins_and_differing_duplicate_warns(self):
+        ops = [("a.shop.com", "CNAME", "x.trk.net", "2020-10"),
+               ("A.SHOP.COM.", "CNAME", "X.TRK.NET.", "2020-10"),  # same answer: no warning
+               ("a.shop.com", "CNAME", "y.trk.net", "2020-10"),  # differs: dropped, warned
+               ("a.shop.com", "CNAME", "y.trk.net", "2020-09")]  # another month: kept
+        (hosts, view), messages = _run_ops(DnsRecordStore(), ops)
+        assert view["a.shop.com"][0] == [("CNAME", "x.trk.net", "2020-10"),
+                                         ("CNAME", "y.trk.net", "2020-09")]
+        assert messages == ["multiple CNAME answers for a.shop.com (2020-10); keeping first"]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_load_dns_equals_reference_adds(self, tmp_path, seed):
+        """``load_dns`` stores each CNAME, A and AAAA answer (AAAA as "A") as
+        the reference store does, whatever the case of the type."""
+        rng = random.Random(seed)
+        lines, ops = [], []
+        for _ in range(rng.randint(0, 30)):
+            name = rng.choice(_DNS_HOSTS)
+            month = rng.choice([None, "2020-09", "2020-10"])
+            answers = []
+            for _ in range(rng.randint(0, 3)):
+                rr_type = rng.choice(["CNAME", "cname", "A", "a", "AAAA", "TXT", "MX"])
+                owner = rng.choice([None, rng.choice(_DNS_HOSTS)])
+                answer = {"type": rr_type, "answer": rng.choice(_DNS_ANSWERS)}
+                if owner is not None:
+                    answer["name"] = owner
+                answers.append(answer)
+                if rr_type.upper() in ("CNAME", "A", "AAAA"):
+                    ops.append((owner or name, "A" if rr_type.upper() == "AAAA" else rr_type.upper(),
+                                answer["answer"], month))
+            line = {"name": name, "answers": answers} if rng.random() < 0.5 else \
+                {"name": name, "data": {"answers": answers}}
+            if month is not None:
+                line["month"] = month
+            lines.append(line)
+        path = tmp_path / "dns.jsonl"
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        reference = NaiveDnsRecordStore()
+        for op in ops:
+            reference.add(*op)
+        assert _store_view(load_dns(path)) == _store_view(reference)

@@ -1,12 +1,16 @@
 """Historical-reconstruction tests: backward iteration with the IP pool,
 cross-validation archetypes, and adoption-window analytics."""
 
+import json
 import logging
 import random
+import weakref
 
 import pytest
 
 import corpusgen
+from cnametrack import reports
+from cnametrack.cli import main as cli_main
 from cnametrack.detect import Context, Mechanism, PublisherDetection
 from cnametrack.dnsgraph import DnsRecordStore, IpPool
 from cnametrack.errors import NonContiguousMonths
@@ -16,9 +20,12 @@ from cnametrack.history import (
     adoption_windows,
     backward_iterate,
     cross_validate,
+    external_trackers,
+    host_paths,
+    is_month,
     third_party_trend,
 )
-from cnametrack.ingest import load_crawl_jsonl
+from cnametrack.ingest import load_crawl_jsonl, load_dns, load_signatures
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import PublicSuffixTable
 
@@ -110,6 +117,169 @@ class TestBackwardIterate:
         assert "loop.shop.com" in cycles[0] and "spin.shop.com" in cycles[1]
 
 
+def planted_month(tmp_path, psl, month, refs=None) -> MonthDataset:
+    """One planted month read from disk; weak references to the dataset and
+    its DNS store go to ``refs``."""
+    corpora, dns_lines, _truth = corpusgen.planted_world()
+    path = corpusgen.write_jsonl(corpora[month], tmp_path / f"{month}.jsonl")
+    ds = MonthDataset(month, load_crawl_jsonl(path, psl), build_store(dns_lines[month]))
+    if refs is not None:
+        refs.append((month, weakref.ref(ds), weakref.ref(ds.dns)))
+    return ds
+
+
+def outcome(monthly):
+    return [(m.month, m.detections, m.pool_snapshot) for m in monthly]
+
+
+class TestStreaming:
+    def test_generator_fed_holds_one_month(self, tmp_path, psl):
+        months, sigs, _ = planted_months(tmp_path, psl)
+        refs = []
+        requested = []
+
+        def stream():
+            for month in corpusgen.MONTHS:
+                # the previous month must be gone when this one is requested
+                requested.append([(m, ds() is None, dns() is None) for m, ds, dns in refs])
+                yield planted_month(tmp_path, psl, month, refs)
+
+        monthly = backward_iterate(stream(), sigs, psl)
+        assert outcome(monthly) == outcome(backward_iterate(months, sigs, psl))
+        assert requested == [[]] + [[(m, True, True) for m in corpusgen.MONTHS[:i]]
+                                    for i in (1, 2)]
+        assert all(ds() is None and dns() is None for _m, ds, dns in refs)
+
+    def test_generator_with_gap_rejected(self, psl):
+        months = (MonthDataset(m, [], DnsRecordStore()) for m in ("2020-10", "2020-09", "2020-07"))
+        with pytest.raises(NonContiguousMonths, match="2020-09 -> 2020-07"):
+            backward_iterate(months, [], psl)
+
+    def test_list_checked_before_any_month_runs(self, psl):
+        pool = IpPool()
+        store = DnsRecordStore()
+        store.add("m.shop.com", "A", "198.51.100.1")
+        months = [MonthDataset("2020-10", [], store), MonthDataset("2020-08", [], DnsRecordStore())]
+        with pytest.raises(NonContiguousMonths):
+            backward_iterate(months, corpusgen_signatures(), psl, pool=pool)
+        assert pool.summary() == IpPool().summary()
+
+    @pytest.mark.parametrize("value,ok", [
+        ("2020-01", True), ("1999-12", True), ("0000-10", True),
+        ("2020-00", False), ("2020-13", False), ("2020-1", False), ("20-01", False),
+        ("2020/01", False), ("x", False), ("2020-01 ", False), ("2020-01\n", False),
+        ("２０２０-01", False), (202001, False), (None, False),
+    ])
+    def test_is_month(self, value, ok):
+        assert is_month(value) is ok
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_streamed_cli_equals_list_fed(self, tmp_path, psl, seed):
+        world = random_month_world(random.Random(seed), tmp_path)
+        args = ["--months", world["months"], "--signatures", world["signatures"]]
+        assert cli_main(["history", *args, "--out", str(tmp_path / "hist")]) == 0
+        assert cli_main(["validate", *args, "--external-dns", world["external"],
+                         "--out", str(tmp_path / "val")]) == 0
+
+        sigs = load_signatures(world["signatures"])
+        months = sorted((MonthDataset(e["month"], load_crawl_jsonl(e["corpus"], psl), load_dns(e["dns"]))
+                         for e in world["manifest"]), key=lambda m: m.month, reverse=True)
+        pool = IpPool()
+        monthly = backward_iterate(months, sigs, psl, pool=pool)
+        assert len(monthly) == len(world["manifest"])
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        for m in monthly:
+            name = f"month_{m.month}.json"
+            reports.write_json({"month": m.month, "pool": m.pool_snapshot,
+                                "detections": [reports.detection_to_dict(d) for d in m.detections]},
+                               ref / name)
+            assert (tmp_path / "hist" / name).read_bytes() == (ref / name).read_bytes()
+        external = {m: load_dns(p) for m, p in world["external_map"].items()}
+        every_path = {m.month: host_paths(m.corpus, {t.host for v in m.corpus for t in v.transactions})
+                      for m in months}
+        report = cross_validate(monthly, external, external_trackers(external, sigs), every_path,
+                                sigs, pool, psl)
+        reports.write_json({"correctness": report.correctness, "completeness": report.completeness},
+                           ref / "validation.json")
+        assert (tmp_path / "val" / "validation.json").read_bytes() == (ref / "validation.json").read_bytes()
+
+
+def corpusgen_signatures():
+    return [TrackerSignature(s["tracker_id"], cname_suffixes=tuple(s["cname_suffixes"]),
+                             cidr_ranges=tuple(s["cidr_ranges"]), path_patterns=tuple(s["path_patterns"]))
+            for s in corpusgen.TRACKER_SIGNATURES]
+
+
+def random_month_world(rng: random.Random, root):
+    """A few contiguous months of small random crawls, their DNS and an
+    external DNS manifest, written under ``root``: cloaked hosts move between
+    tracker addresses, so older months depend on the pool newer ones built."""
+    n = rng.randint(2, 5)
+    start = rng.randrange(2015 * 12, 2025 * 12)
+    months = [f"{i // 12:04d}-{i % 12 + 1:02d}" for i in range(start + n - 1, start - 1, -1)]
+    suffixes = ["eulertrack.net", "pixelstats.io", "2o7.net"]
+    paths = ["/ea/collect?uid=1", "/ea/x", "/collect?pid=2", "/collect", "/b/ss/v1/collect",
+             "/b/ss/v1/other", "/img/logo.png", "/"]
+    sites = [f"site{i}.com" for i in range(rng.randint(2, 5))]
+
+    def address():
+        return rng.choice([f"198.51.100.{rng.randint(0, 5)}", "203.0.113.3"])
+
+    manifest, external = [], {}
+    for month in months:
+        records, dns = [], []
+        for j, site in enumerate(sites):
+            vid = f"{month}-v{j}"
+            records.append(corpusgen.visit_record(vid, f"https://www.{site}/", month=month))
+            for _ in range(rng.randint(0, 5)):
+                host = (f"{rng.choice(['m', 'metrics', 'img'])}.{site}" if rng.random() < 0.85
+                        else f"t.{rng.choice(suffixes)}")
+                dot = "." if rng.random() < 0.1 else ""  # a fully qualified name
+                records.append(corpusgen.txn_record(
+                    vid, f"https://{host}{dot}{rng.choice(paths)}",
+                    remote_ip=rng.choice([None, address()])))
+            for label in ("m", "metrics", "img"):
+                host = f"{label}.{site}"
+                if rng.random() < 0.4:
+                    target = f"x{rng.randint(0, 2)}.{rng.choice(suffixes)}"
+                    dns.append(corpusgen.dns_line(host, [(host, "CNAME", target)], month))
+                    dns.append(corpusgen.dns_line(target, [(target, "A", address())], month))
+                elif rng.random() < 0.6:
+                    dns.append(corpusgen.dns_line(host, [(host, "A", address())], month))
+        cpath = corpusgen.write_jsonl(records, root / f"c-{month}.jsonl")
+        dpath = corpusgen.write_jsonl(dns, root / f"d-{month}.jsonl")
+        manifest.append({"month": month, "corpus": str(cpath), "dns": str(dpath)})
+        if rng.random() < 0.8:
+            ext = [line for line in dns if rng.random() < 0.7]
+            for site in rng.sample(sites, rng.randint(0, len(sites))):
+                host = f"{rng.choice(['m', 'metrics', 'img', 'cdn'])}.{site}"
+                # a tracker, a near miss of one (typo) or a parked name
+                target = rng.choice([f"z.{rng.choice(suffixes)}", "y.207.net", "old.cdn-park.com"])
+                ext.append(corpusgen.dns_line(host, [(host, "CNAME", target)]))
+            ext.append(corpusgen.dns_line("old.cdn-park.com", [("old.cdn-park.com", "A", address())]))
+            external[month] = str(corpusgen.write_jsonl(ext, root / f"e-{month}.jsonl"))
+    if rng.random() < 0.5:  # a later month, outside the crawl, that only the external data has
+        later = f"{(start + n) // 12:04d}-{(start + n) % 12 + 1:02d}"
+        hosts = [f"{label}.{site}" for site in sites for label in ("m", "metrics", "img")]
+        ext = [corpusgen.dns_line(h, [(h, "CNAME", f"z.{rng.choice(suffixes)}")])
+               for h in rng.sample(hosts, 3)]
+        external[later] = str(corpusgen.write_jsonl(ext, root / f"e-{later}.jsonl"))
+    rng.shuffle(manifest)
+    months_path = root / "months.json"
+    months_path.write_text(json.dumps(manifest))
+    external_path = root / "external.json"
+    external_path.write_text(json.dumps(external))
+    return {"months": str(months_path), "manifest": manifest, "external": str(external_path),
+            "external_map": external,
+            "signatures": str(corpusgen.write_signatures(root / "sigs.json", RANDOM_WORLD_SIGS))}
+
+
+RANDOM_WORLD_SIGS = corpusgen.TRACKER_SIGNATURES + [
+    {"tracker_id": "omniture", "cname_suffixes": ["2o7.net"], "path_patterns": ["/b/ss/*/collect"]},
+]
+
+
 class TestCrossValidate:
     SIG = TrackerSignature("omniture", cname_suffixes=("2o7.net",),
                            path_patterns=("/b/ss/*/collect",))
@@ -157,8 +327,11 @@ class TestCrossValidate:
 
         pool = IpPool()
         pool.add_address("198.51.100.2", "omniture")
-        report = cross_validate(monthly, {"2020-10": ext10, "2020-11": ext11},
-                                {"2020-10": ds}, [self.SIG], pool, psl)
+        external = {"2020-10": ext10, "2020-11": ext11}
+        trackers = external_trackers(external, [self.SIG])
+        report = cross_validate(monthly, external, trackers,
+                                {"2020-10": host_paths(ds.corpus, trackers["2020-10"])},
+                                [self.SIG], pool, psl)
         return report
 
     def test_correctness_archetypes(self, tmp_path, psl):
@@ -170,6 +343,23 @@ class TestCrossValidate:
         assert reasons["m.eps.com"] == "missing-external-data"
         typo = next(e for e in report.correctness if e["host"] == "m.beta.com")
         assert typo["expected_suffix"] == "2o7.net"
+
+    def test_timing_gap_for_fully_qualified_host(self, tmp_path, psl):
+        """A request host with a trailing dot is the same DNS name as without."""
+        path = corpusgen.write_jsonl([
+            corpusgen.visit_record("v0", "https://www.alpha.com/"),
+            corpusgen.txn_record("v0", "https://m.alpha.com./b/ss/v1/collect")], tmp_path / "c.jsonl")
+        internal = DnsRecordStore()
+        internal.add("m.alpha.com", "CNAME", "x0.2o7.net")
+        ds = MonthDataset("2020-10", load_crawl_jsonl(path, psl), internal)
+        monthly = backward_iterate([ds], [self.SIG], psl)
+        assert [r.host for d in monthly[0].detections for r in d.evidence] == ["m.alpha.com."]
+        ext11 = DnsRecordStore()
+        ext11.add("m.alpha.com", "CNAME", "x0.2o7.net")
+        external = {"2020-10": DnsRecordStore(), "2020-11": ext11}
+        report = cross_validate(monthly, external, external_trackers(external, [self.SIG]),
+                                {}, [self.SIG], None, psl)
+        assert [e["reason"] for e in report.correctness] == ["timing-gap"]
 
     def test_completeness_buckets(self, tmp_path, psl):
         report = self._setup(tmp_path, psl)

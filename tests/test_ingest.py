@@ -163,6 +163,23 @@ class TestCaptureJsonl:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("value", [5, ["2020-10"], {"m": "2020-10"}, True])
+    def test_mistyped_visit_month_names_the_line(self, tmp_path, value):
+        rec = corpusgen.visit_record("v2", "https://b.com/")
+        rec["month"] = value
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation, match="month must be a string or null") as exc:
+            load_crawl_jsonl(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", ["2020-10", None])
+    def test_visit_month_string_or_null(self, tmp_path, value):
+        rec = corpusgen.visit_record("v1", "https://a.com/")
+        rec["month"] = value
+        path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
+        assert load_crawl_jsonl(path)[0].month == value
+
     def test_null_optional_fields_accepted(self, tmp_path, psl):
         rec = corpusgen.txn_record("v1", "https://a.com/x")
         rec.update(content_type=None, remote_ip=None, post_body=None)
@@ -379,6 +396,63 @@ class TestHar:
                                     "serverIPAddress": server_ip}]}}
         assert load_har(self._har(tmp_path, doc))[0].transactions[0].remote_ip == remote_ip
 
+    def _second_entry(self, tmp_path, request=None, **fields):
+        entry = {"pageref": "p1", "request": {"url": "https://a.com/x", **(request or {})}, **fields}
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
+                       "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}}, entry]}}
+        return self._har(tmp_path, doc)
+
+    @pytest.mark.parametrize("frame", [{"url": 5}, {"url": ["https://a.com/t.js"]}])
+    def test_non_string_call_frame_url_names_entry(self, tmp_path, frame):
+        path = self._second_entry(tmp_path, _initiator={"stack": {"callFrames": [frame]}})
+        with pytest.raises(MalformedHar, match="^entry 1: call frame must be an object") as exc:
+            load_har(path)
+        assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("initiator,message", [
+        ({"stack": {"callFrames": ["https://a.com/t.js"]}}, "call frame must be an object"),
+        ({"stack": {"callFrames": [5]}}, "call frame must be an object"),
+        ({"stack": {"callFrames": "https://a.com/t.js"}}, "_initiator.stack must be an object"),
+        ({"stack": ["https://a.com/t.js"]}, "_initiator.stack must be an object"),
+    ])
+    def test_malformed_initiator_stack_names_entry(self, tmp_path, initiator, message):
+        with pytest.raises(MalformedHar, match=f"^entry 1: {message}") as exc:
+            load_har(self._second_entry(tmp_path, _initiator=initiator))
+        assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("initiator,initiators", [
+        ({"type": "parser", "url": "https://a.com/"}, ()),
+        ({"stack": None}, ()),
+        ({"stack": {"callFrames": [{"url": ""}, {}, {"url": None}, {"url": "https://a.com/t.js"}]}},
+         ("https://a.com/t.js",)),
+        ("https://a.com/t.js", ("https://a.com/t.js",)),
+        (5, ()),
+    ])
+    def test_initiator_forms(self, tmp_path, initiator, initiators):
+        visit = load_har(self._second_entry(tmp_path, _initiator=initiator))[0]
+        assert visit.transactions[1].initiators == initiators
+
+    @pytest.mark.parametrize("post", ["a=1", ["a=1"], 5])
+    def test_non_object_post_data_names_entry(self, tmp_path, post):
+        path = self._second_entry(tmp_path, {"method": "POST", "postData": post})
+        with pytest.raises(MalformedHar, match="^entry 1: request.postData must be an object") as exc:
+            load_har(path)
+        assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("post", [{"text": 5}, {"text": "a=1", "mimeType": 5}])
+    def test_non_string_post_data_fields_name_entry(self, tmp_path, post):
+        path = self._second_entry(tmp_path, {"method": "POST", "postData": post})
+        with pytest.raises(MalformedHar, match="^entry 1: postData text and mimeType") as exc:
+            load_har(path)
+        assert exc.value.entry_index == 1
+
+    @pytest.mark.parametrize("method", [5, None, ["GET"]])
+    def test_non_string_method_names_entry(self, tmp_path, method):
+        path = self._second_entry(tmp_path, {"method": method})
+        with pytest.raises(MalformedHar, match="^entry 1: request.method must be a string") as exc:
+            load_har(path)
+        assert exc.value.entry_index == 1
+
 
 class TestDns:
     def test_flat_and_zdns_forms(self, tmp_path):
@@ -430,6 +504,17 @@ class TestDns:
             load_dns(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("month", [5, ["2020-10"], {"m": 1}])
+    def test_mistyped_month_names_the_line(self, tmp_path, month):
+        good = corpusgen.dns_line("b.test", [("b.test", "A", "192.0.2.1")])
+        line = {"name": "a.test", "month": month,
+                "answers": [{"name": "a.test", "type": "CNAME", "answer": "b.test"}]}
+        path = corpusgen.write_jsonl([good, line], tmp_path / "dns.jsonl")
+        with pytest.raises(SchemaViolation, match="month must be a string or null") as exc:
+            load_dns(path)
+        assert exc.value.line == 2
+
+
 class TestSignaturesAndRanking:
     def test_signatures(self, tmp_path):
         path = corpusgen.write_signatures(tmp_path / "sigs.json")
@@ -454,6 +539,15 @@ class TestSignaturesAndRanking:
         path = tmp_path / "sigs.json"
         path.write_text(json.dumps([good, bad]))
         with pytest.raises(SchemaViolation, match=f"signature 1: {key} must be a list of strings"):
+            load_signatures(path)
+
+    @pytest.mark.parametrize("value", [5, None, ["bad"], {"id": "bad"}])
+    def test_tracker_id_must_be_a_string(self, tmp_path, value):
+        good = {"tracker_id": "good", "cname_suffixes": ["good.net"], "path_patterns": ["/*"]}
+        bad = {"tracker_id": value, "cname_suffixes": ["bad.net"], "path_patterns": ["/*"]}
+        path = tmp_path / "sigs.json"
+        path.write_text(json.dumps([good, bad]))
+        with pytest.raises(SchemaViolation, match="signature 1: tracker_id must be a string"):
             load_signatures(path)
 
     def test_ranking_skips_header(self, tmp_path):
