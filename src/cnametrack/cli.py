@@ -196,7 +196,7 @@ def _month_entries(args) -> list[dict]:
         if not is_month(entry["month"]):
             raise SchemaViolation(f"entry {i}: month {entry['month']!r} is not YYYY-MM", path=args.months)
     manifest.sort(key=lambda entry: entry["month"], reverse=True)
-    check_descending_contiguous([entry["month"] for entry in manifest])
+    check_descending_contiguous([entry["month"] for entry in manifest], args.months)
     return manifest
 
 

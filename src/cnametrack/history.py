@@ -62,12 +62,28 @@ def _month_index(month: str) -> int:
     return int(year) * 12 + int(mon) - 1
 
 
-def check_descending_contiguous(months: list[str]):
+def _month_name(index: int) -> str:
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
+def check_descending_contiguous(months: list[str], where: str | None = None):
     """Raise NonContiguousMonths unless each month directly precedes the one
-    before it."""
+    before it.  The message names the first pair that does not, and why;
+    ``where`` (the manifest the months came from) prefixes it."""
     for prev, cur in zip(months, months[1:]):
-        if _month_index(prev) - _month_index(cur) != 1:
-            raise NonContiguousMonths(f"{prev} -> {cur}")
+        newer, older = _month_index(prev), _month_index(cur)
+        if newer - older == 1:
+            continue
+        if newer == older:
+            fault = f"duplicate {cur}"
+        elif newer < older:
+            fault = f"{cur} is not older than {prev}"
+        elif newer - older == 2:
+            fault = f"missing {_month_name(older + 1)}"
+        else:
+            fault = f"missing {_month_name(older + 1)} to {_month_name(newer - 1)}"
+        prefix = f"{where}: " if where is not None else ""
+        raise NonContiguousMonths(f"{prefix}months {prev} -> {cur} are not contiguous ({fault})")
 
 
 def _confirmed_hosts(detections: list[PublisherDetection]) -> dict[str, str]:

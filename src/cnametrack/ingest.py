@@ -4,12 +4,20 @@ tracker signatures and ranking lists.
 Every parser is total: each line yields a record, a counted skip, or a
 line-addressed diagnostic, never silent loss.  File formats are documented in
 docs/formats.md.
+
+A corpus repeats its cookies: the same first-party ``Cookie`` header goes out
+on many requests of a visit and the same ``Set-Cookie`` answers recur from
+page to page.  So each corpus load keeps one ``_LoadMemo`` through which
+equal header pairs, ``Cookie`` headers and ``Set-Cookie`` / ``document.cookie``
+strings are parsed once and shared by identity; the records are immutable
+tuples and frozen ``CookieAttributes``, so sharing is safe.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import sys
 
 from .dnsgraph import DnsRecordStore
 from .errors import MalformedHar, SchemaViolation
@@ -22,7 +30,7 @@ from .model import (
     UaLabel,
     classify_content_type,
 )
-from .sitectx import PublicSuffixTable, parse_set_cookie
+from .sitectx import CookieAttributes, PublicSuffixTable, parse_set_cookie
 
 log = logging.getLogger(__name__)
 
@@ -47,14 +55,55 @@ def _parse_cookie_header(value: str) -> list[tuple[str, str]]:
     return cookies
 
 
-def _read_headers(headers: list, response: bool, har: bool):
+class _LoadMemo:
+    """The values one load call shares between its records.
+
+    Each distinct ``(name, value)`` header or cookie pair, raw ``Cookie``
+    header and ``Set-Cookie`` or ``document.cookie`` string is built once,
+    and an equal input later in the same load gets the same object back.
+    Everything stored is immutable (tuples of strings, frozen
+    ``CookieAttributes``), so only identity is shared; the memo is dropped
+    with the load call."""
+
+    __slots__ = ("pairs", "cookie_headers", "set_cookies")
+
+    def __init__(self):
+        self.pairs: dict[tuple[str, str], tuple[str, str]] = {}
+        self.cookie_headers: dict[str, tuple[tuple[str, str], ...]] = {}
+        self.set_cookies: dict[str, CookieAttributes] = {}
+
+    def pair(self, name: str, value: str) -> tuple[str, str]:
+        key = (name, value)
+        return self.pairs.setdefault(key, key)
+
+    def cookie_header(self, value: str) -> tuple[tuple[str, str], ...]:
+        """The (name, value) pairs of a raw Cookie header."""
+        cookies = self.cookie_headers.get(value)
+        if cookies is None:
+            pair = self.pair
+            cookies = self.cookie_headers[value] = tuple(
+                pair(name, val) for name, val in _parse_cookie_header(value))
+        return cookies
+
+    def set_cookie(self, value: str) -> CookieAttributes:
+        """A Set-Cookie header value or document.cookie string, parsed."""
+        attrs = self.set_cookies.get(value)
+        if attrs is None:
+            attrs = self.set_cookies[value] = parse_set_cookie(value)
+        return attrs
+
+
+def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
     """(pairs, derived, content_type) from a header list, or None when an
     element is not a string pair (HAR: an object with ``name`` and ``value``;
     JSONL: a two-element list).  The pass that validates the pairs derives
     the request's cookies and first Content-Type, or the response's
-    Set-Cookie records (``content_type`` is then None)."""
+    Set-Cookie records (``content_type`` is then None).  The pairs and the
+    derived records are tuples of values shared through ``memo``; no
+    headers give ``()``."""
     if not headers:
-        return [], [], None
+        return (), (), None
+    pair = memo.pair
     pairs = []
     derived = []
     content_type = None
@@ -69,16 +118,22 @@ def _read_headers(headers: list, response: bool, har: bool):
             return None
         if not (isinstance(name, str) and isinstance(value, str)):
             return None
-        pairs.append((name, value))
+        shared = pair(name, value)
+        pairs.append(shared)
+        name, value = shared
         key = name.lower()
         if response:
             if key == "set-cookie":
-                derived.append(parse_set_cookie(value))
+                derived.append(memo.set_cookie(value))
         elif key == "cookie":
-            derived.extend(_parse_cookie_header(value))
+            derived.append(memo.cookie_header(value))
         elif key == "content-type" and content_type is None:
             content_type = value
-    return pairs, derived, content_type
+    if response:
+        return tuple(pairs), tuple(derived), None
+    # a single Cookie header, the usual case, keeps its shared tuple
+    cookies = derived[0] if len(derived) == 1 else tuple(c for cs in derived for c in cs)
+    return tuple(pairs), cookies, content_type
 
 
 _STR_OR_NULL = (str, type(None))
@@ -89,6 +144,10 @@ def _checked(value, key: str, types, what: str):
     if not isinstance(value, types):
         raise SchemaViolation(f"{key} must be {what}")
     return value
+
+
+def _interned(value: str | None) -> str | None:
+    return value if value is None else sys.intern(value)
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
@@ -119,6 +178,7 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
     """Load the capture JSONL schema (visit / transaction / js_cookie records)."""
     visits: dict[str, PageVisit] = {}
     order: list[str] = []
+    memo = _LoadMemo()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -135,9 +195,9 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
                 if rtype == "visit":
                     _ingest_visit(obj, visits, order, psl)
                 elif rtype == "transaction":
-                    _ingest_transaction(obj, visits)
+                    _ingest_transaction(obj, visits, memo)
                 elif rtype == "js_cookie":
-                    _ingest_js_cookie(obj, visits)
+                    _ingest_js_cookie(obj, visits, memo)
                 else:
                     raise SchemaViolation(f"unknown record_type {rtype!r}")
             except SchemaViolation as exc:
@@ -166,26 +226,26 @@ def _ingest_visit(obj, visits, order, psl):
     order.append(visit_id)
 
 
-def _jsonl_headers(obj, key: str):
+def _jsonl_headers(obj, key: str, memo: _LoadMemo):
     headers = obj.get(key, [])
-    read = _read_headers(headers, key == "response_headers", har=False) \
+    read = _read_headers(headers, key == "response_headers", memo, har=False) \
         if isinstance(headers, list) else None
     if read is None:
         raise SchemaViolation(f"{key} must be a list of [name, value] string pairs")
     return read
 
 
-def _ingest_transaction(obj, visits):
+def _ingest_transaction(obj, visits, memo: _LoadMemo):
     visit = visits.get(obj["visit_id"])
     if visit is None:
         raise SchemaViolation(f"transaction for unknown visit_id {obj['visit_id']!r}")
     url = _checked(obj["url"], "url", str, "a string")
     method = _checked(obj.get("method", "GET"), "method", str, "a string")
-    request_headers, cookies, post_content_type = _jsonl_headers(obj, "request_headers")
-    response_headers, set_cookies, _ = _jsonl_headers(obj, "response_headers")
+    request_headers, cookies, post_content_type = _jsonl_headers(obj, "request_headers", memo)
+    response_headers, set_cookies, _ = _jsonl_headers(obj, "response_headers", memo)
     txn = HttpTransaction(
         request_url=url,
-        method=method,
+        method=sys.intern(method),
         request_headers=request_headers,
         response_headers=response_headers,
         request_cookies=cookies,
@@ -195,7 +255,8 @@ def _ingest_transaction(obj, visits):
         response_size=int(obj.get("response_size", 0)),
         content_type_class=classify_content_type(
             _checked(obj.get("content_type"), "content_type", _STR_OR_NULL, "a string or null")),
-        remote_ip=_checked(obj.get("remote_ip"), "remote_ip", _STR_OR_NULL, "a string or null"),
+        remote_ip=_interned(_checked(obj.get("remote_ip"), "remote_ip", _STR_OR_NULL,
+                                     "a string or null")),
         initiators=_strings(obj.get("initiators", []), "initiators"),
     )
     if txn.response_size < 0:
@@ -211,7 +272,7 @@ def _ingest_transaction(obj, visits):
     visit.transactions.append(txn)
 
 
-def _ingest_js_cookie(obj, visits):
+def _ingest_js_cookie(obj, visits, memo: _LoadMemo):
     visit = visits.get(obj["visit_id"])
     if visit is None:
         raise SchemaViolation(f"js_cookie for unknown visit_id {obj['visit_id']!r}")
@@ -222,7 +283,7 @@ def _ingest_js_cookie(obj, visits):
         JsCookieSet(
             page_url=visit.page_url,
             assigned_string=assigned,
-            parsed=parse_set_cookie(assigned),
+            parsed=memo.set_cookie(assigned),
             stack=_strings(obj.get("stack", []), "stack"),
         )
     )
@@ -275,12 +336,12 @@ def save_crawl_jsonl(visits: list[PageVisit], path):
                 }, sort_keys=True) + "\n")
 
 
-def _har_headers(message: dict, entry_index: int, response: bool):
+def _har_headers(message: dict, entry_index: int, memo: _LoadMemo, response: bool):
     """A HAR request's or response's headers, read by ``_read_headers``."""
     headers = message.get("headers", [])
     if not isinstance(headers, list):
         raise MalformedHar("headers must be a list", entry_index=entry_index)
-    read = _read_headers(headers, response, har=True)
+    read = _read_headers(headers, response, memo, har=True)
     if read is None:
         raise MalformedHar("header needs a string name and value", entry_index=entry_index)
     return read
@@ -328,6 +389,7 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
 
     visits: dict[str, PageVisit] = {}
     order: list[str] = []
+    memo = _LoadMemo()
     for page in pages:
         pid = page.get("id") or f"page_{len(order)}"
         page_url = page.get("title") or page.get("_url") or ""
@@ -355,18 +417,18 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
                 order.append(pageref)
             else:
                 raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
-        request_headers, cookies, post_content_type = _har_headers(request, idx, response=False)
+        request_headers, cookies, post_content_type = _har_headers(request, idx, memo, response=False)
         method = request.get("method", "GET")
         if not isinstance(method, str):
             raise MalformedHar("request.method must be a string", entry_index=idx)
-        txn = HttpTransaction(request_url=url, method=method,
+        txn = HttpTransaction(request_url=url, method=sys.intern(method),
                               request_headers=request_headers, request_cookies=cookies,
                               post_content_type=post_content_type)
         response = entry.get("response")
         if response:
             if not isinstance(response, dict):
                 raise MalformedHar("response must be an object", entry_index=idx)
-            txn.response_headers, txn.set_cookies, _ = _har_headers(response, idx, response=True)
+            txn.response_headers, txn.set_cookies, _ = _har_headers(response, idx, memo, response=True)
             txn.status = _har_int(response.get("status", 0), "response.status", idx)
             content = response.get("content", {}) or {}
             if not isinstance(content, dict):
@@ -391,7 +453,7 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
         server_ip = entry.get("serverIPAddress")
         if not isinstance(server_ip, _STR_OR_NULL):
             raise MalformedHar("serverIPAddress must be a string", entry_index=idx)
-        txn.remote_ip = server_ip or None
+        txn.remote_ip = _interned(server_ip or None)
         txn.initiators = _har_initiators(entry.get("_initiator"), idx)
         timed.append((pageref, idx, txn, entry.get("startedDateTime", "")))
 

@@ -104,14 +104,20 @@ class HttpTransaction:
     ``scheme``, ``port`` and ``path_and_query``; host and scheme are
     interned because a corpus repeats them across many transactions.
     ``port`` is the URL's explicit port: None when absent, -1 when malformed.
+
+    Headers, request cookies and Set-Cookie records are immutable tuples,
+    ``()`` when there are none, so a transaction without headers allocates
+    no containers.  The loaders share equal pairs, cookie tuples and
+    ``CookieAttributes`` between the transactions of one load (see
+    ``ingest``); replace a field, never mutate what it holds.
     """
 
     request_url: str
     method: str = "GET"
-    request_headers: list[tuple[str, str]] = field(default_factory=list)
-    response_headers: list[tuple[str, str]] = field(default_factory=list)
-    request_cookies: list[tuple[str, str]] = field(default_factory=list)
-    set_cookies: list[CookieAttributes] = field(default_factory=list)
+    request_headers: tuple[tuple[str, str], ...] = ()
+    response_headers: tuple[tuple[str, str], ...] = ()
+    request_cookies: tuple[tuple[str, str], ...] = ()
+    set_cookies: tuple[CookieAttributes, ...] = ()
     post_body: str | None = None
     post_body_digest: str | None = None
     post_body_truncated: bool = False

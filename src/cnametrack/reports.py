@@ -24,13 +24,18 @@ from .sitectx import Relation
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
+DIGEST_BUFFER = 64 * 1024
 
 
 def sha256_file(path) -> str:
+    """SHA-256 of a file, read through one fixed buffer of ``DIGEST_BUFFER``
+    bytes, so hashing an input of any size holds no more than that."""
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
+    buf = bytearray(DIGEST_BUFFER)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            h.update(view[:n])
     return h.hexdigest()
 
 

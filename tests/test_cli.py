@@ -240,6 +240,30 @@ class TestHistoryValidate:
             assert err.startswith(f"error: {path}: {where}")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("months,fault", [
+        (["2020-10", "2020-08"], "months 2020-10 -> 2020-08 are not contiguous (missing 2020-09)"),
+        (["2020-08", "2020-10"], "months 2020-10 -> 2020-08 are not contiguous (missing 2020-09)"),
+        (["2021-02", "2020-11"],
+         "months 2021-02 -> 2020-11 are not contiguous (missing 2020-12 to 2021-01)"),
+        (["2020-10", "2020-09", "2020-09"],
+         "months 2020-09 -> 2020-09 are not contiguous (duplicate 2020-09)"),
+    ])
+    @pytest.mark.parametrize("command", ["history", "validate"])
+    def test_non_contiguous_months_name_manifest_and_fault(
+            self, world, tmp_path, capsys, monkeypatch, command, months, fault):
+        manifest = [{"month": m, "corpus": world["corpus"], "dns": world["dns"]} for m in months]
+        path = tmp_path / "months.json"
+        path.write_text(json.dumps(manifest))
+        ext_path = tmp_path / "external.json"
+        ext_path.write_text(json.dumps({"2020-10": world["dns"]}))
+        self._no_corpus_reads(monkeypatch)
+        argv = [command, "--months", path, "--signatures", world["signatures"], "--out", tmp_path / "out"]
+        if command == "validate":
+            argv += ["--external-dns", ext_path]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: {fault}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["x", "2020-13", "2020-1", "2020-10 ", "20201"])
     def test_external_month_must_be_yyyy_mm(self, world, tmp_path, capsys, monkeypatch, key):
         """A key like "x" sorted after every real month, so it was read as a later month."""

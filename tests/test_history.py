@@ -19,6 +19,7 @@ from cnametrack.history import (
     MonthlyDetection,
     adoption_windows,
     backward_iterate,
+    check_descending_contiguous,
     cross_validate,
     external_trackers,
     host_paths,
@@ -153,6 +154,27 @@ class TestStreaming:
     def test_generator_with_gap_rejected(self, psl):
         months = (MonthDataset(m, [], DnsRecordStore()) for m in ("2020-10", "2020-09", "2020-07"))
         with pytest.raises(NonContiguousMonths, match="2020-09 -> 2020-07"):
+            backward_iterate(months, [], psl)
+
+    @pytest.mark.parametrize("months,message", [
+        (["2020-10", "2020-08"], "months 2020-10 -> 2020-08 are not contiguous (missing 2020-09)"),
+        (["2021-01", "2020-10"],
+         "months 2021-01 -> 2020-10 are not contiguous (missing 2020-11 to 2020-12)"),
+        (["2020-10", "2020-10"], "months 2020-10 -> 2020-10 are not contiguous (duplicate 2020-10)"),
+        (["2020-09", "2020-10"],
+         "months 2020-09 -> 2020-10 are not contiguous (2020-10 is not older than 2020-09)"),
+    ])
+    def test_non_contiguous_message_names_the_fault(self, months, message):
+        with pytest.raises(NonContiguousMonths) as exc:
+            check_descending_contiguous(months)
+        assert str(exc.value) == message
+        with pytest.raises(NonContiguousMonths) as exc:
+            check_descending_contiguous(months, "m.json")
+        assert str(exc.value) == f"m.json: {message}"
+
+    def test_generator_with_duplicate_rejected(self, psl):
+        months = (MonthDataset(m, [], DnsRecordStore()) for m in ("2020-10", "2020-09", "2020-09"))
+        with pytest.raises(NonContiguousMonths, match=r"2020-09 -> 2020-09 .*\(duplicate 2020-09\)"):
             backward_iterate(months, [], psl)
 
     def test_list_checked_before_any_month_runs(self, psl):

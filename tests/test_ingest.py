@@ -57,7 +57,7 @@ class TestCaptureJsonl:
         txn = v1.transactions[0]
         assert txn.host == "metrics.shop.com"
         assert txn.path_and_query == "/ea/collect?uid=1"
-        assert txn.request_cookies == [("a", "111222333444"), ("b", "2")]
+        assert txn.request_cookies == (("a", "111222333444"), ("b", "2"))
         assert txn.set_cookies[0].name == "etuid"
         assert txn.set_cookies[0].domain_attr == "shop.com"
         post = v1.transactions[1]
@@ -196,7 +196,7 @@ class TestCaptureJsonl:
         path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
                                      tmp_path / "c.jsonl")
         txn = load_crawl_jsonl(path, psl)[0].transactions[0]
-        assert txn.request_cookies == [("a", "1"), ("b", "2"), ("c", "3")]
+        assert txn.request_cookies == (("a", "1"), ("b", "2"), ("c", "3"))
         assert txn.post_content_type == "text/plain"
         assert [c.name for c in txn.set_cookies] == ["x", "z"]
         assert txn.response_headers[1] == ("X-Other", "y")
@@ -290,7 +290,7 @@ class TestHar:
         # entries ordered by startedDateTime, not file order
         assert v.transactions[0].request_url == "https://www.shop.com/"
         t = v.transactions[1]
-        assert t.request_cookies == [("a", "1")]
+        assert t.request_cookies == (("a", "1"),)
         assert t.set_cookies[0].name == "x"
         assert t.remote_ip == "203.0.113.7"
         assert t.initiators == ("https://metrics.shop.com/ea/tag.js",)
