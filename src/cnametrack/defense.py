@@ -6,7 +6,8 @@ Plain matching tries only the rules a ``FilterList`` index offers for the
 URL's tokens; the sinkhole looks a host's label suffixes up in a
 ``DomainSet``.  Both accept plain lists too and index them on the fly.  A
 transaction's content class and its page's hostname feed the ``$script`` /
-``$image`` and ``domain=`` options in every model.
+``$image`` and ``domain=`` options in every model.  Both DNS-aware models
+read a host's CNAME chain from the store's memo (``DnsRecordStore.chain``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
 from .detect import Context, PublisherDetection, evidence_transactions
-from .dnsgraph import DnsRecordStore, resolve_chain
-from .errors import CnameCycle
+from .dnsgraph import DnsRecordStore
 from .filterlist import FilterList, FilterRule, url_tokens
 from .model import ContentClass, PageVisit
 from .sitectx import Relation
@@ -53,15 +53,16 @@ class BlockDecision:
 
 
 class UncloakCache:
-    """hostname -> its last CNAME hop, or None where uncloaking fails open.
+    """hostname -> (its last CNAME hop or None where uncloaking fails open,
+    whether its DNS data is missing), with hit and miss counts.
 
-    Only the DNS resolution is cached: each transaction's substituted URL is
-    matched on its own, so no verdict depends on which transaction of a host
-    came first.
+    Only these per-host facts are kept: each transaction's substituted URL
+    is matched on its own, so no verdict depends on which transaction of a
+    host came first.
     """
 
     def __init__(self):
-        self._entries: dict[str, tuple[str | None]] = {}
+        self._entries: dict[str, tuple[str | None, bool]] = {}
         self.hits = 0
         self.misses = 0
 
@@ -73,8 +74,8 @@ class UncloakCache:
             self.misses += 1
         return entry
 
-    def put(self, host, last_hop):
-        self._entries[host] = (last_hop,)
+    def put(self, host, entry: tuple[str | None, bool]):
+        self._entries[host] = entry
 
 
 def match_plain(url: str, relation: Relation, rules: Iterable[FilterRule],
@@ -117,8 +118,8 @@ def match_uncloaked(
     content: ContentClass | None = None,
 ) -> BlockDecision:
     """Plain match first; when allowed, re-match with the last CNAME hop
-    substituted for the hostname.  Fail-open when DNS data is missing
-    (``dns_missing`` is set on a host's first lookup only)."""
+    substituted for the hostname.  Fail-open, with ``dns_missing`` set, when
+    DNS data is missing or the chain cycles."""
     rules = FilterList.of(rules)
     plain = match_plain(url, relation, rules, page_host, content)
     if plain.blocked:
@@ -126,14 +127,12 @@ def match_uncloaked(
     host = (urlsplit(url).hostname or "").lower()
     if not host:
         return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED)
-    cached = cache.get(host)
-    dns_missing = False
-    if cached is None:
-        last_hop, dns_missing = _last_hop(host, dns, max_depth)
-        cache.put(host, last_hop)
-    else:
-        (last_hop,) = cached
-    hit = cached is not None
+    entry = cache.get(host)
+    hit = entry is not None
+    if not hit:
+        entry = _last_hop(host, dns, max_depth)
+        cache.put(host, entry)
+    last_hop, dns_missing = entry
     if last_hop is None:
         return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED, uncloak_cache_hit=hit,
                              dns_missing=dns_missing)
@@ -147,11 +146,8 @@ def _last_hop(host: str, dns: DnsRecordStore, max_depth: int) -> tuple[str | Non
     if host not in dns:
         log.warning("no DNS coverage for %s; uncloaked match fails open", host)
         return None, True
-    try:
-        chain = resolve_chain(host, dns, max_depth)
-    except CnameCycle:
-        return None, True
-    return (chain.last_hop if chain.hops else None), False
+    chain = dns.chain(host, max_depth)
+    return (None, True) if chain is None else (chain.last_hop, False)
 
 
 class DomainSet:
@@ -186,11 +182,8 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[st
     hit = domains.hit(hostname)
     if hit:
         return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
-    try:
-        chain = resolve_chain(hostname, dns, max_depth)
-    except CnameCycle:
-        return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
-    for hop in chain.hops:
+    chain = dns.chain(hostname, max_depth)
+    for hop in chain.hops if chain is not None else ():
         hit = domains.hit(hop)
         if hit:
             return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)

@@ -13,10 +13,9 @@ from .dnsgraph import (
     DnsRecordStore,
     IpPool,
     NetworkIndex,
-    resolve_chain,
     uncloaked_target,
 )
-from .errors import CnameCycle, InvalidHostname
+from .errors import InvalidHostname
 from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
 from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation
 
@@ -122,31 +121,15 @@ class PublisherDetection:
         return (self.publisher_etld1, self.tracker_id, self.context.value)
 
 
-class ChainCache:
-    """Memoized chain resolution over one immutable DNS snapshot.
-
-    A host whose chain cycles resolves to None, with one warning per host in
-    ``warned``; callers running several snapshots share one set so that a
-    cycle is reported once per run, not once per snapshot.
-    """
-
-    def __init__(self, store: DnsRecordStore, max_depth: int = 10, warned: set[str] | None = None):
-        self.store = store
-        self.max_depth = max_depth
-        self._warned = set() if warned is None else warned
-        self._cache: dict[str, CnameChain | None] = {}
-
-    def get(self, host: str) -> CnameChain | None:
-        host = host.lower().rstrip(".")
-        if host not in self._cache:
-            try:
-                self._cache[host] = resolve_chain(host, self.store, self.max_depth)
-            except CnameCycle as exc:
-                if host not in self._warned:
-                    self._warned.add(host)
-                    log.warning("skipping host with CNAME cycle: %s", exc)
-                self._cache[host] = None
-        return self._cache[host]
+def _chain(dns: DnsRecordStore, host: str, max_depth: int, warned: set[str]) -> CnameChain | None:
+    """``dns.chain``, warning the first time a host in ``warned`` is skipped
+    for a CNAME cycle; callers running several snapshots share one set so
+    that a cycle is reported once per run, not once per snapshot."""
+    chain = dns.chain(host, max_depth)
+    if chain is None and (host := host.lower().rstrip(".")) not in warned:
+        warned.add(host)
+        log.warning("skipping host with CNAME cycle: %s", dns.cycle(host, max_depth))
+    return chain
 
 
 def _label_suffixes(host: str):
@@ -274,7 +257,7 @@ def candidate_scan(
 ) -> list[CandidateAggregate]:
     """Aggregate same-site (non-same-origin) requests whose host uncloaks to a
     different eTLD+1, grouped by the uncloaked target."""
-    chains = ChainCache(dns, max_depth)
+    warned: set[str] = set()
     origins: dict[tuple, Origin | None] = {}
     aggregates: dict[str, CandidateAggregate] = {}
     for visit in corpus:
@@ -284,7 +267,7 @@ def candidate_scan(
         for txn, relation in classified_transactions(visit, psl, origins):
             if relation is not Relation.SAME_SITE:
                 continue
-            chain = chains.get(txn.host)
+            chain = _chain(dns, txn.host, max_depth, warned)
             if chain is None:
                 continue
             target = uncloaked_target(chain, psl)
@@ -387,10 +370,10 @@ def detect_publishers(
     Each transaction is checked, with ``signature_match_route`` and in
     signature order, against only the signatures that can reach it: those
     carrying a label suffix of a chain hop, and those owning a terminal or
-    remote address by declared range or pool.  ``warned_cycles`` is passed
-    to the ``ChainCache``.
+    remote address by declared range or pool.  A host whose chain cycles is
+    skipped, with one warning per host in ``warned_cycles``.
     """
-    chains = ChainCache(dns, max_depth, warned_cycles)
+    warned = set() if warned_cycles is None else warned_cycles
     index = SignatureIndex(sigs, pool)
     hosts: dict[str, tuple[CnameChain | None, frozenset[int], str | None]] = {}
     grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}
@@ -405,7 +388,7 @@ def detect_publishers(
                 continue
             facts = hosts.get(host)
             if facts is None:
-                chain = chains.get(host)
+                chain = _chain(dns, host, max_depth, warned)
                 candidates = frozenset()
                 if chain is not None:
                     candidates = index.cname_positions(chain.hops).union(

@@ -1,5 +1,9 @@
 """DNS snapshot store, CNAME chain resolution, and tracker IP pools.
 
+Every stage resolves a host through ``DnsRecordStore.chain``: once per
+snapshot, host and depth, with None for a cycle.  ``resolve_chain`` is the
+unmemoized resolution behind it.
+
 Addresses are found in networks through a ``NetworkIndex``: one table per
 (IP version, prefix length) maps each network address, as an integer, to
 what is filed under it, so a lookup masks the address once per prefix
@@ -34,14 +38,17 @@ class DnsRecordStore:
     were added; ``records`` makes ``DnsRecord`` tuples of them.  The first
     CNAME answer of each (host, month) is kept in a dict per month, so a later
     CNAME for the same pair is dropped without a scan, with a warning when it
-    differs.
+    differs.  Resolved chains are memoized per (host, depth); ``add`` clears
+    the memo.
     """
 
     def __init__(self):
         self._records: dict[str, list[tuple[str, str, str | None]]] = {}
         self._first_cname: dict[str | None, dict[str, str]] = {}
+        self._chains: dict[tuple[str, int], CnameChain | CnameCycle] = {}
 
     def add(self, host: str, rr_type: str, answer: str, month: str | None = None):
+        self._chains.clear()
         host = host.lower().rstrip(".")
         recs = self._records.setdefault(host, [])
         if rr_type == "CNAME":
@@ -75,6 +82,22 @@ class DnsRecordStore:
 
     def hostnames(self):
         return self._records.keys()
+
+    def chain(self, host: str, max_depth: int = DEFAULT_MAX_DEPTH) -> CnameChain | None:
+        """The host's ``resolve_chain``, or None when it cycles (see ``cycle``)."""
+        key = (host.lower().rstrip("."), max_depth)
+        found = self._chains.get(key)
+        if found is None:
+            try:
+                found = resolve_chain(key[0], self, max_depth)
+            except CnameCycle as exc:
+                found = exc.with_traceback(None)  # a traceback would pin the caller's frames
+            self._chains[key] = found
+        return None if isinstance(found, CnameCycle) else found
+
+    def cycle(self, host: str, max_depth: int = DEFAULT_MAX_DEPTH) -> CnameCycle | None:
+        """The error behind a None ``chain``, else None."""
+        return None if self.chain(host, max_depth) else self._chains[host.lower().rstrip("."), max_depth]
 
 
 @dataclass(frozen=True)
@@ -250,18 +273,20 @@ def accumulate_ips(
     declared_ranges: dict[str, list[str]],
     pool: IpPool,
     month: str | None = None,
+    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> IpPool:
     """Fold terminal addresses of confirmed tracking hosts into the pool.
 
     confirmed_hosts maps hostname -> tracker id (hosts whose transactions
-    already matched that tracker's signature).  Declared CIDR ranges are added
-    verbatim per tracker.
+    already matched that tracker's signature); a host whose chain cycles in
+    this snapshot adds nothing.  Declared CIDR ranges are added verbatim per
+    tracker.
     """
     for tracker_id, cidrs in sorted(declared_ranges.items()):
         for cidr in cidrs:
             pool.add_range(cidr, tracker_id, month)
     for host, tracker_id in sorted(confirmed_hosts.items()):
-        chain = resolve_chain(host, store)
-        for ip in chain.terminal_ips:
+        chain = store.chain(host, max_depth)
+        for ip in chain.terminal_ips if chain is not None else ():
             pool.add_address(ip, tracker_id, month)
     return pool

@@ -20,8 +20,8 @@ from .detect import (
     evidence_transactions,
     page_site,
 )
-from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips, resolve_chain
-from .errors import CnameCycle, NonContiguousMonths
+from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips
+from .errors import NonContiguousMonths
 from .filterlist import FilterList, FilterRule
 from .model import PageVisit, TrackerSignature
 from .sitectx import PublicSuffixTable, Relation
@@ -132,7 +132,7 @@ def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, war
     """One month of ``backward_iterate``: fold the addresses that already
     confirmed tracking domains resolve to this month into the pool, detect,
     then grow the pool and ``confirmed`` from this month's detections."""
-    accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month)
+    accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month, max_depth)
     detections = detect_publishers(
         month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
         warned_cycles=warned_cycles,
@@ -146,7 +146,7 @@ def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, war
                 pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
             except ValueError:
                 pass
-    accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month)
+    accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month, max_depth)
     confirmed.update(new_hosts)
     return MonthlyDetection(month_ds.month, detections, pool.summary())
 
@@ -168,9 +168,7 @@ class ValidationReport:
 def _external_tracker_chain(host, store, index: SignatureIndex, max_depth=10):
     """First signature, in list order, whose suffix the host's external chain
     reaches, if any."""
-    try:
-        chain = resolve_chain(host, store, max_depth)
-    except CnameCycle:
+    if (chain := store.chain(host, max_depth)) is None:
         return None, None
     positions = index.cname_positions(chain.hops)
     return (index.sigs[min(positions)] if positions else None), chain

@@ -2,20 +2,21 @@
 
 This is ``signature_match_route`` and the ``detect_publishers`` loop, and
 history's ``_external_tracker_chain``, as they stood before the signature
-index in ``cnametrack.detect`` replaced the scans, and
-``classified_transactions`` as it stood before request origins were
-memoized, kept verbatim as the oracles for the differential tests in
-tests/test_detectindex.py.  Detection makes one route call per transaction
-and signature; do not use it outside tests.
+index in ``cnametrack.detect`` replaced the scans, ``classified_transactions``
+as it stood before request origins were memoized, and ``ChainCache`` as it
+stood before chains were memoized in ``DnsRecordStore``, kept verbatim as
+the oracles for the differential tests in tests/test_detectindex.py.
+Detection makes one route call per transaction and signature; do not use it
+outside tests.
 """
 
 from __future__ import annotations
 
 import ipaddress
+import logging
 from fnmatch import fnmatchcase
 
 from cnametrack.detect import (
-    ChainCache,
     Context,
     Mechanism,
     PublisherDetection,
@@ -26,6 +27,35 @@ from cnametrack.dnsgraph import CnameChain, DnsRecordStore, IpPool, resolve_chai
 from cnametrack.errors import CnameCycle, InvalidHostname
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 from cnametrack.sitectx import Origin, PublicSuffixTable, classify_relation
+
+log = logging.getLogger("cnametrack.detect")  # where ChainCache warned
+
+
+class ChainCache:
+    """Memoized chain resolution over one immutable DNS snapshot.
+
+    A host whose chain cycles resolves to None, with one warning per host in
+    ``warned``; callers running several snapshots share one set so that a
+    cycle is reported once per run, not once per snapshot.
+    """
+
+    def __init__(self, store: DnsRecordStore, max_depth: int = 10, warned: set[str] | None = None):
+        self.store = store
+        self.max_depth = max_depth
+        self._warned = set() if warned is None else warned
+        self._cache: dict[str, CnameChain | None] = {}
+
+    def get(self, host: str) -> CnameChain | None:
+        host = host.lower().rstrip(".")
+        if host not in self._cache:
+            try:
+                self._cache[host] = resolve_chain(host, self.store, self.max_depth)
+            except CnameCycle as exc:
+                if host not in self._warned:
+                    self._warned.add(host)
+                    log.warning("skipping host with CNAME cycle: %s", exc)
+                self._cache[host] = None
+        return self._cache[host]
 
 
 def signature_match_route(

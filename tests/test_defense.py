@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corpusgen
+from cnametrack import dnsgraph
 from cnametrack.defense import (
     UncloakCache,
     compare_defenses,
@@ -94,6 +95,14 @@ class TestUncloaked:
         assert first.verdict == second.verdict
         assert not first.uncloak_cache_hit and second.uncloak_cache_hit
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_dns_missing_on_every_lookup(self):
+        cache = UncloakCache()
+        decisions = [match_uncloaked("https://nodata.shop.com/x", CROSS, self.rules, self.dns, cache)
+                     for _ in range(3)]
+        assert [d.dns_missing for d in decisions] == [True, True, True]
+        assert [d.uncloak_cache_hit for d in decisions] == [False, True, True]
+        assert cache.hits == 2 and cache.misses == 1
 
     def test_port_preserved_on_substitution(self):
         rules = rules_of("||tracker.net^")
@@ -243,6 +252,48 @@ class TestCompareDefenses:
             assert fr["plain"] <= fr["uncloaked"] <= fr["sinkhole"] + 1e-12
         # DirectARecord hosts have A records, so no coverage warnings
         assert report.coverage_warnings == 0
+
+    def test_coverage_warnings_count_transactions(self, psl, caplog):
+        visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=[
+            HttpTransaction("https://nodns.shop.com/a", remote_ip="203.0.113.3"),
+            HttpTransaction("https://nodns.shop.com/b", remote_ip="203.0.113.3")])
+        sig = TrackerSignature("trk", cidr_ranges=("203.0.113.0/28",), path_patterns=("/*",))
+        dns = store_with(a_records=[("www.shop.com", "198.51.100.1")])
+        detections = detect_publishers([visit], dns, [sig], None, psl)
+        with caplog.at_level("WARNING", logger="cnametrack.defense"):
+            report = compare_defenses([visit], detections, rules_of("||trk.net^"), dns)
+        assert [v.dns_missing for v in report.verdicts] == [True, True]
+        assert report.coverage_warnings == 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "no DNS coverage for nodns.shop.com; uncloaked match fails open"]
+
+    def test_each_chain_resolved_once(self, psl, monkeypatch):
+        """detect_publishers and compare_defenses share the store's memo."""
+        resolved: dict[tuple, int] = {}
+        resolve = dnsgraph.resolve_chain
+
+        def counting(host, store, max_depth=10):
+            resolved[host, max_depth] = resolved.get((host, max_depth), 0) + 1
+            return resolve(host, store, max_depth)
+
+        monkeypatch.setattr(dnsgraph, "resolve_chain", counting)
+        urls = ["https://m.shop.com/p.gif", "https://m.shop.com/t.js", "https://m.shop.com:8443/p",
+                "https://n.shop.com/x", "https://n.shop.com/y", "https://loop.shop.com/x",
+                "https://loop.shop.com/y", "https://nodns.shop.com/x", "https://nodns.shop.com/y"]
+        visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=[
+            HttpTransaction(url, remote_ip="203.0.113.3" if "nodns" in url else None) for url in urls])
+        dns = store_with(cnames=[("m.shop.com", "x.trk.net"), ("loop.shop.com", "a.loop.org"),
+                                 ("a.loop.org", "loop.shop.com")],
+                         a_records=[("x.trk.net", "198.51.100.1"), ("n.shop.com", "203.0.113.2")])
+        sig = TrackerSignature("trk", cname_suffixes=("trk.net",), cidr_ranges=("203.0.113.0/28",),
+                               path_patterns=("/*",))
+        for max_depth in (10, 3):
+            detections = detect_publishers([visit], dns, [sig], None, psl, max_depth=max_depth)
+            report = compare_defenses([visit], detections, rules_of("||trk.net^"), dns,
+                                      max_depth=max_depth)
+            assert len(report.verdicts) == 7
+        assert resolved == {(host, depth): 1 for depth in (10, 3)
+                            for host in ("m.shop.com", "n.shop.com", "loop.shop.com", "nodns.shop.com")}
 
     def test_stale_evidence_ref_is_skipped(self):
         url = "https://metrics.shop.com/ea/collect"

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import naivedetect
 from cnametrack import history
 from cnametrack.detect import (
-    ChainCache,
     Mechanism,
     SignatureIndex,
     classified_transactions,
@@ -153,7 +152,7 @@ def run_detect_cases(n_cases: int, seed: int) -> dict[str, int]:
         seen["dup_ids"] += len({s.tracker_id for s in sigs}) < len(sigs)
         suffixes = [x for s in sigs for x in set(s.cname_suffixes)]
         seen["shared_suffix"] += len(set(suffixes)) < len(suffixes)
-        cache = ChainCache(store)
+        cache = naivedetect.ChainCache(store)
         by_visit = {v.visit_id: v for v in corpus}
         for det in want:
             for ref in det.evidence:

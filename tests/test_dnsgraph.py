@@ -1,16 +1,19 @@
 """Chain resolution and IP-pool tests, including the exhaustive small-graph
 totality check against the independent reference walker."""
 
+import gc
 import ipaddress
 import json
 import logging
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainref import enumerate_graphs, random_graph, reference_walk, store_from_graph
+from cnametrack import dnsgraph
 from cnametrack.dnsgraph import (
     DnsRecordStore,
     IpPool,
@@ -85,6 +88,74 @@ class TestResolveChain:
         store.add("a.test", "CNAME", "b.test")
         store.add("a.test", "CNAME", "c.test")
         assert store.cname_target("a.test") == "b.test"
+
+
+class TestChainMemo:
+    """``DnsRecordStore.chain``: ``resolve_chain`` once per (host, depth)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(host, store, max_depth=10):
+            seen.append((host, max_depth))
+            return resolve(host, store, max_depth)
+
+        resolve = dnsgraph.resolve_chain
+        monkeypatch.setattr(dnsgraph, "resolve_chain", counting)
+        return seen
+
+    def test_resolved_once_per_host_and_depth(self, calls):
+        store = make_store(cnames=[("m.shop.com", "a.cdn.net"), ("a.cdn.net", "x.trk.net")],
+                           a_records=[("x.trk.net", "192.0.2.1")])
+        chain = store.chain("m.shop.com")
+        assert chain == resolve_chain("m.shop.com", store)
+        assert store.chain("M.Shop.com.") is chain
+        short = store.chain("m.shop.com", 1)
+        assert short.truncated and short.hops == ("a.cdn.net",)
+        assert store.chain("m.shop.com", 1) is short
+        assert calls == [("m.shop.com", 10), ("m.shop.com", 1)]
+
+    def test_cycle_is_none_with_its_error(self, calls):
+        store = make_store(cnames=[("a.test", "b.test"), ("b.test", "a.test")])
+        assert store.chain("a.test") is None and store.chain("a.test") is None
+        cycle = store.cycle("a.test")
+        assert isinstance(cycle, CnameCycle)
+        assert str(cycle) == "CNAME cycle at a.test: a.test -> b.test -> a.test"
+        assert cycle.__traceback__ is None
+        assert store.cycle("b.test", 10) is not cycle and len(calls) == 2
+        assert make_store().cycle("a.test") is None
+
+    def test_bad_depth_still_raises(self):
+        store = make_store(cnames=[("a.test", "b.test")])
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                store.chain("a.test", 0)
+
+    def test_add_after_lookup_is_not_served_stale(self, calls):
+        store = make_store(cnames=[("m.shop.com", "x.trk.net")])
+        assert store.chain("m.shop.com").terminal_ips == ()
+        store.add("x.trk.net", "A", "192.0.2.1")
+        assert store.chain("m.shop.com").terminal_ips == ("192.0.2.1",)
+        store.add("x.trk.net", "CNAME", "m.shop.com")  # now a cycle
+        assert store.chain("m.shop.com") is None
+        assert len(calls) == 3
+
+    def test_cycle_pins_no_caller_frame(self):
+        store = make_store(cnames=[("a.test", "b.test"), ("b.test", "a.test")])
+
+        class Local:
+            pass
+
+        def helper():
+            local = Local()
+            assert store.chain("a.test") is None
+            return weakref.ref(local)
+
+        ref = helper()
+        gc.collect()
+        assert ref() is None
+        assert store.cycle("a.test") is not None  # the store and its memo live on
 
 
 class TestUncloakedTarget:
@@ -193,6 +264,21 @@ class TestIpPool:
                        pool, "2020-09")
         assert pool.contains("198.51.100.9", "trk")
         assert pool.contains("203.0.113.3", "trk")
+
+    def test_accumulate_respects_max_depth(self):
+        store = make_store(cnames=[("m.shop.com", "a.cdn.net"), ("a.cdn.net", "t.trk.net")],
+                           a_records=[("t.trk.net", "198.51.100.9")])
+        shallow = accumulate_ips({"m.shop.com": "trk"}, store, {}, IpPool(), max_depth=1)
+        assert shallow.summary() == {}
+        deep = accumulate_ips({"m.shop.com": "trk"}, store, {}, IpPool(), max_depth=2)
+        assert deep.contains("198.51.100.9", "trk")
+
+    def test_accumulate_skips_cycle(self):
+        store = make_store(cnames=[("m.shop.com", "a.loop.org"), ("a.loop.org", "m.shop.com"),
+                                   ("n.shop.com", "t.trk.net")],
+                           a_records=[("t.trk.net", "198.51.100.9")])
+        pool = accumulate_ips({"m.shop.com": "trk", "n.shop.com": "trk"}, store, {}, IpPool())
+        assert pool.summary() == {"trk": {"singles": 1, "ranges": 0}}
 
     @settings(max_examples=200)
     @given(addrs=st.lists(st.integers(0, 255), min_size=1, max_size=20))

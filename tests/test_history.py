@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 import corpusgen
-from cnametrack import reports
+from cnametrack import dnsgraph, reports
 from cnametrack.cli import main as cli_main
 from cnametrack.detect import Context, Mechanism, PublisherDetection
 from cnametrack.dnsgraph import DnsRecordStore, IpPool
@@ -116,6 +116,92 @@ class TestBackwardIterate:
         cycles = [r.getMessage() for r in caplog.records if "CNAME cycle" in r.getMessage()]
         assert len(cycles) == 2
         assert "loop.shop.com" in cycles[0] and "spin.shop.com" in cycles[1]
+
+
+    def test_max_depth_bounds_pool_accumulation(self, psl):
+        def month(name, cnames, ip):
+            store = DnsRecordStore()
+            for host, target in cnames:
+                store.add(host, "CNAME", target)
+            store.add("x.trk.net", "A", ip)
+            visit = PageVisit("https://www.shop.com/", f"v-{name}",
+                              transactions=[HttpTransaction("https://m.shop.com/x")])
+            return MonthDataset(name, [visit], store)
+
+        sigs = [TrackerSignature("trk", cname_suffixes=("trk.net",), path_patterns=("/*",))]
+        for depth, older_owners in ((1, set()), (2, {"trk"})):
+            pool = IpPool()
+            backward_iterate([month("2020-02", [("m.shop.com", "x.trk.net")], "198.51.100.1"),
+                              month("2020-01", [("m.shop.com", "a.cdn.org"), ("a.cdn.org", "x.trk.net")],
+                                    "198.51.100.2")],
+                             sigs, psl, max_depth=depth, pool=pool)
+            assert pool.owners("198.51.100.1") == {"trk"}
+            # m.shop.com, confirmed in 2020-02, reaches 198.51.100.2 in two hops
+            assert pool.owners("198.51.100.2") == older_owners, depth
+
+
+def cycle_world(root):
+    """Two months of one host: on a tracker in 2020-02, on a CNAME cycle in
+    2020-01; the external data of 2020-01 holds the cycle too."""
+    manifest = []
+    for month, answers in (("2020-02", [("m.shop.com", "CNAME", "x.trk.net"),
+                                        ("x.trk.net", "A", "198.51.100.1")]),
+                           ("2020-01", [("m.shop.com", "CNAME", "a.loop.org"),
+                                        ("a.loop.org", "CNAME", "m.shop.com")])):
+        vid = f"v-{month}"
+        cpath = corpusgen.write_jsonl([corpusgen.visit_record(vid, "https://www.shop.com/", month=month),
+                                       corpusgen.txn_record(vid, "https://m.shop.com/p.gif")],
+                                      root / f"c-{month}.jsonl")
+        dpath = corpusgen.write_jsonl([corpusgen.dns_line(a[0], [a], month) for a in answers],
+                                      root / f"d-{month}.jsonl")
+        manifest.append({"month": month, "corpus": str(cpath), "dns": str(dpath)})
+    (root / "months.json").write_text(json.dumps(manifest))
+    (root / "external.json").write_text(json.dumps({"2020-01": manifest[1]["dns"]}))
+    sigs = [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/*"]}]
+    return ["--months", str(root / "months.json"),
+            "--signatures", str(corpusgen.write_signatures(root / "sigs.json", sigs))]
+
+
+class TestCycleInOlderMonth:
+    """A host confirmed in a newer month that cycles in an older month's DNS
+    is skipped there, as detection skips it, with one warning per run."""
+
+    @pytest.mark.parametrize("command", ["history", "validate"])
+    def test_cli_skips_the_host(self, tmp_path, caplog, capsys, command):
+        argv = [command, *cycle_world(tmp_path), "--out", str(tmp_path / "out")]
+        if command == "validate":
+            argv += ["--external-dns", str(tmp_path / "external.json")]
+        with caplog.at_level(logging.WARNING):
+            assert cli_main(argv) == 0
+        assert capsys.readouterr().err == ""
+        warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert warnings == ["skipping host with CNAME cycle: CNAME cycle at m.shop.com: "
+                            "m.shop.com -> a.loop.org -> m.shop.com"]
+        if command == "history":
+            older = json.loads((tmp_path / "out" / "month_2020-01.json").read_text())
+            assert older["detections"] == []
+            assert older["pool"] == {"trk": {"singles": 1, "ranges": 0}}
+
+
+def test_each_chain_resolved_once_per_snapshot(tmp_path, monkeypatch):
+    """history, external_trackers and cross_validate share each store's memo."""
+    resolved: dict[tuple, int] = {}
+    stores = []  # kept alive, so that no id is reused
+    resolve = dnsgraph.resolve_chain
+
+    def counting(host, store, max_depth=10):
+        stores.append(store)
+        key = (id(store), host, max_depth)
+        resolved[key] = resolved.get(key, 0) + 1
+        return resolve(host, store, max_depth)
+
+    monkeypatch.setattr(dnsgraph, "resolve_chain", counting)
+    for seed in range(4):
+        (tmp_path / str(seed)).mkdir()
+        world = random_month_world(random.Random(seed), tmp_path / str(seed))
+        assert cli_main(["validate", "--months", world["months"], "--signatures", world["signatures"],
+                         "--external-dns", world["external"], "--out", str(tmp_path / f"v{seed}")]) == 0
+    assert resolved and max(resolved.values()) == 1
 
 
 def planted_month(tmp_path, psl, month, refs=None) -> MonthDataset:
