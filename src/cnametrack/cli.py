@@ -16,15 +16,9 @@ from pathlib import Path
 
 from . import reports
 from .defense import compare_defenses
-from .detect import (
-    HeuristicThresholds,
-    candidate_scan,
-    detect_publishers,
-    extract_features,
-    heuristic_flag,
-)
+from .detect import candidate_scan, detect_publishers, extract_features, heuristic_flag
 from .dnsgraph import IpPool
-from .errors import CnametrackError, SchemaViolation, StaleInputs
+from .errors import CnametrackError, SchemaViolation, StaleInputs, open_text
 from .filterlist import load_filter_list
 from .history import (
     MonthDataset,
@@ -171,7 +165,7 @@ def cmd_defense(args) -> int:
 
 def _load_month_manifest(path, shape: type):
     """A month manifest: a JSON ``list`` (--months) or ``dict`` (--external-dns)."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

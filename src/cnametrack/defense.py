@@ -222,12 +222,11 @@ def compare_defenses(
     detections: list[PublisherDetection],
     rules: Iterable[FilterRule],
     dns: DnsRecordStore,
-    domain_rules: list[str] | None = None,
     max_depth: int = 10,
 ) -> DefenseReport:
     """Fraction of each tracker's evidence transactions blocked per defense."""
     rules = FilterList.of(rules)
-    domains = DomainSet(pure_domain_rules(rules) if domain_rules is None else domain_rules)
+    domains = DomainSet(pure_domain_rules(rules))
     cache = UncloakCache()
     verdicts: list[TransactionVerdict] = []
     tally: dict[str, dict[str, int]] = {}

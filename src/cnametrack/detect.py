@@ -90,15 +90,12 @@ class FeatureVector:
     content_type_shares: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
-class HeuristicThresholds:
-    """Advisory cut-offs for the assisted-detection heuristic."""
-
-    tracker_max_buckets: int = 5
-    tracker_min_set_cookie_pct: float = 50.0
-    tracker_max_requests_per_site: float = 5.0
-    cdn_min_paths_per_site: float = 5.0
-    cdn_min_buckets: int = 10
+# advisory cut-offs for the assisted-detection heuristic
+TRACKER_MAX_BUCKETS = 5
+TRACKER_MIN_SET_COOKIE_PCT = 50.0
+TRACKER_MAX_REQUESTS_PER_SITE = 5.0
+CDN_MIN_PATHS_PER_SITE = 5.0
+CDN_MIN_BUCKETS = 10
 
 
 @dataclass(frozen=True)
@@ -301,19 +298,19 @@ def extract_features(agg: CandidateAggregate) -> FeatureVector:
     )
 
 
-def heuristic_flag(features: FeatureVector, thresholds: HeuristicThresholds = HeuristicThresholds()) -> Flag:
+def heuristic_flag(features: FeatureVector) -> Flag:
     """Advisory tracker/CDN call; never gates detection."""
     tracker_votes = 0
     cdn_votes = 0
-    if features.bucket_count < thresholds.tracker_max_buckets:
+    if features.bucket_count < TRACKER_MAX_BUCKETS:
         tracker_votes += 1
-    if features.pct_responses_setting_cookie > thresholds.tracker_min_set_cookie_pct:
+    if features.pct_responses_setting_cookie > TRACKER_MIN_SET_COOKIE_PCT:
         tracker_votes += 1
-    if features.mean_requests_per_site < thresholds.tracker_max_requests_per_site:
+    if features.mean_requests_per_site < TRACKER_MAX_REQUESTS_PER_SITE:
         tracker_votes += 1
-    if features.mean_unique_paths_per_site > thresholds.cdn_min_paths_per_site:
+    if features.mean_unique_paths_per_site > CDN_MIN_PATHS_PER_SITE:
         cdn_votes += 1
-    if features.bucket_count > thresholds.cdn_min_buckets:
+    if features.bucket_count > CDN_MIN_BUCKETS:
         cdn_votes += 1
     if tracker_votes and cdn_votes:
         return Flag.INCONCLUSIVE

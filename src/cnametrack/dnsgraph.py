@@ -15,7 +15,6 @@ from __future__ import annotations
 import ipaddress
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import CnameCycle, InvalidCidr
 from .sitectx import PublicSuffixTable
@@ -25,25 +24,18 @@ log = logging.getLogger(__name__)
 DEFAULT_MAX_DEPTH = 10
 
 
-class DnsRecord(NamedTuple):
-    rr_type: str  # "CNAME" or "A" (AAAA stored under "A" semantics)
-    answer: str
-    snapshot_month: str | None = None  # YYYY-MM
-
-
 class DnsRecordStore:
     """Hostname -> record set, case-insensitive; immutable after load.
 
-    Records are kept as ``(rr_type, answer, month)`` tuples in the order they
-    were added; ``records`` makes ``DnsRecord`` tuples of them.  The first
-    CNAME answer of each (host, month) is kept in a dict per month, so a later
-    CNAME for the same pair is dropped without a scan, with a warning when it
-    differs.  Resolved chains are memoized per (host, depth); ``add`` clears
-    the memo.
+    Records are kept as ``(rr_type, answer)`` tuples in the order they were
+    added.  The first CNAME answer of each (host, month) is kept in a dict
+    per month, so a later CNAME for the same pair is dropped without a scan,
+    with a warning when it differs.  Resolved chains are memoized per (host,
+    depth); ``add`` clears the memo.
     """
 
     def __init__(self):
-        self._records: dict[str, list[tuple[str, str, str | None]]] = {}
+        self._records: dict[str, list[tuple[str, str]]] = {}
         self._first_cname: dict[str | None, dict[str, str]] = {}
         self._chains: dict[tuple[str, int], CnameChain | CnameCycle] = {}
 
@@ -62,22 +54,19 @@ class DnsRecordStore:
                     log.warning("multiple CNAME answers for %s (%s); keeping first", host, month)
                 return
             firsts[host] = answer
-        recs.append((rr_type, answer, month))
+        recs.append((rr_type, answer))
 
     def __contains__(self, host: str) -> bool:
         return host.lower().rstrip(".") in self._records
 
-    def records(self, host: str) -> list[DnsRecord]:
-        return list(map(DnsRecord._make, self._records.get(host.lower().rstrip("."), ())))
-
     def cname_target(self, host: str) -> str | None:
-        for rr_type, answer, _month in self._records.get(host.lower().rstrip("."), ()):
+        for rr_type, answer in self._records.get(host.lower().rstrip("."), ()):
             if rr_type == "CNAME":
                 return answer
         return None
 
     def a_records(self, host: str) -> list[str]:
-        return [answer for rr_type, answer, _month in self._records.get(host.lower().rstrip("."), ())
+        return [answer for rr_type, answer in self._records.get(host.lower().rstrip("."), ())
                 if rr_type == "A"]
 
     def hostnames(self):
@@ -175,12 +164,6 @@ class NetworkIndex:
                 for value in table.get(n & mask, ())]
 
 
-@dataclass(frozen=True)
-class PoolMatch:
-    tracker_id: str
-    ambiguous: bool = False
-
-
 @dataclass
 class _PoolEntry:
     tracker_id: str
@@ -244,13 +227,6 @@ class IpPool:
         for entries in self._range_index.lookup(ip):
             hits.update(e.tracker_id for e in entries)
         return hits
-
-    def lookup(self, addr: str) -> PoolMatch | None:
-        """Tracker owning an address; lexicographic tie-break when several claim it."""
-        hits = self.owners(addr)
-        if not hits:
-            return None
-        return PoolMatch(min(hits), ambiguous=len(hits) > 1)
 
     def contains(self, addr: str, tracker_id: str) -> bool:
         return tracker_id in self.owners(addr)

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the one way inputs are
+opened so that a byte that is not UTF-8 is an error naming the file."""
+
+from contextlib import contextmanager
 
 
 class CnametrackError(Exception):
@@ -11,10 +14,6 @@ class InvalidHostname(CnametrackError):
 
 class HostIsPublicSuffix(CnametrackError):
     """Host equals a public suffix (or is an IP literal); no registrable domain exists."""
-
-
-class DomainAttrOutOfScope(CnametrackError):
-    """Cookie Domain attribute is not a suffix-or-equal of the setting host within its site."""
 
 
 class CnameCycle(CnametrackError):
@@ -56,3 +55,15 @@ class NonContiguousMonths(CnametrackError):
 
 class StaleInputs(CnametrackError):
     """Report inputs no longer match the digests recorded in their manifest."""
+
+
+@contextmanager
+def open_text(path, **kwargs):
+    """Open an input file as UTF-8 text.  Reading a byte sequence that does
+    not decode, anywhere in the ``with`` body, raises SchemaViolation naming
+    the file instead of a bare UnicodeDecodeError."""
+    with open(path, encoding="utf-8", **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise SchemaViolation(f"not UTF-8 text: {exc.reason}", path=str(path)) from None

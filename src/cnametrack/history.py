@@ -4,29 +4,21 @@ analytics."""
 
 from __future__ import annotations
 
-import logging
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .defense import match_plain
 from .detect import (
     Context,
-    Mechanism,
     PublisherDetection,
     SignatureIndex,
-    classified_transactions,
     detect_publishers,
     evidence_transactions,
-    page_site,
 )
 from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips
 from .errors import NonContiguousMonths
-from .filterlist import FilterList, FilterRule
 from .model import PageVisit, TrackerSignature
-from .sitectx import PublicSuffixTable, Relation
-
-log = logging.getLogger(__name__)
+from .sitectx import PublicSuffixTable
 
 ADOPTION_WINDOW = 6
 
@@ -107,12 +99,10 @@ def backward_iterate(
     ``months`` may be any iterable, such as a generator that reads each month
     only when it is reached: nothing of a month but its ``MonthlyDetection``
     and what it added to the pool is kept once the next month is requested.
-    A list is checked for contiguity before any month is run.
+    Each month is checked to directly precede the one before it.
 
     A caller-supplied pool is mutated in place so the accumulated addresses
     can be reused (e.g. by cross_validate)."""
-    if isinstance(months, list):
-        check_descending_contiguous([m.month for m in months])
     if pool is None:
         pool = IpPool()
     declared = {s.tracker_id: list(s.cidr_ranges) for s in sigs if s.cidr_ranges}
@@ -324,46 +314,3 @@ def adoption_windows(
             if not any(bits[i - window:i]) and all(bits[i:i + window]):
                 events.append((pub, tracker, months[i]))
     return events
-
-
-def third_party_trend(
-    months_data: dict[str, MonthDataset],
-    adoptions: list[tuple[str, str, str]],
-    rules: list[FilterRule],
-    psl: PublicSuffixTable,
-    window: int = ADOPTION_WINDOW,
-) -> dict[int, float]:
-    """Mean distinct blocked third-party tracker eTLD+1s per month offset
-    around adoption (offset 0 = adoption month)."""
-    rules = FilterList.of(rules)
-    origins: dict = {}
-    per_offset: dict[int, list[int]] = {o: [] for o in range(-window, window)}
-    month_keys = sorted(months_data)
-    for pub, _tracker, adoption_month in adoptions:
-        base = _month_index(adoption_month)
-        for offset in range(-window, window):
-            month = None
-            for key in month_keys:
-                if _month_index(key) == base + offset:
-                    month = key
-                    break
-            if month is None:
-                continue
-            trackers: set[str] = set()
-            for visit in months_data[month].corpus:
-                site = page_site(visit, psl)
-                if site != pub:
-                    continue
-                for txn, relation in classified_transactions(visit, psl, origins):
-                    if relation is not Relation.CROSS_SITE:
-                        continue
-                    if match_plain(txn.request_url, relation, rules, visit.page_host,
-                                   txn.content_type_class).blocked:
-                        t_site = psl.etld_plus_one_or_none(txn.host)
-                        if t_site:
-                            trackers.add(t_site)
-            per_offset[offset].append(len(trackers))
-    return {
-        o: (sum(vals) / len(vals) if vals else 0.0)
-        for o, vals in sorted(per_offset.items())
-    }

@@ -20,7 +20,7 @@ import logging
 import sys
 
 from .dnsgraph import DnsRecordStore
-from .errors import MalformedHar, SchemaViolation
+from .errors import MalformedHar, SchemaViolation, open_text
 from .model import (
     HttpTransaction,
     IdMarker,
@@ -137,6 +137,7 @@ def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
 
 
 _STR_OR_NULL = (str, type(None))
+_PAGE_ID = (str, int, float)  # a HAR page id or pageref: any JSON scalar that keys a dict
 
 
 def _checked(value, key: str, types, what: str):
@@ -179,7 +180,7 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
     visits: dict[str, PageVisit] = {}
     order: list[str] = []
     memo = _LoadMemo()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -289,53 +290,6 @@ def _ingest_js_cookie(obj, visits, memo: _LoadMemo):
     )
 
 
-def save_crawl_jsonl(visits: list[PageVisit], path):
-    """Serialize visits back to the capture JSONL schema (load fixpoint)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for visit in visits:
-            fh.write(json.dumps({
-                "record_type": "visit",
-                "version": CAPTURE_SCHEMA_VERSION,
-                "visit_id": visit.visit_id,
-                "page_url": visit.page_url,
-                "user_agent": visit.user_agent_label.value,
-                "month": visit.month,
-            }, sort_keys=True) + "\n")
-            for txn in visit.transactions:
-                rec = {
-                    "record_type": "transaction",
-                    "visit_id": visit.visit_id,
-                    "url": txn.request_url,
-                    "method": txn.method,
-                    "request_headers": [list(h) for h in txn.request_headers],
-                    "response_headers": [list(h) for h in txn.response_headers],
-                    "status": txn.status,
-                    "response_size": txn.response_size,
-                    "content_type": None,
-                    "remote_ip": txn.remote_ip,
-                    "initiators": list(txn.initiators),
-                    "post_body": txn.post_body,
-                }
-                rec["content_type"] = {
-                    "script": "application/javascript",
-                    "image": "image/gif",
-                    "html": "text/html",
-                    "video": "video/mp4",
-                    "other": "application/octet-stream",
-                }[txn.content_type_class.value]
-                if txn.post_body_digest:
-                    rec["post_body_digest"] = txn.post_body_digest
-                    rec["post_body_truncated"] = txn.post_body_truncated
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-            for jsc in visit.js_cookie_sets:
-                fh.write(json.dumps({
-                    "record_type": "js_cookie",
-                    "visit_id": visit.visit_id,
-                    "assigned": jsc.assigned_string,
-                    "stack": list(jsc.stack),
-                }, sort_keys=True) + "\n")
-
-
 def _har_headers(message: dict, entry_index: int, memo: _LoadMemo, response: bool):
     """A HAR request's or response's headers, read by ``_read_headers``."""
     headers = message.get("headers", [])
@@ -373,29 +327,35 @@ def _har_initiators(initiator, entry_index: int) -> tuple[str, ...]:
     return tuple(frame["url"] for frame in frames if frame.get("url"))
 
 
-def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = None) -> list[PageVisit]:
+def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
     """Load a HAR 1.2 capture; one PageVisit per page entry."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise MalformedHar(f"not JSON: {exc}")
-    try:
-        har_log = doc["log"]
-        pages = har_log.get("pages", [])
-        entries = har_log["entries"]
-    except (KeyError, TypeError):
+    har_log = doc.get("log") if isinstance(doc, dict) else None
+    if not isinstance(har_log, dict) or "entries" not in har_log:
         raise MalformedHar("missing log/entries structure")
+    pages, entries = har_log.get("pages", []), har_log["entries"]
+    if not isinstance(pages, list):
+        raise MalformedHar("log.pages must be a list")
+    if not isinstance(entries, list):
+        raise MalformedHar("log.entries must be a list")
 
     visits: dict[str, PageVisit] = {}
     order: list[str] = []
     memo = _LoadMemo()
-    for page in pages:
+    for i, page in enumerate(pages):
+        if not isinstance(page, dict):
+            raise MalformedHar(f"page {i}: not an object")
         pid = page.get("id") or f"page_{len(order)}"
+        if not isinstance(pid, _PAGE_ID):
+            raise MalformedHar(f"page {i}: id must be a string or number")
         page_url = page.get("title") or page.get("_url") or ""
         if not isinstance(page_url, str):
             raise MalformedHar(f"page {pid!r}: title/_url must be a string")
-        visit = visits[pid] = PageVisit(page_url=page_url, visit_id=pid, month=month)
+        visit = visits[pid] = PageVisit(page_url=page_url, visit_id=pid)
         if psl and visit.page_host:
             visit.site = psl.etld_plus_one_or_none(visit.page_host)
         order.append(pid)
@@ -410,10 +370,12 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
         if not isinstance(url, str):
             raise MalformedHar("request.url must be a string", entry_index=idx)
         pageref = entry.get("pageref")
+        if not isinstance(pageref, (*_PAGE_ID, type(None))):
+            raise MalformedHar("pageref must be a string or number", entry_index=idx)
         if pageref not in visits:
             if not visits:  # pageless HAR: synthesize one visit per distinct page
                 pageref = "page_0"
-                visits[pageref] = PageVisit(page_url=url, visit_id=pageref, month=month)
+                visits[pageref] = PageVisit(page_url=url, visit_id=pageref)
                 order.append(pageref)
             else:
                 raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
@@ -455,7 +417,10 @@ def load_har(path, psl: PublicSuffixTable | None = None, month: str | None = Non
             raise MalformedHar("serverIPAddress must be a string", entry_index=idx)
         txn.remote_ip = _interned(server_ip or None)
         txn.initiators = _har_initiators(entry.get("_initiator"), idx)
-        timed.append((pageref, idx, txn, entry.get("startedDateTime", "")))
+        started = entry.get("startedDateTime")
+        if not isinstance(started, _STR_OR_NULL):
+            raise MalformedHar("startedDateTime must be a string", entry_index=idx)
+        timed.append((pageref, idx, txn, started or ""))
 
     timed.sort(key=lambda item: (item[3], item[1]))
     for pageref, _idx, txn, _t in timed:
@@ -473,7 +438,7 @@ def load_dns(path) -> DnsRecordStore:
     """Load zdns-style line-delimited JSON into a DnsRecordStore."""
     store = DnsRecordStore()
     add = store.add
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -511,24 +476,9 @@ def load_dns(path) -> DnsRecordStore:
     return store
 
 
-def save_dns_jsonl(store: DnsRecordStore, path):
-    """Serialize a DnsRecordStore back to the DNS JSONL format."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for host in sorted(store.hostnames()):
-            answers = [
-                {"name": host, "type": rec.rr_type, "answer": rec.answer}
-                for rec in store.records(host)
-            ]
-            months = {rec.snapshot_month for rec in store.records(host)}
-            obj = {"name": host, "status": "NOERROR", "answers": answers}
-            if len(months) == 1:
-                (obj["month"],) = months
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-
-
 def load_signatures(path) -> list[TrackerSignature]:
     """Load the tracker signature JSON file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -559,7 +509,7 @@ def load_ranking(path) -> dict[str, int]:
     import csv
 
     ranks: dict[str, int] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), 1):
             if not row or (lineno == 1 and not row[0].strip().isdigit()):
                 continue  # header or blank

@@ -135,9 +135,8 @@ class HttpTransaction:
     def __post_init__(self):
         self.host, self.scheme, self.port, self.path_and_query = split_url(self.request_url)
 
-    def header_values(self, name: str, response: bool = False) -> list[str]:
-        headers = self.response_headers if response else self.request_headers
-        return [v for k, v in headers if k.lower() == name.lower()]
+    def header_values(self, name: str) -> list[str]:
+        return [v for k, v in self.request_headers if k.lower() == name.lower()]
 
     def store_post_body(self, body: str | None):
         """Bound large POST bodies: digest plus a searchable prefix."""

@@ -17,7 +17,7 @@ from .detect import (
     classified_transactions,
     page_site,
 )
-from .errors import SchemaViolation
+from .errors import SchemaViolation, open_text
 from .filterlist import FilterList
 from .leaks import LeakAuditResult, LeakFinding
 from .sitectx import Relation
@@ -60,14 +60,24 @@ def write_manifest(out_dir, inputs: dict[str, str], config: dict):
 
 
 def check_manifest(out_dir) -> bool:
-    """True when every input recorded in the manifest still has its digest."""
+    """True when every input recorded in the manifest still has its digest.
+    Raises SchemaViolation naming the manifest when it is not one."""
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         return True
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    for name, digest in manifest.get("inputs", {}).items():
-        p = manifest.get("input_paths", {}).get(name)
+    with open_text(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
+    inputs = manifest.get("inputs", {}) if isinstance(manifest, dict) else None
+    paths = manifest.get("input_paths", {}) if isinstance(manifest, dict) else None
+    if not (isinstance(inputs, dict) and isinstance(paths, dict)
+            and all(isinstance(p, str) for p in paths.values())):
+        raise SchemaViolation("expected an object with inputs and input_paths objects",
+                              path=str(path))
+    for name, digest in inputs.items():
+        p = paths.get(name)
         if p and Path(p).exists() and sha256_file(p) != digest:
             return False
     return True
@@ -89,7 +99,7 @@ def detection_to_dict(det: PublisherDetection) -> dict:
 def load_detections(path) -> list[PublisherDetection]:
     """Read a publishers.json back into detections; the inverse of
     detection_to_dict.  Raises SchemaViolation naming the detection."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

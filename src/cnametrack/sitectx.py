@@ -1,4 +1,4 @@
-"""Site-context model: registrable domains, origin relations, cookie scoping.
+"""Site-context model: registrable domains, origin relations, cookie parsing.
 
 Registrable-domain extraction follows the public-suffix algorithm
 (https://publicsuffix.org/list/) over a read-only rule table.  Hosts are
@@ -10,10 +10,10 @@ from __future__ import annotations
 import enum
 import ipaddress
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
-from .errors import DomainAttrOutOfScope, HostIsPublicSuffix, InvalidHostname
+from .errors import HostIsPublicSuffix, InvalidHostname, open_text
 
 _LABEL_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$", re.IGNORECASE)
 
@@ -110,7 +110,7 @@ class PublicSuffixTable:
 
     @classmethod
     def from_file(cls, path) -> "PublicSuffixTable":
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             return cls.from_lines(fh)
 
     @classmethod
@@ -209,10 +209,6 @@ class CookieAttributes:
     max_age: int | None = None
 
     @property
-    def host_only(self) -> bool:
-        return self.domain_attr is None
-
-    @property
     def is_session(self) -> bool:
         return self.expires is None and self.max_age is None
 
@@ -245,53 +241,3 @@ def parse_set_cookie(header: str) -> CookieAttributes:
             except ValueError:
                 pass
     return CookieAttributes(**kwargs)
-
-
-def _domain_match(request_host: str, domain: str) -> bool:
-    return request_host == domain or request_host.endswith("." + domain)
-
-
-def _path_match(request_path: str, cookie_path: str) -> bool:
-    if request_path == cookie_path:
-        return True
-    if request_path.startswith(cookie_path):
-        return cookie_path.endswith("/") or request_path[len(cookie_path)] == "/"
-    return False
-
-
-def cookie_attaches(
-    cookie: CookieAttributes,
-    set_on: Origin,
-    request: Origin,
-    relation: Relation,
-    psl: PublicSuffixTable,
-    request_path: str = "/",
-) -> bool:
-    """Would the browser attach this cookie to a subresource request?
-
-    Models domain-match, path-match, the Secure constraint, and SameSite for
-    subresource loads (Lax/Strict both block cross-site; top-level navigation
-    is out of model for crawl data).
-    """
-    if cookie.domain_attr is not None:
-        if not _domain_match(set_on.host, cookie.domain_attr):
-            raise DomainAttrOutOfScope(f"{cookie.domain_attr} not a suffix of {set_on.host}")
-        set_site = psl.etld_plus_one_or_none(set_on.host)
-        attr_site = psl.etld_plus_one_or_none(cookie.domain_attr)
-        if set_site is None or attr_site != set_site:
-            raise DomainAttrOutOfScope(
-                f"{cookie.domain_attr} outside site of {set_on.host}"
-            )
-        if not _domain_match(request.host, cookie.domain_attr):
-            return False
-    else:
-        if request.host != set_on.host:
-            return False
-    if not _path_match(request_path, cookie.path):
-        return False
-    if cookie.secure and request.scheme != "https":
-        return False
-    if cookie.same_site in (SameSitePolicy.LAX, SameSitePolicy.STRICT):
-        if relation is Relation.CROSS_SITE:
-            return False
-    return True

@@ -11,6 +11,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from cnametrack.dnsgraph import resolve_chain
+from cnametrack.errors import CnameCycle
+
 log = logging.getLogger("cnametrack.dnsgraph")
 
 
@@ -56,3 +59,10 @@ class NaiveDnsRecordStore:
 
     def hostnames(self):
         return self._records.keys()
+
+    def chain(self, host: str, max_depth: int = 10):
+        """The host's ``resolve_chain``, unmemoized; None when it cycles."""
+        try:
+            return resolve_chain(host, self, max_depth)
+        except CnameCycle:
+            return None

@@ -11,7 +11,6 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 
-from cnametrack.dnsgraph import PoolMatch
 from cnametrack.errors import InvalidCidr
 
 
@@ -68,13 +67,6 @@ class NaiveIpPool:
             if ip in net:
                 hits.update(e.tracker_id for e in entries)
         return hits
-
-    def lookup(self, addr: str) -> PoolMatch | None:
-        """Tracker owning an address; lexicographic tie-break when several claim it."""
-        hits = self.owners(addr)
-        if not hits:
-            return None
-        return PoolMatch(min(hits), ambiguous=len(hits) > 1)
 
     def contains(self, addr: str, tracker_id: str) -> bool:
         return tracker_id in self.owners(addr)

@@ -364,3 +364,67 @@ class TestFeaturesReport:
         assert err.startswith("error:")
         assert "publishers.json" in err and "detection 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("manifest,message", [
+        ("{", "bad JSON: "),
+        ("[]", "expected an object with inputs and input_paths objects"),
+        ('{"inputs": 5}', "expected an object with inputs and input_paths objects"),
+        ('{"inputs": {"corpus": "x"}, "input_paths": []}',
+         "expected an object with inputs and input_paths objects"),
+        ('{"inputs": {"corpus": "x"}, "input_paths": {"corpus": 5}}',
+         "expected an object with inputs and input_paths objects"),
+    ], ids=["truncated", "array", "inputs-not-object", "paths-not-object", "path-not-string"])
+    def test_report_rejects_corrupt_manifest(self, tmp_path, capsys, manifest, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "publishers.json").write_text(json.dumps({"detections": []}))
+        (out / "manifest.json").write_text(manifest)
+        assert run(["report", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'manifest.json'}: {message}")
+        assert err.count("\n") == 1
+
+
+UNDECODABLE = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("flag", ["corpus", "har", "psl", "dns", "signatures", "ranking",
+                                  "months", "external-dns", "publishers.json", "manifest.json"])
+def test_undecodable_input_exits_1_naming_the_file(world, tmp_path, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(UNDECODABLE)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "publishers.json").write_text(json.dumps({"detections": []}))
+    inputs = {"corpus": world["corpus"], "dns": world["dns"], "signatures": world["signatures"],
+              "months": world["months"]}
+    if flag in ("publishers.json", "manifest.json"):
+        (out / flag).write_bytes(UNDECODABLE)
+        bad, argv = out / flag, ["report"]
+    elif flag == "ranking":
+        argv = ["report", "--ranking", bad]
+    elif flag == "months":
+        argv = ["history", "--months", bad, "--signatures", inputs["signatures"]]
+    elif flag == "external-dns":
+        argv = ["validate", "--external-dns", bad, "--months", inputs["months"],
+                "--signatures", inputs["signatures"]]
+    else:
+        inputs.pop("months")
+        if flag == "har":
+            inputs.pop("corpus")
+        inputs[flag] = bad
+        argv = ["detect", *(a for k, v in inputs.items() for a in (f"--{k}", v))]
+    assert run([*argv, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: invalid start byte\n"
+
+
+@pytest.mark.parametrize("har,message", [
+    ({"log": {"pages": [5], "entries": []}}, "page 0: not an object"),
+    ({"log": {"entries": 5}}, "log.entries must be a list"),
+], ids=["page-not-object", "entries-not-list"])
+def test_malformed_har_structure_exits_1(world, tmp_path, capsys, har, message):
+    path = tmp_path / "capture.har"
+    path.write_text(json.dumps(har))
+    assert run(["detect", "--har", path, "--dns", world["dns"], "--signatures", world["signatures"],
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

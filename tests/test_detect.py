@@ -8,7 +8,6 @@ from naivefeat import naive_features
 from cnametrack.detect import (
     Context,
     Flag,
-    HeuristicThresholds,
     Mechanism,
     candidate_scan,
     detect_publishers,
@@ -177,16 +176,3 @@ class TestCandidatesAndFeatures:
                            pct_requests_sending_cookie=10.0,
                            bucket_count=2, content_type_shares=())
         assert heuristic_flag(fv) is Flag.INCONCLUSIVE
-
-    def test_thresholds_are_tunable(self):
-        from cnametrack.detect import FeatureVector
-
-        fv = FeatureVector(sites=5, hostnames=5, mean_unique_paths_per_site=1.0,
-                           mean_requests_per_site=2.0,
-                           pct_responses_setting_cookie=80.0,
-                           pct_requests_sending_cookie=10.0,
-                           bucket_count=7, content_type_shares=())
-        assert heuristic_flag(fv) is Flag.LIKELY_TRACKER
-        strict = HeuristicThresholds(tracker_min_set_cookie_pct=90.0,
-                                     tracker_max_requests_per_site=1.0)
-        assert heuristic_flag(fv, strict) is not Flag.LIKELY_TRACKER

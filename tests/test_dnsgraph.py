@@ -219,9 +219,9 @@ class TestIpPool:
         pool = IpPool()
         pool.add_range("203.0.113.0/28", "trk")
         pool.add_address("198.51.100.7", "trk", "2020-09")
-        assert pool.lookup("203.0.113.5").tracker_id == "trk"
-        assert pool.lookup("198.51.100.7").tracker_id == "trk"
-        assert pool.lookup("8.8.8.8") is None
+        assert pool.owners("203.0.113.5") == {"trk"}
+        assert pool.owners("198.51.100.7") == {"trk"}
+        assert pool.owners("8.8.8.8") == set()
         assert pool.contains("203.0.113.5", "trk")
         assert not pool.contains("203.0.113.5", "other")
 
@@ -241,13 +241,12 @@ class TestIpPool:
         pool.add_range("203.0.113.0/28", "trk")
         assert pool.summary() == {"trk": {"singles": 0, "ranges": 1}}
 
-    def test_cross_tracker_ambiguity_tiebreak(self):
+    def test_cross_tracker_address_has_every_owner(self):
         pool = IpPool()
         pool.add_range("203.0.113.0/24", "zeta")
         pool.add_address("203.0.113.5", "alpha")
-        match = pool.lookup("203.0.113.5")
-        assert match.tracker_id == "alpha"  # lexicographic tie-break
-        assert match.ambiguous
+        assert pool.owners("203.0.113.5") == {"alpha", "zeta"}
+        assert pool.owners("203.0.113.6") == {"zeta"}
 
     def test_first_seen_keeps_earliest_month(self):
         pool = IpPool()
@@ -362,7 +361,6 @@ class TestIpPoolAgainstReference:
         assert _pool_state(pool) == _pool_state(ref)
         for addr in probes:
             assert pool.owners(addr) == ref.owners(addr)
-            assert pool.lookup(addr) == ref.lookup(addr)
             assert all(pool.contains(addr, t) == ref.contains(addr, t) for t in "abc")
 
     @settings(max_examples=300, deadline=None)
@@ -417,11 +415,10 @@ class _Messages(logging.Handler):
 
 
 def _store_view(store):
-    """Everything a store answers, with records as plain tuples."""
+    """Everything a store answers: its hostnames, and each host's CNAME
+    target, addresses, membership and chain."""
     hosts = list(store.hostnames())
-    return hosts, {h: ([tuple(r) if isinstance(r, tuple) else (r.rr_type, r.answer, r.snapshot_month)
-                        for r in store.records(h)],
-                       store.cname_target(h), store.a_records(h), h in store)
+    return hosts, {h: (store.cname_target(h), store.a_records(h), h in store, store.chain(h))
                    for h in hosts + _DNS_HOSTS + ["absent.example"]}
 
 
@@ -452,8 +449,10 @@ class TestDnsRecordStoreAgainstReference:
                ("a.shop.com", "CNAME", "y.trk.net", "2020-10"),  # differs: dropped, warned
                ("a.shop.com", "CNAME", "y.trk.net", "2020-09")]  # another month: kept
         (hosts, view), messages = _run_ops(DnsRecordStore(), ops)
-        assert view["a.shop.com"][0] == [("CNAME", "x.trk.net", "2020-10"),
-                                         ("CNAME", "y.trk.net", "2020-09")]
+        assert hosts == ["a.shop.com"]
+        assert view["a.shop.com"][0] == "x.trk.net"
+        assert view["a.shop.com"][3].hops == ("x.trk.net",)
+        # the 2020-09 CNAME is a first for its month, so it draws no warning
         assert messages == ["multiple CNAME answers for a.shop.com (2020-10); keeping first"]
 
     @pytest.mark.parametrize("seed", range(20))

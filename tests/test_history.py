@@ -24,7 +24,6 @@ from cnametrack.history import (
     external_trackers,
     host_paths,
     is_month,
-    third_party_trend,
 )
 from cnametrack.ingest import load_crawl_jsonl, load_dns, load_signatures
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
@@ -262,15 +261,6 @@ class TestStreaming:
         months = (MonthDataset(m, [], DnsRecordStore()) for m in ("2020-10", "2020-09", "2020-09"))
         with pytest.raises(NonContiguousMonths, match=r"2020-09 -> 2020-09 .*\(duplicate 2020-09\)"):
             backward_iterate(months, [], psl)
-
-    def test_list_checked_before_any_month_runs(self, psl):
-        pool = IpPool()
-        store = DnsRecordStore()
-        store.add("m.shop.com", "A", "198.51.100.1")
-        months = [MonthDataset("2020-10", [], store), MonthDataset("2020-08", [], DnsRecordStore())]
-        with pytest.raises(NonContiguousMonths):
-            backward_iterate(months, corpusgen_signatures(), psl, pool=pool)
-        assert pool.summary() == IpPool().summary()
 
     @pytest.mark.parametrize("value,ok", [
         ("2020-01", True), ("1999-12", True), ("0000-10", True),
@@ -542,26 +532,3 @@ class TestAdoptionWindows:
             }
             monthly = synthetic_monthly(presence, months)
             assert adoption_windows(monthly) == brute_force_adoptions(presence, months)
-
-
-class TestThirdPartyTrend:
-    def test_mean_blocked_third_parties_around_adoption(self, tmp_path, psl):
-        from cnametrack.filterlist import parse_rule
-
-        months = months_range(12)
-        months_data = {}
-        for i, month in enumerate(months):
-            records = [corpusgen.visit_record(f"v{i}", "https://www.shop.com/",
-                                              month=month)]
-            if i < 6:  # third-party tracker present before adoption only
-                records.append(corpusgen.txn_record(
-                    f"v{i}", "https://cdn.adnet.example/pixel.gif"))
-            path = corpusgen.write_jsonl(records, tmp_path / f"t{month}.jsonl")
-            months_data[month] = MonthDataset(
-                month, load_crawl_jsonl(path, psl), DnsRecordStore())
-        rules = [parse_rule("||adnet.example^")]
-        trend = third_party_trend(months_data,
-                                  [("shop.com", "trk", months[6])], rules, psl)
-        assert set(trend) == set(range(-6, 6))
-        assert all(trend[o] == 1.0 for o in range(-6, 0))
-        assert all(trend[o] == 0.0 for o in range(0, 6))

@@ -1,5 +1,5 @@
-"""Loader tests: capture JSONL (with save/load fixpoint), HAR 1.2, DNS
-snapshots, signatures and rankings."""
+"""Loader tests: capture JSONL, HAR 1.2, DNS snapshots, signatures and
+rankings."""
 
 import json
 
@@ -13,8 +13,6 @@ from cnametrack.ingest import (
     load_har,
     load_ranking,
     load_signatures,
-    save_crawl_jsonl,
-    save_dns_jsonl,
 )
 from cnametrack.model import ContentClass, UaLabel
 
@@ -67,14 +65,6 @@ class TestCaptureJsonl:
         jsc = v1.js_cookie_sets[0]
         assert jsc.parsed.name == "js1"
         assert jsc.script_origin == "cdn.widgets.net"
-
-    def test_save_load_fixpoint(self, capture_path, psl, tmp_path):
-        visits = load_crawl_jsonl(capture_path, psl)
-        out1 = tmp_path / "out1.jsonl"
-        out2 = tmp_path / "out2.jsonl"
-        save_crawl_jsonl(visits, out1)
-        save_crawl_jsonl(load_crawl_jsonl(out1, psl), out2)
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_duplicate_visit_id(self, tmp_path):
         path = corpusgen.write_jsonl([
@@ -241,12 +231,17 @@ class TestCaptureJsonl:
         assert txn.post_body_truncated
         assert len(txn.post_body) == 64 * 1024
         assert txn.post_body_digest
-        # digest and flag survive a save/load cycle
-        out = tmp_path / "o.jsonl"
-        save_crawl_jsonl(load_crawl_jsonl(path, psl), out)
-        txn2 = load_crawl_jsonl(out, psl)[0].transactions[0]
-        assert (txn2.post_body_digest, txn2.post_body_truncated) == (
-            txn.post_body_digest, True)
+        # digest and flag survive a save/load cycle: a record that declares
+        # them keeps both as given
+        for flag in (True, False):
+            rec = corpusgen.txn_record("v1", "https://a.com/x", method="POST",
+                                       post_body=txn.post_body)
+            rec.update(post_body_digest=txn.post_body_digest, post_body_truncated=flag)
+            out = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                        tmp_path / "o.jsonl")
+            txn2 = load_crawl_jsonl(out, psl)[0].transactions[0]
+            assert (txn2.post_body, txn2.post_body_digest, txn2.post_body_truncated) == (
+                txn.post_body, txn.post_body_digest, flag)
 
 
 class TestHar:
@@ -311,6 +306,38 @@ class TestHar:
     def test_missing_entries(self, tmp_path):
         with pytest.raises(MalformedHar):
             load_har(self._har(tmp_path, {"log": {}}))
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"log": {"pages": [5], "entries": []}}, "page 0: not an object"),
+        ({"log": {"pages": [{"id": "p1"}, "p2"], "entries": []}}, "page 1: not an object"),
+        ({"log": {"pages": {"id": "p1"}, "entries": []}}, "log.pages must be a list"),
+        ({"log": {"entries": 5}}, "log.entries must be a list"),
+        ({"log": {"entries": {"request": {}}}}, "log.entries must be a list"),
+        ({"log": 5}, "missing log/entries structure"),
+        ([], "missing log/entries structure"),
+        ({"log": {"pages": [{"id": ["p1"]}], "entries": []}}, "page 0: id must be a string or number"),
+        ({"log": {"entries": [{"pageref": {}, "request": {"url": "https://a.com/"}}]}},
+         "entry 0: pageref must be a string or number"),
+    ], ids=["page-int", "second-page-string", "pages-object", "entries-int", "entries-object",
+            "log-int", "doc-array", "page-id-array", "pageref-object"])
+    def test_malformed_structure(self, tmp_path, doc, message):
+        with pytest.raises(MalformedHar) as exc:
+            load_har(self._har(tmp_path, doc))
+        assert str(exc.value) == message
+
+    def test_non_string_start_time_names_entry(self, tmp_path):
+        entries = [{"pageref": "p1", "startedDateTime": "2020-10-01T00:00:00Z",
+                    "request": {"url": "https://a.com/x"}},
+                   {"pageref": "p1", "startedDateTime": 5, "request": {"url": "https://a.com/y"}}]
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}], "entries": entries}}
+        with pytest.raises(MalformedHar, match="entry 1: startedDateTime must be a string"):
+            load_har(self._har(tmp_path, doc))
+
+    def test_numeric_page_ids_still_key_their_entries(self, tmp_path):
+        doc = {"log": {"pages": [{"id": 1, "title": "https://a.com/"}],
+                       "entries": [{"pageref": 1, "request": {"url": "https://a.com/x"}}]}}
+        (visit,) = load_har(self._har(tmp_path, doc))
+        assert visit.visit_id == 1 and len(visit.transactions) == 1
 
     def test_content_type_header_wins_over_post_mime_type(self, tmp_path):
         entries = [{"pageref": "p1", "startedDateTime": "1",
@@ -469,16 +496,6 @@ class TestDns:
         store = load_dns(path)
         assert store.cname_target("m.shop.com") == "t.trk.net"
         assert set(store.a_records("t.trk.net")) == {"203.0.113.7", "2001:db8::1"}
-
-    def test_save_load_fixpoint(self, tmp_path):
-        path = corpusgen.write_jsonl(
-            [corpusgen.dns_line("a.test", [("a.test", "CNAME", "b.test")], "2020-09"),
-             corpusgen.dns_line("b.test", [("b.test", "A", "192.0.2.1")], "2020-09")],
-            tmp_path / "dns.jsonl")
-        out1, out2 = tmp_path / "o1.jsonl", tmp_path / "o2.jsonl"
-        save_dns_jsonl(load_dns(path), out1)
-        save_dns_jsonl(load_dns(out1), out2)
-        assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_name(self, tmp_path):
         path = corpusgen.write_jsonl([{"answers": []}], tmp_path / "dns.jsonl")

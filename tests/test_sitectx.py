@@ -1,5 +1,5 @@
-"""Site-context tests: public-suffix conformance, origin relations, cookie
-parsing and attachment semantics."""
+"""Site-context tests: public-suffix conformance, origin relations and cookie
+parsing."""
 
 import re
 from pathlib import Path
@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnametrack.errors import (
-    DomainAttrOutOfScope,
-    HostIsPublicSuffix,
-    InvalidHostname,
-)
+from cnametrack.errors import HostIsPublicSuffix, InvalidHostname
 from cnametrack.sitectx import (
     CookieAttributes,
     Origin,
@@ -20,7 +16,6 @@ from cnametrack.sitectx import (
     Relation,
     SameSitePolicy,
     classify_relation,
-    cookie_attaches,
     parse_set_cookie,
     validate_host,
 )
@@ -154,12 +149,11 @@ class TestSetCookieParsing:
             secure=True, same_site=SameSitePolicy.LAX,
             expires="Wed, 01 Jan 2031 00:00:00 GMT",
         )
-        assert not c.host_only
         assert not c.is_session
 
     def test_minimal_is_host_only_session(self):
         c = parse_set_cookie("sid=xyz")
-        assert c.host_only and c.is_session and c.path == "/"
+        assert c.domain_attr is None and c.is_session and c.path == "/"
 
     def test_max_age_counts_as_persistent(self):
         assert not parse_set_cookie("a=b; Max-Age=3600").is_session
@@ -167,58 +161,6 @@ class TestSetCookieParsing:
     def test_value_with_equals_sign(self):
         c = parse_set_cookie("tok=a=b=c; Path=/")
         assert c.value == "a=b=c"
-
-
-class TestCookieAttachment:
-    def _ctx(self, psl):
-        set_on = Origin.from_url("https://www.example.com/")
-        same_site_req = Origin.from_url("https://metrics.example.com/")
-        cross_req = Origin.from_url("https://tracker.example.net/")
-        return set_on, same_site_req, cross_req
-
-    def test_host_only_not_sent_to_sibling(self, psl):
-        set_on, sib, _ = self._ctx(psl)
-        c = parse_set_cookie("a=0123456789")
-        assert not cookie_attaches(c, set_on, sib, Relation.SAME_SITE, psl)
-        assert cookie_attaches(c, set_on, set_on, Relation.SAME_ORIGIN, psl)
-
-    def test_domain_attr_widens_to_site(self, psl):
-        set_on, sib, _ = self._ctx(psl)
-        c = parse_set_cookie("a=0123456789; Domain=example.com")
-        assert cookie_attaches(c, set_on, sib, Relation.SAME_SITE, psl)
-
-    def test_out_of_scope_domain_attr_raises(self, psl):
-        set_on, sib, _ = self._ctx(psl)
-        c = parse_set_cookie("a=1; Domain=other.com")
-        with pytest.raises(DomainAttrOutOfScope):
-            cookie_attaches(c, set_on, sib, Relation.SAME_SITE, psl)
-
-    def test_public_suffix_domain_attr_raises(self, psl):
-        set_on = Origin.from_url("https://www.example.com/")
-        c = parse_set_cookie("a=1; Domain=com")
-        with pytest.raises(DomainAttrOutOfScope):
-            cookie_attaches(c, set_on, set_on, Relation.SAME_ORIGIN, psl)
-
-    def test_secure_blocks_http(self, psl):
-        set_on = Origin.from_url("https://www.example.com/")
-        http_req = Origin.from_url("http://www.example.com/")
-        c = parse_set_cookie("a=1; Secure")
-        assert not cookie_attaches(c, set_on, http_req, Relation.SAME_SITE, psl)
-
-    @pytest.mark.parametrize("policy", ["Lax", "Strict"])
-    def test_samesite_blocks_cross_site_subresource(self, psl, policy):
-        set_on = Origin.from_url("https://www.example.com/")
-        c = parse_set_cookie(f"a=1; Domain=example.com; SameSite={policy}")
-        assert not cookie_attaches(c, set_on, set_on, Relation.CROSS_SITE, psl)
-        assert cookie_attaches(c, set_on, set_on, Relation.SAME_SITE, psl)
-
-    def test_path_match(self, psl):
-        set_on = Origin.from_url("https://www.example.com/")
-        c = parse_set_cookie("a=1; Path=/app")
-        assert cookie_attaches(c, set_on, set_on, Relation.SAME_ORIGIN, psl,
-                               request_path="/app/page")
-        assert not cookie_attaches(c, set_on, set_on, Relation.SAME_ORIGIN, psl,
-                                   request_path="/application")
 
 
 # --- property tests -----------------------------------------------------------
@@ -245,14 +187,3 @@ def test_relation_symmetric_and_reflexive(a, b, scheme):
     oa, ob = Origin(scheme, a), Origin(scheme, b)
     assert classify_relation(oa, oa, psl) is Relation.SAME_ORIGIN
     assert classify_relation(oa, ob, psl) is classify_relation(ob, oa, psl)
-
-
-@settings(max_examples=100)
-@given(host=_HOSTS, policy=st.sampled_from([SameSitePolicy.LAX, SameSitePolicy.STRICT]))
-def test_samesite_cookie_never_attaches_cross_site(host, policy):
-    psl = PublicSuffixTable.bundled()
-    set_on = Origin("https", host)
-    cookie = CookieAttributes(name="x", value="y", domain_attr=psl.etld_plus_one(host),
-                              same_site=policy)
-    req = Origin("https", psl.etld_plus_one(host))
-    assert not cookie_attaches(cookie, set_on, req, Relation.CROSS_SITE, psl)
