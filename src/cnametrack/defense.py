@@ -27,12 +27,6 @@ from .sitectx import Relation
 log = logging.getLogger(__name__)
 
 
-class Defense(enum.Enum):
-    PLAIN = "plain"
-    UNCLOAKED = "uncloaked"
-    SINKHOLE = "sinkhole"
-
-
 class Verdict(enum.Enum):
     BLOCKED = "blocked"
     ALLOWED = "allowed"
@@ -41,10 +35,8 @@ class Verdict(enum.Enum):
 @dataclass(frozen=True)
 class BlockDecision:
     verdict: Verdict
-    defense: Defense
     matched_rule: FilterRule | None = None
     matched_domain: str | None = None  # sinkhole: the listed domain that hit
-    uncloak_cache_hit: bool = False
     dns_missing: bool = False
 
     @property
@@ -94,11 +86,11 @@ def match_plain(url: str, relation: Relation, rules: Iterable[FilterRule],
     matched = next((rule for rule in rules.candidates(tokens)
                     if rule.matches(url, relation, page_host, content)), None)
     if matched is None:
-        return BlockDecision(Verdict.ALLOWED, Defense.PLAIN)
+        return BlockDecision(Verdict.ALLOWED)
     for rule in rules.candidates(tokens, exceptions=True):
         if rule.matches(url, relation, page_host, content):
-            return BlockDecision(Verdict.ALLOWED, Defense.PLAIN, matched_rule=rule)
-    return BlockDecision(Verdict.BLOCKED, Defense.PLAIN, matched_rule=matched)
+            return BlockDecision(Verdict.ALLOWED, matched_rule=rule)
+    return BlockDecision(Verdict.BLOCKED, matched_rule=matched)
 
 
 def _substitute_host(url: str, new_host: str) -> str:
@@ -123,22 +115,18 @@ def match_uncloaked(
     rules = FilterList.of(rules)
     plain = match_plain(url, relation, rules, page_host, content)
     if plain.blocked:
-        return BlockDecision(Verdict.BLOCKED, Defense.UNCLOAKED, matched_rule=plain.matched_rule)
+        return plain
     host = (urlsplit(url).hostname or "").lower()
     if not host:
-        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED)
+        return BlockDecision(Verdict.ALLOWED)
     entry = cache.get(host)
-    hit = entry is not None
-    if not hit:
+    if entry is None:
         entry = _last_hop(host, dns, max_depth)
         cache.put(host, entry)
     last_hop, dns_missing = entry
     if last_hop is None:
-        return BlockDecision(Verdict.ALLOWED, Defense.UNCLOAKED, uncloak_cache_hit=hit,
-                             dns_missing=dns_missing)
-    re_match = match_plain(_substitute_host(url, last_hop), relation, rules, page_host, content)
-    return BlockDecision(re_match.verdict, Defense.UNCLOAKED, matched_rule=re_match.matched_rule,
-                         uncloak_cache_hit=hit)
+        return BlockDecision(Verdict.ALLOWED, dns_missing=dns_missing)
+    return match_plain(_substitute_host(url, last_hop), relation, rules, page_host, content)
 
 
 def _last_hop(host: str, dns: DnsRecordStore, max_depth: int) -> tuple[str | None, bool]:
@@ -181,13 +169,13 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[st
     hostname = hostname.lower().rstrip(".")
     hit = domains.hit(hostname)
     if hit:
-        return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
+        return BlockDecision(Verdict.BLOCKED, matched_domain=hit)
     chain = dns.chain(hostname, max_depth)
     for hop in chain.hops if chain is not None else ():
         hit = domains.hit(hop)
         if hit:
-            return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
-    return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
+            return BlockDecision(Verdict.BLOCKED, matched_domain=hit)
+    return BlockDecision(Verdict.ALLOWED)
 
 
 def pure_domain_rules(rules: list[FilterRule]) -> list[str]:

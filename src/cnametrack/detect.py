@@ -16,7 +16,7 @@ from .dnsgraph import (
     uncloaked_target,
 )
 from .errors import InvalidHostname
-from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature
+from .model import HttpTransaction, PageVisit, TrackerSignature
 from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation
 
 log = logging.getLogger(__name__)
@@ -52,7 +52,6 @@ class CandidateAggregate:
     total_requests: int = 0
     requests_sending_cookie: int = 0
     responses_setting_cookie: int = 0
-    content_type_counts: dict[ContentClass, int] = field(default_factory=dict)
     response_size_buckets: set[int] = field(default_factory=set)
 
     @property
@@ -73,8 +72,6 @@ class CandidateAggregate:
             self.requests_sending_cookie += 1
         if txn.set_cookies:
             self.responses_setting_cookie += 1
-        cls = txn.content_type_class
-        self.content_type_counts[cls] = self.content_type_counts.get(cls, 0) + 1
         self.response_size_buckets.add(txn.response_size // RESPONSE_SIZE_BUCKET)
 
 
@@ -87,7 +84,6 @@ class FeatureVector:
     pct_responses_setting_cookie: float
     pct_requests_sending_cookie: float
     bucket_count: int
-    content_type_shares: tuple[tuple[str, float], ...]
 
 
 # advisory cut-offs for the assisted-detection heuristic
@@ -281,11 +277,6 @@ def extract_features(agg: CandidateAggregate) -> FeatureVector:
     """Summarize a candidate aggregate into the assisted-detection features."""
     nsites = max(agg.site_count, 1)
     total = max(agg.total_requests, 1)
-    shares = tuple(
-        (cls.value, agg.content_type_counts.get(cls, 0) / total)
-        for cls in ContentClass
-        if agg.content_type_counts.get(cls, 0)
-    )
     return FeatureVector(
         sites=agg.site_count,
         hostnames=agg.hostname_count,
@@ -294,7 +285,6 @@ def extract_features(agg: CandidateAggregate) -> FeatureVector:
         pct_responses_setting_cookie=100.0 * agg.responses_setting_cookie / total,
         pct_requests_sending_cookie=100.0 * agg.requests_sending_cookie / total,
         bucket_count=len(agg.response_size_buckets),
-        content_type_shares=shares,
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import ipaddress
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import CnameCycle, InvalidCidr
 from .sitectx import PublicSuffixTable
@@ -164,54 +164,40 @@ class NetworkIndex:
                 for value in table.get(n & mask, ())]
 
 
-@dataclass
-class _PoolEntry:
-    tracker_id: str
-    first_seen: str | None  # YYYY-MM; lexicographic order == chronological
-
-
 class IpPool:
-    """Accumulated tracker addresses: single IPs plus CIDR ranges, with provenance."""
+    """Accumulated tracker addresses: single IPs plus CIDR ranges, each with
+    the set of tracker ids that hold it."""
 
     def __init__(self):
-        self._singles: dict[ipaddress._BaseAddress, list[_PoolEntry]] = {}
-        self._ranges: dict[ipaddress._BaseNetwork, list[_PoolEntry]] = {}
-        self._range_index = NetworkIndex()  # each range's entry list, by network
+        self._singles: dict[ipaddress._BaseAddress, set[str]] = {}
+        self._ranges: dict[ipaddress._BaseNetwork, set[str]] = {}
+        self._range_index = NetworkIndex()  # each range's id set, by network
 
-    def _upsert(self, entries: list[_PoolEntry], tracker_id: str, month: str | None):
-        for e in entries:
-            if e.tracker_id == tracker_id:
-                if month is not None and (e.first_seen is None or month < e.first_seen):
-                    e.first_seen = month
-                return
-        entries.append(_PoolEntry(tracker_id, month))
-
-    def add_range(self, cidr: str, tracker_id: str, month: str | None = None):
+    def add_range(self, cidr: str, tracker_id: str):
         try:
             net = ipaddress.ip_network(cidr, strict=False)
         except ValueError as exc:
             raise InvalidCidr(str(exc)) from exc
-        entries = self._ranges.get(net)
-        if entries is None:
-            entries = self._ranges[net] = []
-            self._range_index.add(net, entries)
-        held = any(e.tracker_id == tracker_id for e in entries)
-        self._upsert(entries, tracker_id, month)
-        if held:  # by the invariant below, no single of this tracker is in the range
+        ids = self._ranges.get(net)
+        if ids is None:
+            ids = self._ranges[net] = set()
+            self._range_index.add(net, ids)
+        if tracker_id in ids:  # by the invariant below, no single of this tracker is in the range
             return
+        ids.add(tracker_id)
         # keep the no-single-covered-by-own-range invariant
         for addr in [a for a in self._singles if a in net]:
-            entries = self._singles[addr]
-            entries[:] = [e for e in entries if e.tracker_id != tracker_id]
-            if not entries:
+            owners = self._singles[addr]
+            owners.discard(tracker_id)
+            if not owners:
                 del self._singles[addr]
 
-    def add_address(self, addr: str, tracker_id: str, month: str | None = None):
+    def add_address(self, addr: str, tracker_id: str):
         ip = ipaddress.ip_address(addr)
-        for entries in self._range_index.lookup(ip):
-            if any(e.tracker_id == tracker_id for e in entries):
+        for ids in self._range_index.lookup(ip):
+            if tracker_id in ids:
                 return  # already covered by this tracker's range
-        self._upsert(self._singles.setdefault(ip, []), tracker_id, month)
+        self._singles.setdefault(ip, set()).add(tracker_id)
 
     def owners(self, addr: str | ipaddress.IPv4Address | ipaddress.IPv6Address) -> set[str]:
         """Tracker ids holding an address (a string, or one already parsed),
@@ -223,9 +209,9 @@ class IpPool:
                 return set()
         else:
             ip = addr
-        hits = {e.tracker_id for e in self._singles.get(ip, ())}
-        for entries in self._range_index.lookup(ip):
-            hits.update(e.tracker_id for e in entries)
+        hits = set(self._singles.get(ip, ()))
+        for ids in self._range_index.lookup(ip):
+            hits |= ids
         return hits
 
     def contains(self, addr: str, tracker_id: str) -> bool:
@@ -234,12 +220,10 @@ class IpPool:
     def summary(self) -> dict:
         """Deterministic snapshot for reports: per-tracker single/range counts."""
         per: dict[str, dict[str, int]] = {}
-        for entries in self._singles.values():
-            for e in entries:
-                per.setdefault(e.tracker_id, {"singles": 0, "ranges": 0})["singles"] += 1
-        for entries in self._ranges.values():
-            for e in entries:
-                per.setdefault(e.tracker_id, {"singles": 0, "ranges": 0})["ranges"] += 1
+        for kind, held in (("singles", self._singles), ("ranges", self._ranges)):
+            for ids in held.values():
+                for tracker_id in ids:
+                    per.setdefault(tracker_id, {"singles": 0, "ranges": 0})[kind] += 1
         return dict(sorted(per.items()))
 
 
@@ -248,7 +232,6 @@ def accumulate_ips(
     store: DnsRecordStore,
     declared_ranges: dict[str, list[str]],
     pool: IpPool,
-    month: str | None = None,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> IpPool:
     """Fold terminal addresses of confirmed tracking hosts into the pool.
@@ -260,9 +243,9 @@ def accumulate_ips(
     """
     for tracker_id, cidrs in sorted(declared_ranges.items()):
         for cidr in cidrs:
-            pool.add_range(cidr, tracker_id, month)
+            pool.add_range(cidr, tracker_id)
     for host, tracker_id in sorted(confirmed_hosts.items()):
         chain = store.chain(host, max_depth)
         for ip in chain.terminal_ips if chain is not None else ():
-            pool.add_address(ip, tracker_id, month)
+            pool.add_address(ip, tracker_id)
     return pool

@@ -32,10 +32,11 @@ class InvalidCidr(CnametrackError):
 class MalformedHar(CnametrackError):
     """HAR file violates the expected 1.2 structure."""
 
-    def __init__(self, message: str, entry_index: int | None = None):
+    def __init__(self, message: str, entry_index: int | None = None, path: str | None = None):
+        self.reason = message
         if entry_index is not None:
             message = f"entry {entry_index}: {message}"
-        super().__init__(message)
+        super().__init__(f"{path}: {message}" if path is not None else message)
         self.entry_index = entry_index
 
 

@@ -283,10 +283,7 @@ class FilterList(Sequence):
 @dataclass
 class FilterListStats:
     rules: int = 0
-    comments: int = 0
-    cosmetic: int = 0
     inert: int = 0
-    unparseable: int = 0
 
 
 def load_filter_list(path) -> tuple[FilterList, FilterListStats]:
@@ -297,14 +294,11 @@ def load_filter_list(path) -> tuple[FilterList, FilterListStats]:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("!") or line.startswith("["):
-                stats.comments += 1
-                continue
+                continue  # blank, comment or header
             if "##" in line or "#@#" in line or "#?#" in line:
-                stats.cosmetic += 1
-                continue
+                continue  # cosmetic
             rule = parse_rule(line)
             if rule is None:
-                stats.unparseable += 1
                 log.debug("%s:%d: unparseable rule %r", path, lineno, line)
                 continue
             if rule.inert:

@@ -122,7 +122,7 @@ def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, war
     """One month of ``backward_iterate``: fold the addresses that already
     confirmed tracking domains resolve to this month into the pool, detect,
     then grow the pool and ``confirmed`` from this month's detections."""
-    accumulate_ips(confirmed, month_ds.dns, declared, pool, month_ds.month, max_depth)
+    accumulate_ips(confirmed, month_ds.dns, declared, pool, max_depth)
     detections = detect_publishers(
         month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
         warned_cycles=warned_cycles,
@@ -133,10 +133,10 @@ def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, war
     for det, _ref, _visit, txn in evidence_transactions(month_ds.corpus, detections):
         if txn.remote_ip:
             try:
-                pool.add_address(txn.remote_ip, det.tracker_id, month_ds.month)
+                pool.add_address(txn.remote_ip, det.tracker_id)
             except ValueError:
                 pass
-    accumulate_ips(new_hosts, month_ds.dns, {}, pool, month_ds.month, max_depth)
+    accumulate_ips(new_hosts, month_ds.dns, {}, pool, max_depth)
     confirmed.update(new_hosts)
     return MonthlyDetection(month_ds.month, detections, pool.summary())
 

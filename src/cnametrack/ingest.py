@@ -8,9 +8,14 @@ docs/formats.md.
 A corpus repeats its cookies: the same first-party ``Cookie`` header goes out
 on many requests of a visit and the same ``Set-Cookie`` answers recur from
 page to page.  So each corpus load keeps one ``_LoadMemo`` through which
-equal header pairs, ``Cookie`` headers and ``Set-Cookie`` / ``document.cookie``
+equal cookie pairs, ``Cookie`` headers and ``Set-Cookie`` / ``document.cookie``
 strings are parsed once and shared by identity; the records are immutable
 tuples and frozen ``CookieAttributes``, so sharing is safe.
+
+Input fields that no stage reads (a request's method, its status, headers
+other than ``Cookie``, ``Content-Type`` and ``Set-Cookie``, a declared POST
+digest, a visit's month, a signature's ``id_markers`` and ``notes``) are
+type-checked as before and then dropped.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from .dnsgraph import DnsRecordStore
 from .errors import MalformedHar, SchemaViolation, open_text
 from .model import (
     HttpTransaction,
-    IdMarker,
     JsCookieSet,
     PageVisit,
     TrackerSignature,
@@ -58,9 +62,9 @@ def _parse_cookie_header(value: str) -> list[tuple[str, str]]:
 class _LoadMemo:
     """The values one load call shares between its records.
 
-    Each distinct ``(name, value)`` header or cookie pair, raw ``Cookie``
-    header and ``Set-Cookie`` or ``document.cookie`` string is built once,
-    and an equal input later in the same load gets the same object back.
+    Each distinct ``(name, value)`` cookie pair, raw ``Cookie`` header and
+    ``Set-Cookie`` or ``document.cookie`` string is built once, and an
+    equal input later in the same load gets the same object back.
     Everything stored is immutable (tuples of strings, frozen
     ``CookieAttributes``), so only identity is shared; the memo is dropped
     with the load call."""
@@ -94,19 +98,17 @@ class _LoadMemo:
 
 
 def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
-    """(pairs, derived, content_type) from a header list, or None when an
-    element is not a string pair (HAR: an object with ``name`` and ``value``;
-    JSONL: a two-element list).  The pass that validates the pairs derives
-    the request's cookies and first Content-Type, or the response's
-    Set-Cookie records (``content_type`` is then None).  The pairs and the
-    derived records are tuples of values shared through ``memo``; no
-    headers give ``()``."""
+    """(derived, content_type, user_agent) from a header list, or None when
+    an element is not a string pair (HAR: an object with ``name`` and
+    ``value``; JSONL: a two-element list).  The pass that validates the
+    pairs derives the request's cookies, first Content-Type and first
+    User-Agent, or the response's Set-Cookie records (the other two are then
+    None).  The derived records are tuples of values shared through
+    ``memo``; no headers give ``()``.  The pairs themselves are not kept."""
     if not headers:
-        return (), (), None
-    pair = memo.pair
-    pairs = []
+        return (), None, None
     derived = []
-    content_type = None
+    content_type = user_agent = None
     for h in headers:
         if har:
             if not isinstance(h, dict):
@@ -118,9 +120,6 @@ def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
             return None
         if not (isinstance(name, str) and isinstance(value, str)):
             return None
-        shared = pair(name, value)
-        pairs.append(shared)
-        name, value = shared
         key = name.lower()
         if response:
             if key == "set-cookie":
@@ -129,11 +128,13 @@ def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
             derived.append(memo.cookie_header(value))
         elif key == "content-type" and content_type is None:
             content_type = value
+        elif key == "user-agent" and user_agent is None:
+            user_agent = value
     if response:
-        return tuple(pairs), tuple(derived), None
+        return tuple(derived), None, None
     # a single Cookie header, the usual case, keeps its shared tuple
     cookies = derived[0] if len(derived) == 1 else tuple(c for cs in derived for c in cs)
-    return tuple(pairs), cookies, content_type
+    return cookies, content_type, user_agent
 
 
 _STR_OR_NULL = (str, type(None))
@@ -211,16 +212,14 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
 def _ingest_visit(obj, visits, order, psl):
     version = obj.get("version", CAPTURE_SCHEMA_VERSION)
     if version != CAPTURE_SCHEMA_VERSION:
-        raise SchemaViolation(f"unsupported capture version {version}")
-    visit_id = obj["visit_id"]
+        raise SchemaViolation(f"unsupported capture version {version!r}")
+    visit_id = _checked(obj["visit_id"], "visit_id", str, "a string")
     if visit_id in visits:
         raise SchemaViolation(f"duplicate visit_id {visit_id!r}")
-    visit = PageVisit(
-        page_url=_checked(obj["page_url"], "page_url", str, "a string"),
-        visit_id=visit_id,
-        user_agent_label=_ua_label(obj.get("user_agent")),
-        month=_checked(obj.get("month"), "month", _STR_OR_NULL, "a string or null"),
-    )
+    page_url = _checked(obj["page_url"], "page_url", str, "a string")
+    user_agent = _checked(obj.get("user_agent"), "user_agent", _STR_OR_NULL, "a string or null")
+    _checked(obj.get("month"), "month", _STR_OR_NULL, "a string or null")  # checked, not kept
+    visit = PageVisit(page_url=page_url, visit_id=visit_id, user_agent_label=_ua_label(user_agent))
     if psl:
         visit.site = psl.etld_plus_one_or_none(visit.page_host)
     visits[visit_id] = visit
@@ -241,18 +240,15 @@ def _ingest_transaction(obj, visits, memo: _LoadMemo):
     if visit is None:
         raise SchemaViolation(f"transaction for unknown visit_id {obj['visit_id']!r}")
     url = _checked(obj["url"], "url", str, "a string")
-    method = _checked(obj.get("method", "GET"), "method", str, "a string")
-    request_headers, cookies, post_content_type = _jsonl_headers(obj, "request_headers", memo)
-    response_headers, set_cookies, _ = _jsonl_headers(obj, "response_headers", memo)
+    _checked(obj.get("method", "GET"), "method", str, "a string")
+    cookies, post_content_type, _ = _jsonl_headers(obj, "request_headers", memo)
+    set_cookies, _, _ = _jsonl_headers(obj, "response_headers", memo)
+    int(obj.get("status", 0))  # checked, not kept
     txn = HttpTransaction(
         request_url=url,
-        method=sys.intern(method),
-        request_headers=request_headers,
-        response_headers=response_headers,
         request_cookies=cookies,
         set_cookies=set_cookies,
         post_content_type=post_content_type,
-        status=int(obj.get("status", 0)),
         response_size=int(obj.get("response_size", 0)),
         content_type_class=classify_content_type(
             _checked(obj.get("content_type"), "content_type", _STR_OR_NULL, "a string or null")),
@@ -264,9 +260,8 @@ def _ingest_transaction(obj, visits, memo: _LoadMemo):
         raise SchemaViolation("negative response_size")
     post_body = _checked(obj.get("post_body"), "post_body", _STR_OR_NULL, "a string or null")
     if obj.get("post_body_digest"):
-        # pre-truncated capture: keep the declared digest and flag
+        # pre-truncated capture: keep the body and the declared flag
         txn.post_body = post_body
-        txn.post_body_digest = obj["post_body_digest"]
         txn.post_body_truncated = bool(obj.get("post_body_truncated", True))
     else:
         txn.store_post_body(post_body)
@@ -281,13 +276,7 @@ def _ingest_js_cookie(obj, visits, memo: _LoadMemo):
     if not isinstance(assigned, str):
         raise SchemaViolation("js_cookie assigned must be a string")
     visit.js_cookie_sets.append(
-        JsCookieSet(
-            page_url=visit.page_url,
-            assigned_string=assigned,
-            parsed=memo.set_cookie(assigned),
-            stack=_strings(obj.get("stack", []), "stack"),
-        )
-    )
+        JsCookieSet(parsed=memo.set_cookie(assigned), stack=_strings(obj.get("stack", []), "stack")))
 
 
 def _har_headers(message: dict, entry_index: int, memo: _LoadMemo, response: bool):
@@ -328,7 +317,15 @@ def _har_initiators(initiator, entry_index: int) -> tuple[str, ...]:
 
 
 def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
-    """Load a HAR 1.2 capture; one PageVisit per page entry."""
+    """Load a HAR 1.2 capture; one PageVisit per page entry.  A MalformedHar
+    names the file."""
+    try:
+        return _har_visits(path, psl)
+    except MalformedHar as exc:
+        raise MalformedHar(exc.reason, exc.entry_index, path=str(path)) from None
+
+
+def _har_visits(path, psl: PublicSuffixTable | None) -> list[PageVisit]:
     with open_text(path) as fh:
         try:
             doc = json.load(fh)
@@ -360,7 +357,8 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
             visit.site = psl.etld_plus_one_or_none(visit.page_host)
         order.append(pid)
 
-    timed: list[tuple[str, int, HttpTransaction, str]] = []
+    # (pageref, index, transaction, startedDateTime, first User-Agent)
+    timed: list[tuple[str, int, HttpTransaction, str, str | None]] = []
     for idx, entry in enumerate(entries):
         try:
             request = entry["request"]
@@ -372,26 +370,25 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
         pageref = entry.get("pageref")
         if not isinstance(pageref, (*_PAGE_ID, type(None))):
             raise MalformedHar("pageref must be a string or number", entry_index=idx)
-        if pageref not in visits:
-            if not visits:  # pageless HAR: synthesize one visit per distinct page
+        if not pages:  # pageless HAR: one visit per distinct pageref, page_0 for none
+            if pageref is None:
                 pageref = "page_0"
+            if pageref not in visits:
                 visits[pageref] = PageVisit(page_url=url, visit_id=pageref)
                 order.append(pageref)
-            else:
-                raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
-        request_headers, cookies, post_content_type = _har_headers(request, idx, memo, response=False)
-        method = request.get("method", "GET")
-        if not isinstance(method, str):
+        elif pageref not in visits:
+            raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
+        cookies, post_content_type, user_agent = _har_headers(request, idx, memo, response=False)
+        if not isinstance(request.get("method", "GET"), str):
             raise MalformedHar("request.method must be a string", entry_index=idx)
-        txn = HttpTransaction(request_url=url, method=sys.intern(method),
-                              request_headers=request_headers, request_cookies=cookies,
+        txn = HttpTransaction(request_url=url, request_cookies=cookies,
                               post_content_type=post_content_type)
         response = entry.get("response")
         if response:
             if not isinstance(response, dict):
                 raise MalformedHar("response must be an object", entry_index=idx)
-            txn.response_headers, txn.set_cookies, _ = _har_headers(response, idx, memo, response=True)
-            txn.status = _har_int(response.get("status", 0), "response.status", idx)
+            txn.set_cookies, _, _ = _har_headers(response, idx, memo, response=True)
+            _har_int(response.get("status", 0), "response.status", idx)  # checked, not kept
             content = response.get("content", {}) or {}
             if not isinstance(content, dict):
                 raise MalformedHar("response.content must be an object", entry_index=idx)
@@ -420,17 +417,16 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
         started = entry.get("startedDateTime")
         if not isinstance(started, _STR_OR_NULL):
             raise MalformedHar("startedDateTime must be a string", entry_index=idx)
-        timed.append((pageref, idx, txn, started or ""))
+        timed.append((pageref, idx, txn, started or "", user_agent))
 
     timed.sort(key=lambda item: (item[3], item[1]))
-    for pageref, _idx, txn, _t in timed:
+    user_agents: dict[str, str] = {}  # the earliest request's non-empty User-Agent, per visit
+    for pageref, _idx, txn, _t, user_agent in timed:
         visits[pageref].transactions.append(txn)
-    for visit in visits.values():
-        for txn in visit.transactions:
-            ua = next(iter(txn.header_values("User-Agent")), None)
-            if ua:
-                visit.user_agent_label = _ua_label(ua)
-                break
+        if user_agent:
+            user_agents.setdefault(pageref, user_agent)
+    for pageref, user_agent in user_agents.items():
+        visits[pageref].user_agent_label = _ua_label(user_agent)
     return [visits[v] for v in order]
 
 
@@ -488,17 +484,15 @@ def load_signatures(path) -> list[TrackerSignature]:
     sigs = []
     for i, entry in enumerate(doc):
         try:
-            sigs.append(TrackerSignature(
-                tracker_id=_checked(entry["tracker_id"], "tracker_id", str, "a string"),
-                cname_suffixes=tuple(s.lower().rstrip(".")
-                                     for s in _strings(entry.get("cname_suffixes", []), "cname_suffixes")),
-                cidr_ranges=_strings(entry.get("cidr_ranges", []), "cidr_ranges"),
-                path_patterns=_strings(entry.get("path_patterns", []), "path_patterns"),
-                id_markers=tuple(
-                    IdMarker(m["location"], m["name"]) for m in entry.get("id_markers", [])
-                ),
-                notes=entry.get("notes", ""),
-            ))
+            tracker_id = _checked(entry["tracker_id"], "tracker_id", str, "a string")
+            cname_suffixes = tuple(s.lower().rstrip(".")
+                                   for s in _strings(entry.get("cname_suffixes", []), "cname_suffixes"))
+            cidr_ranges = _strings(entry.get("cidr_ranges", []), "cidr_ranges")
+            path_patterns = _strings(entry.get("path_patterns", []), "path_patterns")
+            # id_markers are checked, not kept; notes are not read at all
+            for marker in entry.get("id_markers", []):
+                marker["location"], marker["name"]
+            sigs.append(TrackerSignature(tracker_id, cname_suffixes, cidr_ranges, path_patterns))
         except (KeyError, TypeError, ValueError, SchemaViolation) as exc:
             raise SchemaViolation(f"signature {i}: {exc}", path=str(path))
     return sigs

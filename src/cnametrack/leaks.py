@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from urllib.parse import unquote
 
 from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
@@ -44,9 +44,7 @@ class CookieRecord:
     attributes: CookieAttributes | None
     setter: SetterKind
     setter_origin: str | None  # host of the Set-Cookie response / script URL
-    setter_stack: tuple[str, ...]
     site: str | None
-    first_seen_visit: str
 
     @property
     def is_session(self) -> bool:
@@ -62,7 +60,6 @@ class LeakFinding:
     carrier: TransactionRef
     matched_span: tuple[int, int]
     decoded: bool = False
-    initiators: tuple[str, ...] = ()
     third_party_setter: bool = False
     active_exfiltration: bool = False
 
@@ -86,9 +83,8 @@ def build_inventory(corpus: list[PageVisit], psl: PublicSuffixTable) -> list[Coo
     (skipping responses whose own request already carried the cookie), then
     document.cookie assignments, else Unknown.
     """
-    header_setters: dict[tuple[str, str], tuple[str, str]] = {}  # (n,v) -> (host, attrs key)
-    header_attrs: dict[tuple[str, str], CookieAttributes] = {}
-    script_setters: dict[tuple[str, str], tuple[str, tuple[str, ...], CookieAttributes, str]] = {}
+    header_setters: dict[tuple[str, str], tuple[str, CookieAttributes]] = {}  # (n,v) -> (host, attrs)
+    script_setters: dict[tuple[str, str], tuple[str, CookieAttributes, str]] = {}
     for visit in corpus:
         for txn in visit.transactions:
             carried = set(txn.request_cookies)
@@ -97,17 +93,11 @@ def build_inventory(corpus: list[PageVisit], psl: PublicSuffixTable) -> list[Coo
                 if key in carried:
                     continue  # response echoes a cookie its request already sent
                 if key not in header_setters:
-                    header_setters[key] = (txn.host, visit.visit_id)
-                    header_attrs[key] = attrs
+                    header_setters[key] = (txn.host, attrs)
         for jsc in visit.js_cookie_sets:
             key = (jsc.parsed.name, jsc.parsed.value)
             if key not in script_setters:
-                script_setters[key] = (
-                    jsc.script_origin or "",
-                    jsc.stack,
-                    jsc.parsed,
-                    visit.page_host,
-                )
+                script_setters[key] = (jsc.script_origin or "", jsc.parsed, visit.page_host)
 
     inventory: dict[tuple[str, str], CookieRecord] = {}
     for visit in corpus:
@@ -117,25 +107,18 @@ def build_inventory(corpus: list[PageVisit], psl: PublicSuffixTable) -> list[Coo
                 if key in inventory:
                     continue
                 if key in header_setters:
-                    host, _vid = header_setters[key]
+                    host, attrs = header_setters[key]
                     inventory[key] = CookieRecord(
-                        name, value, host, header_attrs[key],
-                        SetterKind.RESPONSE_HEADER, host, (),
-                        psl.etld_plus_one_or_none(host), visit.visit_id,
-                    )
+                        name, value, host, attrs, SetterKind.RESPONSE_HEADER, host,
+                        psl.etld_plus_one_or_none(host))
                 elif key in script_setters:
-                    origin, stack, attrs, page_host = script_setters[key]
+                    origin, attrs, page_host = script_setters[key]
                     inventory[key] = CookieRecord(
-                        name, value, page_host, attrs,
-                        SetterKind.SCRIPT, origin, stack,
-                        psl.etld_plus_one_or_none(page_host), visit.visit_id,
-                    )
+                        name, value, page_host, attrs, SetterKind.SCRIPT, origin,
+                        psl.etld_plus_one_or_none(page_host))
                 else:
                     inventory[key] = CookieRecord(
-                        name, value, None, None,
-                        SetterKind.UNKNOWN, None, (),
-                        None, visit.visit_id,
-                    )
+                        name, value, None, None, SetterKind.UNKNOWN, None, None)
     return list(inventory.values())
 
 
@@ -305,7 +288,6 @@ def _find_leaks(
                 carrier=ref,
                 matched_span=(start, start + len(rec.value)),
                 decoded=decoded,
-                initiators=txn.initiators,
                 third_party_setter=rec.site is not None and rec.site != site,
                 active_exfiltration=active,
             ))

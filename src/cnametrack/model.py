@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 import fnmatch
-import hashlib
 import ipaddress
 import re
 import sys
@@ -25,7 +24,7 @@ from urllib.parse import urlsplit
 from .sitectx import CookieAttributes
 
 POST_BODY_PREFIX_LIMIT = 64 * 1024
-POST_BODY_DIGEST_THRESHOLD = 1024 * 1024
+POST_BODY_TRUNCATE_THRESHOLD = 1024 * 1024
 
 
 class ContentClass(enum.Enum):
@@ -98,31 +97,28 @@ def split_url(url: str) -> tuple[str, str, int | None, str]:
 
 @dataclass(slots=True)
 class HttpTransaction:
-    """One captured request/response pair.
+    """One captured request/response pair: what the analyses read of it.
 
     The request URL is parsed once, at construction, into ``host``,
     ``scheme``, ``port`` and ``path_and_query``; host and scheme are
     interned because a corpus repeats them across many transactions.
     ``port`` is the URL's explicit port: None when absent, -1 when malformed.
 
-    Headers, request cookies and Set-Cookie records are immutable tuples,
-    ``()`` when there are none, so a transaction without headers allocates
-    no containers.  The loaders share equal pairs, cookie tuples and
+    Of the headers only what they derive is kept: the request cookies and
+    the response's Set-Cookie records, immutable tuples, ``()`` when there
+    are none, so a transaction without them allocates no containers.  The
+    method, the status and the raw headers are checked at load but not kept.
+    The loaders share equal cookie pairs, cookie tuples and
     ``CookieAttributes`` between the transactions of one load (see
     ``ingest``); replace a field, never mutate what it holds.
     """
 
     request_url: str
-    method: str = "GET"
-    request_headers: tuple[tuple[str, str], ...] = ()
-    response_headers: tuple[tuple[str, str], ...] = ()
     request_cookies: tuple[tuple[str, str], ...] = ()
     set_cookies: tuple[CookieAttributes, ...] = ()
     post_body: str | None = None
-    post_body_digest: str | None = None
     post_body_truncated: bool = False
     post_content_type: str | None = None
-    status: int = 0
     response_size: int = 0
     content_type_class: ContentClass = ContentClass.OTHER
     remote_ip: str | None = None
@@ -135,16 +131,9 @@ class HttpTransaction:
     def __post_init__(self):
         self.host, self.scheme, self.port, self.path_and_query = split_url(self.request_url)
 
-    def header_values(self, name: str) -> list[str]:
-        return [v for k, v in self.request_headers if k.lower() == name.lower()]
-
     def store_post_body(self, body: str | None):
-        """Bound large POST bodies: digest plus a searchable prefix."""
-        if body is None:
-            self.post_body = None
-            return
-        if len(body) > POST_BODY_DIGEST_THRESHOLD:
-            self.post_body_digest = hashlib.sha256(body.encode("utf-8", "replace")).hexdigest()
+        """Bound large POST bodies: keep a searchable prefix, flagged truncated."""
+        if body is not None and len(body) > POST_BODY_TRUNCATE_THRESHOLD:
             self.post_body = body[:POST_BODY_PREFIX_LIMIT]
             self.post_body_truncated = True
         else:
@@ -155,8 +144,6 @@ class HttpTransaction:
 class JsCookieSet:
     """One document.cookie assignment captured by script instrumentation."""
 
-    page_url: str
-    assigned_string: str
     parsed: CookieAttributes
     stack: tuple[str, ...] = ()
 
@@ -180,7 +167,6 @@ class PageVisit:
     visit_id: str
     site: str | None = None  # eTLD+1 of the page, filled by the loader when psl given
     user_agent_label: UaLabel = UaLabel.CHROME_LIKE
-    month: str | None = None
     transactions: list[HttpTransaction] = field(default_factory=list)
     js_cookie_sets: list[JsCookieSet] = field(default_factory=list)
     page_host: str = field(init=False)
@@ -191,12 +177,6 @@ class PageVisit:
 
 
 @dataclass(frozen=True)
-class IdMarker:
-    location: str  # "cookie" | "query" | "post"
-    name: str
-
-
-@dataclass(frozen=True)
 class TrackerSignature:
     """Declarative per-tracker matcher."""
 
@@ -204,8 +184,6 @@ class TrackerSignature:
     cname_suffixes: tuple[str, ...] = ()
     cidr_ranges: tuple[str, ...] = ()
     path_patterns: tuple[str, ...] = ()
-    id_markers: tuple[IdMarker, ...] = ()
-    notes: str = ""
     # cidr_ranges parsed once; unparseable entries never match
     networks: tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, ...] = field(
         init=False, repr=False, compare=False)

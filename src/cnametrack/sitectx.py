@@ -26,12 +26,6 @@ class Relation(enum.Enum):
     CROSS_SITE = "cross-site"
 
 
-class SameSitePolicy(enum.Enum):
-    NONE = "None"
-    LAX = "Lax"
-    STRICT = "Strict"
-
-
 def is_ip_literal(host: str) -> bool:
     try:
         ipaddress.ip_address(host.strip("[]"))
@@ -197,47 +191,34 @@ def classify_relation(page: Origin, target: Origin, psl: PublicSuffixTable) -> R
 
 @dataclass(frozen=True)
 class CookieAttributes:
-    """One parsed cookie with its Set-Cookie / document.cookie attributes."""
+    """One parsed cookie: its name, value and whether it is a session cookie.
+
+    Expiry is the only attribute read; ``Domain``, ``Path``, ``Secure`` and
+    ``SameSite`` are skipped."""
 
     name: str
     value: str
-    domain_attr: str | None = None
-    path: str = "/"
-    secure: bool = False
-    same_site: SameSitePolicy = SameSitePolicy.NONE
-    expires: str | None = None  # raw Expires value or Max-Age derived marker
-    max_age: int | None = None
-
-    @property
-    def is_session(self) -> bool:
-        return self.expires is None and self.max_age is None
+    is_session: bool = True
 
 
 def parse_set_cookie(header: str) -> CookieAttributes:
-    """Parse a Set-Cookie header value (or document.cookie assignment string)."""
+    """Parse a Set-Cookie header value (or document.cookie assignment string).
+
+    The cookie persists when it carries a non-empty ``Expires`` or a
+    ``Max-Age`` that parses as an integer."""
     parts = [p.strip() for p in header.split(";")]
     name, _, value = parts[0].partition("=")
-    kwargs: dict = {"name": name.strip(), "value": value.strip()}
+    session = True
     for attr in parts[1:]:
         key, _, val = attr.partition("=")
         key = key.strip().lower()
         val = val.strip()
-        if key == "domain" and val:
-            kwargs["domain_attr"] = val.lstrip(".").lower()
-        elif key == "path" and val:
-            kwargs["path"] = val
-        elif key == "secure":
-            kwargs["secure"] = True
-        elif key == "samesite" and val:
-            try:
-                kwargs["same_site"] = SameSitePolicy(val.capitalize())
-            except ValueError:
-                pass
-        elif key == "expires" and val:
-            kwargs["expires"] = val
+        if key == "expires" and val:
+            session = False
         elif key == "max-age" and val:
             try:
-                kwargs["max_age"] = int(val)
+                int(val)
             except ValueError:
-                pass
-    return CookieAttributes(**kwargs)
+                continue
+            session = False
+    return CookieAttributes(name.strip(), value.strip(), session)

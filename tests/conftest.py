@@ -26,6 +26,6 @@ def leak_setup(tmp_path_factory):
             dns.add(ans["name"], ans["type"], ans["answer"], line.get("month"))
     sig = TrackerSignature(**{k: tuple(v) if isinstance(v, list) else v
                               for k, v in corpusgen.LEAK_TRACKER_SIG.items()
-                              if k != "id_markers"})
+                              if k not in ("id_markers", "notes")})
     detections = detect_publishers(corpus, dns, [sig], None, psl)
     return corpus, dns, sig, detections, expected, psl

@@ -10,7 +10,7 @@ Every URL is matched against every rule; do not use it outside tests.
 
 from __future__ import annotations
 
-from cnametrack.defense import BlockDecision, Defense, Verdict
+from cnametrack.defense import BlockDecision, Verdict
 from cnametrack.dnsgraph import DnsRecordStore, resolve_chain
 from cnametrack.errors import CnameCycle
 from cnametrack.filterlist import FilterRule
@@ -29,11 +29,11 @@ def match_plain(url: str, relation: Relation, rules: list[FilterRule],
             matched = rule
             break
     if matched is None:
-        return BlockDecision(Verdict.ALLOWED, Defense.PLAIN)
+        return BlockDecision(Verdict.ALLOWED)
     for rule in rules:
         if rule.is_exception and rule.matches(url, relation, page_host, content):
-            return BlockDecision(Verdict.ALLOWED, Defense.PLAIN, matched_rule=rule)
-    return BlockDecision(Verdict.BLOCKED, Defense.PLAIN, matched_rule=matched)
+            return BlockDecision(Verdict.ALLOWED, matched_rule=rule)
+    return BlockDecision(Verdict.BLOCKED, matched_rule=matched)
 
 
 def _domain_suffix_hit(host: str, domain_rules: list[str]) -> str | None:
@@ -50,13 +50,13 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: list[str],
     hostname = hostname.lower().rstrip(".")
     hit = _domain_suffix_hit(hostname, domain_rules)
     if hit:
-        return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
+        return BlockDecision(Verdict.BLOCKED, matched_domain=hit)
     try:
         chain = resolve_chain(hostname, dns, max_depth)
     except CnameCycle:
-        return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
+        return BlockDecision(Verdict.ALLOWED)
     for hop in chain.hops:
         hit = _domain_suffix_hit(hop, domain_rules)
         if hit:
-            return BlockDecision(Verdict.BLOCKED, Defense.SINKHOLE, matched_domain=hit)
-    return BlockDecision(Verdict.ALLOWED, Defense.SINKHOLE)
+            return BlockDecision(Verdict.BLOCKED, matched_domain=hit)
+    return BlockDecision(Verdict.ALLOWED)

@@ -1,9 +1,11 @@
 """Reference header and cookie derivation: the list-building loader code the
 memoized ``ingest._LoadMemo`` replaced, kept verbatim as the oracle for
-``test_headermemo``.  ``parse_set_cookie`` is the parser of
-``cnametrack.sitectx``, copied so a change there shows against this copy."""
+``test_headermemo``.  ``parse_set_cookie`` is the earlier parser of
+``cnametrack.sitectx``, copied so a change there shows against this copy;
+only its ``Expires`` and ``Max-Age`` branches are left, because expiry is the
+one attribute a ``CookieAttributes`` keeps."""
 
-from cnametrack.sitectx import CookieAttributes, SameSitePolicy
+from cnametrack.sitectx import CookieAttributes
 
 
 def parse_set_cookie(header: str) -> CookieAttributes:
@@ -15,25 +17,15 @@ def parse_set_cookie(header: str) -> CookieAttributes:
         key, _, val = attr.partition("=")
         key = key.strip().lower()
         val = val.strip()
-        if key == "domain" and val:
-            kwargs["domain_attr"] = val.lstrip(".").lower()
-        elif key == "path" and val:
-            kwargs["path"] = val
-        elif key == "secure":
-            kwargs["secure"] = True
-        elif key == "samesite" and val:
-            try:
-                kwargs["same_site"] = SameSitePolicy(val.capitalize())
-            except ValueError:
-                pass
-        elif key == "expires" and val:
+        if key == "expires" and val:
             kwargs["expires"] = val
         elif key == "max-age" and val:
             try:
                 kwargs["max_age"] = int(val)
             except ValueError:
                 pass
-    return CookieAttributes(**kwargs)
+    return CookieAttributes(kwargs["name"], kwargs["value"],
+                            is_session="expires" not in kwargs and "max_age" not in kwargs)
 
 
 def _parse_cookie_header(value: str) -> list[tuple[str, str]]:

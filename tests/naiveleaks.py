@@ -61,7 +61,6 @@ def find_header_leaks(
                 cookie=rec,
                 carrier=ref,
                 matched_span=(start, start + len(value)),
-                initiators=txn.initiators,
                 third_party_setter=rec.site is not None and rec.site != site,
                 active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
             ))
@@ -103,7 +102,6 @@ def find_post_leaks(
                 carrier=ref,
                 matched_span=(start, start + len(rec.value)),
                 decoded=decoded,
-                initiators=txn.initiators,
                 third_party_setter=rec.site is not None and rec.site != site,
                 active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
             ))
@@ -142,7 +140,6 @@ def find_url_leaks(
                 carrier=ref,
                 matched_span=(start, start + len(rec.value)),
                 decoded=decoded,
-                initiators=txn.initiators,
                 third_party_setter=rec.site is not None and rec.site != site,
                 active_exfiltration=_active_initiators(txn, sig, tracker_hosts),
             ))

@@ -421,10 +421,12 @@ def test_undecodable_input_exits_1_naming_the_file(world, tmp_path, capsys, flag
 @pytest.mark.parametrize("har,message", [
     ({"log": {"pages": [5], "entries": []}}, "page 0: not an object"),
     ({"log": {"entries": 5}}, "log.entries must be a list"),
-], ids=["page-not-object", "entries-not-list"])
+    ({"log": {"entries": [{"request": {"url": "https://a.com/", "method": 5}}]}},
+     "entry 0: request.method must be a string"),
+], ids=["page-not-object", "entries-not-list", "entry-method"])
 def test_malformed_har_structure_exits_1(world, tmp_path, capsys, har, message):
     path = tmp_path / "capture.har"
     path.write_text(json.dumps(har))
     assert run(["detect", "--har", path, "--dns", world["dns"], "--signatures", world["signatures"],
                 "--out", tmp_path / "out"]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"

@@ -91,18 +91,20 @@ class TestUncloaked:
         cache = UncloakCache()
         url = "https://metrics.shop.com/x"
         first = match_uncloaked(url, CROSS, self.rules, self.dns, cache)
+        assert (cache.hits, cache.misses) == (0, 1)
         second = match_uncloaked(url, CROSS, self.rules, self.dns, cache)
-        assert first.verdict == second.verdict
-        assert not first.uncloak_cache_hit and second.uncloak_cache_hit
-        assert cache.hits == 1 and cache.misses == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert first == second
 
     def test_dns_missing_on_every_lookup(self):
         cache = UncloakCache()
-        decisions = [match_uncloaked("https://nodata.shop.com/x", CROSS, self.rules, self.dns, cache)
-                     for _ in range(3)]
+        decisions, counts = [], []
+        for _ in range(3):
+            decisions.append(match_uncloaked("https://nodata.shop.com/x", CROSS, self.rules,
+                                             self.dns, cache))
+            counts.append((cache.hits, cache.misses))
         assert [d.dns_missing for d in decisions] == [True, True, True]
-        assert [d.uncloak_cache_hit for d in decisions] == [False, True, True]
-        assert cache.hits == 2 and cache.misses == 1
+        assert counts == [(0, 1), (1, 1), (2, 1)]
 
     def test_port_preserved_on_substitution(self):
         rules = rules_of("||tracker.net^")
@@ -360,4 +362,4 @@ class TestOptionsInDefense:
         url = "https://metrics.shop.com/x"
         first = match_uncloaked(url, Relation.SAME_SITE, rules, dns, cache)
         second = match_uncloaked(url, CROSS, rules, dns, cache)
-        assert not first.blocked and second.blocked and second.uncloak_cache_hit
+        assert not first.blocked and second.blocked and cache.hits == 1

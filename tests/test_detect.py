@@ -174,5 +174,5 @@ class TestCandidatesAndFeatures:
                            mean_requests_per_site=2.0,
                            pct_responses_setting_cookie=80.0,
                            pct_requests_sending_cookie=10.0,
-                           bucket_count=2, content_type_shares=())
+                           bucket_count=2)
         assert heuristic_flag(fv) is Flag.INCONCLUSIVE

@@ -218,7 +218,7 @@ class TestIpPool:
     def test_range_and_single_lookup(self):
         pool = IpPool()
         pool.add_range("203.0.113.0/28", "trk")
-        pool.add_address("198.51.100.7", "trk", "2020-09")
+        pool.add_address("198.51.100.7", "trk")
         assert pool.owners("203.0.113.5") == {"trk"}
         assert pool.owners("198.51.100.7") == {"trk"}
         assert pool.owners("8.8.8.8") == set()
@@ -248,19 +248,18 @@ class TestIpPool:
         assert pool.owners("203.0.113.5") == {"alpha", "zeta"}
         assert pool.owners("203.0.113.6") == {"zeta"}
 
-    def test_first_seen_keeps_earliest_month(self):
+    def test_readding_an_address_keeps_one_owner(self):
         pool = IpPool()
-        pool.add_address("192.0.2.1", "trk", "2020-10")
-        pool.add_address("192.0.2.1", "trk", "2020-08")
-        entry = pool._singles[__import__("ipaddress").ip_address("192.0.2.1")][0]
-        assert entry.first_seen == "2020-08"
+        pool.add_address("192.0.2.1", "trk")
+        pool.add_address("192.0.2.1", "trk")
+        assert _pool_state(pool)[0] == {"192.0.2.1": ["trk"]}
+        assert pool.summary() == {"trk": {"singles": 1, "ranges": 0}}
 
     def test_accumulate_from_confirmed_hosts(self):
         store = make_store(cnames=[("m.shop.com", "t.trk.net")],
                            a_records=[("t.trk.net", "198.51.100.9")])
         pool = IpPool()
-        accumulate_ips({"m.shop.com": "trk"}, store, {"trk": ["203.0.113.0/28"]},
-                       pool, "2020-09")
+        accumulate_ips({"m.shop.com": "trk"}, store, {"trk": ["203.0.113.0/28"]}, pool)
         assert pool.contains("198.51.100.9", "trk")
         assert pool.contains("203.0.113.3", "trk")
 
@@ -332,14 +331,19 @@ class TestNetworkIndex:
 
 
 def _pool_state(pool):
-    """Every single and range with its (tracker, first_seen) entries, in order."""
-    return ({str(k): [(e.tracker_id, e.first_seen) for e in v] for k, v in pool._singles.items()},
-            {str(k): [(e.tracker_id, e.first_seen) for e in v] for k, v in pool._ranges.items()})
+    """Every single and range with the sorted ids of the trackers holding it."""
+    return ({str(k): sorted(v) for k, v in pool._singles.items()},
+            {str(k): sorted(v) for k, v in pool._ranges.items()})
+
+
+def _reference_state(ref):
+    """``_pool_state`` of a ``NaiveIpPool``, whose entries also carry a month."""
+    return ({str(k): sorted(e.tracker_id for e in v) for k, v in ref._singles.items()},
+            {str(k): sorted(e.tracker_id for e in v) for k, v in ref._ranges.items()})
 
 
 _OPS = st.lists(st.tuples(st.sampled_from(["range", "address"]), st.one_of(_NETS, _ADDRS),
-                          st.sampled_from(["a", "b", "c"]),
-                          st.sampled_from([None, "2020-01", "2020-02", "2020-03"])), max_size=25)
+                          st.sampled_from(["a", "b", "c"])), max_size=25)
 
 
 class TestIpPoolAgainstReference:
@@ -348,17 +352,17 @@ class TestIpPoolAgainstReference:
     every ``add_range``."""
 
     @staticmethod
-    def _apply(pools, kind, value, tracker, month):
+    def _apply(pools, kind, value, tracker):
         for pool in pools:
             if kind == "range":
-                pool.add_range(value, tracker, month)
+                pool.add_range(value, tracker)
             else:
-                pool.add_address(value.split("/")[0], tracker, month)
+                pool.add_address(value.split("/")[0], tracker)
 
     @staticmethod
     def _assert_same(pool, ref, probes):
         assert pool.summary() == ref.summary()
-        assert _pool_state(pool) == _pool_state(ref)
+        assert _pool_state(pool) == _reference_state(ref)
         for addr in probes:
             assert pool.owners(addr) == ref.owners(addr)
             assert all(pool.contains(addr, t) == ref.contains(addr, t) for t in "abc")
@@ -380,20 +384,19 @@ class TestIpPoolAgainstReference:
         """As ``history.backward_iterate`` drives it: newest month first, every
         month re-adds the declared ranges, then that month's addresses."""
         pool, ref = IpPool(), NaiveIpPool()
-        for i, addrs in enumerate(found):
-            month = f"2020-{12 - i:02d}"
+        for addrs in found:
             for cidr, tracker in declared:
-                self._apply((pool, ref), "range", cidr, tracker, month)
+                self._apply((pool, ref), "range", cidr, tracker)
             for addr, tracker in addrs:
-                self._apply((pool, ref), "address", addr, tracker, month)
+                self._apply((pool, ref), "address", addr, tracker)
             self._assert_same(pool, ref, probes + [a for a, _ in addrs])
 
-    def test_readding_a_held_range_moves_first_seen_back(self):
+    def test_readding_a_held_range_keeps_one_owner(self):
         pool = IpPool()
-        pool.add_range("203.0.113.0/28", "trk", "2020-10")
-        pool.add_address("198.51.100.7", "trk", "2020-10")
-        pool.add_range("203.0.113.0/28", "trk", "2020-08")
-        assert _pool_state(pool)[1] == {"203.0.113.0/28": [("trk", "2020-08")]}
+        pool.add_range("203.0.113.0/28", "trk")
+        pool.add_address("198.51.100.7", "trk")
+        pool.add_range("203.0.113.0/28", "trk")
+        assert _pool_state(pool)[1] == {"203.0.113.0/28": ["trk"]}
         assert pool.summary() == {"trk": {"singles": 1, "ranges": 1}}
 
 

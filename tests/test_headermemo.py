@@ -1,11 +1,13 @@
 """Shared header and cookie records against the list-building reference.
 
-``ingest._read_headers`` keeps one memo per load call, so equal header
+``ingest._read_headers`` keeps one memo per load call, so equal cookie
 pairs, raw Cookie headers and Set-Cookie / document.cookie strings are parsed
 once and come back as the same immutable object.  ``tests/naiveheaders.py``
 keeps the earlier loader code, which built fresh lists for every record.
 Every derived field must equal the reference's, compared as tuples; within
 one load equal inputs must give the same object; two loads must share none.
+A HAR visit's user-agent label comes from the first ``User-Agent`` header of
+its earliest request that has a non-empty one.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from hypothesis import strategies as st
 
 import corpusgen
 import naiveheaders
-from cnametrack.ingest import _LoadMemo, _read_headers, load_crawl_jsonl, load_har
-from cnametrack.model import HttpTransaction
+from cnametrack.ingest import _LoadMemo, _read_headers, _ua_label, load_crawl_jsonl, load_har
+from cnametrack.model import HttpTransaction, UaLabel
 
 NAMES = ["Cookie", "cookie", "COOKIE", "CoOkIe", "Set-Cookie", "set-cookie", "SET-COOKIE",
          "Set-CooKie",  # KELVIN SIGN lower-cases to "k"
@@ -95,58 +97,63 @@ def write_har(tmp: Path, corpus) -> Path:
 
 
 def reference(req, resp, har: bool):
-    pairs, cookies, content_type = naiveheaders._read_headers(
+    _pairs, cookies, content_type = naiveheaders._read_headers(
         [{"name": n, "value": v} for n, v in req] if har else [list(h) for h in req], False, har)
-    resp_pairs, set_cookies, _ = naiveheaders._read_headers(
+    _resp_pairs, set_cookies, _ = naiveheaders._read_headers(
         [{"name": n, "value": v} for n, v in resp] if har else [list(h) for h in resp], True, har)
-    return tuple(pairs), tuple(cookies), content_type, tuple(resp_pairs), tuple(set_cookies)
+    return tuple(cookies), content_type, tuple(set_cookies)
 
 
 def derived(txn: HttpTransaction):
-    fields = (txn.request_headers, txn.request_cookies, txn.post_content_type,
-              txn.response_headers, txn.set_cookies)
-    for value in fields[:2] + fields[3:]:
-        assert type(value) is tuple
+    fields = (txn.request_cookies, txn.post_content_type, txn.set_cookies)
+    assert type(fields[0]) is tuple and type(fields[2]) is tuple
     return fields
 
 
-def shared_objects(visits):
-    """Every pair and CookieAttributes of a load, checking that equal pairs,
-    and the records of equal Cookie, Set-Cookie and document.cookie strings,
-    are one object."""
+def first_user_agent(pairs) -> str | None:
+    """The value of the first ``User-Agent`` pair, matched case-insensitively."""
+    return next((v for n, v in pairs if n.lower() == "user-agent"), None)
+
+
+def shared_objects(visit, reqs, resps, js):
+    """Every cookie pair and CookieAttributes of a load, checking that equal
+    pairs, and the records of equal Cookie, Set-Cookie and document.cookie
+    strings, are one object.  ``reqs``, ``resps`` and ``js`` are the raw
+    headers and assigned strings the visit was loaded from."""
     pairs, attrs, strings, cookie_tuples = {}, {}, {}, {}
-    for visit in visits:
-        for txn in visit.transactions:
-            for p in txn.request_headers + txn.response_headers + txn.request_cookies:
-                assert pairs.setdefault(p, p) is p
-            raw_set_cookies = [v for n, v in txn.response_headers if n.lower() == "set-cookie"]
-            for raw, a in zip(raw_set_cookies, txn.set_cookies, strict=True):
-                assert attrs.setdefault(raw, a) is a
-            for s in (txn.method, txn.remote_ip):
-                if s is not None:
-                    assert strings.setdefault(s, s) is s
-            cookie_headers = [v for n, v in txn.request_headers if n.lower() == "cookie"]
-            if len(cookie_headers) == 1:  # one header: its parsed tuple itself
-                cookies = txn.request_cookies
-                assert cookie_tuples.setdefault(cookie_headers[0], cookies) is cookies
-        for jsc in visit.js_cookie_sets:
-            assert attrs.setdefault(jsc.assigned_string, jsc.parsed) is jsc.parsed
+    for txn, req, resp in zip(visit.transactions, reqs, resps, strict=True):
+        for p in txn.request_cookies:
+            assert pairs.setdefault(p, p) is p
+        raw_set_cookies = [v for n, v in resp if n.lower() == "set-cookie"]
+        for raw, a in zip(raw_set_cookies, txn.set_cookies, strict=True):
+            assert attrs.setdefault(raw, a) is a
+        if txn.remote_ip is not None:
+            assert strings.setdefault(txn.remote_ip, txn.remote_ip) is txn.remote_ip
+        cookie_headers = [v for n, v in req if n.lower() == "cookie"]
+        if len(cookie_headers) == 1:  # one header: its parsed tuple itself
+            cookies = txn.request_cookies
+            assert cookie_tuples.setdefault(cookie_headers[0], cookies) is cookies
+    for raw, jsc in zip(js, visit.js_cookie_sets, strict=True):
+        assert attrs.setdefault(raw, jsc.parsed) is jsc.parsed
     return [*pairs.values(), *attrs.values()]
 
 
 def check_load(load, path, corpus, har):
     reqs, resps, js, _methods, _ips = corpus
+    js = [] if har else js  # HAR carries no document.cookie records
     visits = load(path)
     txns = visits[0].transactions
     assert len(txns) == len(reqs)
     for txn, req, resp in zip(txns, reqs, resps):
         assert derived(txn) == reference(req, resp, har)
-    if not har:
-        assert [j.parsed for j in visits[0].js_cookie_sets] == \
-            [naiveheaders.parse_set_cookie(a) for a in js]
-    objects = shared_objects(visits)
+    assert [j.parsed for j in visits[0].js_cookie_sets] == \
+        [naiveheaders.parse_set_cookie(a) for a in js]
+    if har:  # entries are timed in list order
+        ua = next(filter(None, map(first_user_agent, reqs)), None)
+        assert visits[0].user_agent_label is (_ua_label(ua) if ua else UaLabel.CHROME_LIKE)
+    objects = shared_objects(visits[0], reqs, resps, js)
     again = load(path)
-    assert not {id(o) for o in objects} & {id(o) for o in shared_objects(again)}
+    assert not {id(o) for o in objects} & {id(o) for o in shared_objects(again[0], reqs, resps, js)}
     return visits, again
 
 
@@ -183,14 +190,14 @@ def test_read_headers_matches_reference_on_any_list(headers, response, har):
     if ref is None:
         assert got is None
     else:
-        assert got == (tuple(ref[0]), tuple(ref[1]), ref[2])
+        user_agent = None if response else first_user_agent(ref[0])
+        assert got == (tuple(ref[1]), ref[2], user_agent)
 
 
 def test_no_headers_allocate_no_containers():
-    assert _read_headers([], False, _LoadMemo(), har=False) == ((), (), None)
+    assert _read_headers([], False, _LoadMemo(), har=False) == ((), None, None)
     txn = HttpTransaction("https://a.example/")
-    assert txn.request_headers is txn.response_headers is txn.request_cookies is \
-        txn.set_cookies is ()
+    assert txn.request_cookies is txn.set_cookies is ()
 
 
 def test_memo_is_local_to_one_load(tmp_path):

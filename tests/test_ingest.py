@@ -49,7 +49,6 @@ class TestCaptureJsonl:
         assert [v.visit_id for v in visits] == ["v1", "v2"]
         v1 = visits[0]
         assert v1.site == "shop.com"
-        assert v1.month == "2020-10"
         assert v1.user_agent_label is UaLabel.CHROME_LIKE
         assert visits[1].user_agent_label is UaLabel.SAFARI_LIKE
         txn = v1.transactions[0]
@@ -57,7 +56,7 @@ class TestCaptureJsonl:
         assert txn.path_and_query == "/ea/collect?uid=1"
         assert txn.request_cookies == (("a", "111222333444"), ("b", "2"))
         assert txn.set_cookies[0].name == "etuid"
-        assert txn.set_cookies[0].domain_attr == "shop.com"
+        assert not txn.set_cookies[0].is_session
         post = v1.transactions[1]
         assert post.post_body == "x=1&cookie=111222333444"
         assert post.post_content_type == "application/x-www-form-urlencoded"
@@ -95,12 +94,55 @@ class TestCaptureJsonl:
         with pytest.raises(SchemaViolation):
             load_crawl_jsonl(path)
 
-    def test_unsupported_version(self, tmp_path):
+    @pytest.mark.parametrize("version,shown", [(99, "99"), ("1", "'1'"), (None, "None")])
+    def test_unsupported_version(self, tmp_path, version, shown):
+        """The version is shown as its JSON type: a string "1" is not the
+        supported number 1."""
         rec = corpusgen.visit_record("v1", "https://a.com/")
-        rec["version"] = 99
+        rec["version"] = version
         path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
-        with pytest.raises(SchemaViolation):
+        with pytest.raises(SchemaViolation) as exc:
             load_crawl_jsonl(path)
+        assert str(exc.value) == f"{path}:1: unsupported capture version {shown}"
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("user_agent", 5, "user_agent must be a string or null"),
+        ("user_agent", {"ua": "chrome"}, "user_agent must be a string or null"),
+        ("user_agent", 1.5, "user_agent must be a string or null"),
+        ("visit_id", ["v"], "visit_id must be a string"),
+        ("visit_id", {"id": "v"}, "visit_id must be a string"),
+        ("visit_id", 5, "visit_id must be a string"),
+    ])
+    def test_mistyped_visit_field_names_the_line(self, tmp_path, field, value, message):
+        rec = corpusgen.visit_record("v2", "https://b.com/")
+        rec[field] = value
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_crawl_jsonl(path)
+        assert str(exc.value) == f"{path}:2: {message}"
+
+    def test_null_user_agent_is_other(self, tmp_path):
+        rec = corpusgen.visit_record("v1", "https://a.com/")
+        rec["user_agent"] = None
+        path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
+        assert load_crawl_jsonl(path)[0].user_agent_label is UaLabel.OTHER
+
+    @pytest.mark.parametrize("status,message", [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ([200], "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
+        (None, "int() argument must be a string, a bytes-like object or a real number, "
+               "not 'NoneType'"),
+    ])
+    def test_non_numeric_status_names_the_line(self, tmp_path, status, message):
+        """The status is not kept, but a record whose status is no number is
+        still rejected."""
+        rec = corpusgen.txn_record("v1", "https://a.com/x", status=status)
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_crawl_jsonl(path)
+        assert str(exc.value) == f"{path}:2: transaction record: {message}"
 
     @pytest.mark.parametrize("headers", [[[5, "x"]], [["Cookie"]], ["Cookie: a=1"], {"Cookie": "a"}])
     def test_bad_header_names_the_line(self, tmp_path, headers):
@@ -168,7 +210,7 @@ class TestCaptureJsonl:
         rec = corpusgen.visit_record("v1", "https://a.com/")
         rec["month"] = value
         path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
-        assert load_crawl_jsonl(path)[0].month == value
+        assert [v.visit_id for v in load_crawl_jsonl(path)] == ["v1"]
 
     def test_null_optional_fields_accepted(self, tmp_path, psl):
         rec = corpusgen.txn_record("v1", "https://a.com/x")
@@ -189,7 +231,6 @@ class TestCaptureJsonl:
         assert txn.request_cookies == (("a", "1"), ("b", "2"), ("c", "3"))
         assert txn.post_content_type == "text/plain"
         assert [c.name for c in txn.set_cookies] == ["x", "z"]
-        assert txn.response_headers[1] == ("X-Other", "y")
 
     @pytest.mark.parametrize("text", ['{"record_type": "visit"} x', "\ufeff{}", "[1] [2]", "{"])
     def test_bad_json_words_the_error_as_json_loads(self, tmp_path, text):
@@ -220,7 +261,7 @@ class TestCaptureJsonl:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
-    def test_huge_post_body_digested(self, tmp_path, psl):
+    def test_huge_post_body_truncated(self, tmp_path, psl):
         body = "A" * (1024 * 1024 + 10)
         path = corpusgen.write_jsonl([
             corpusgen.visit_record("v1", "https://a.com/"),
@@ -230,18 +271,16 @@ class TestCaptureJsonl:
         txn = load_crawl_jsonl(path, psl)[0].transactions[0]
         assert txn.post_body_truncated
         assert len(txn.post_body) == 64 * 1024
-        assert txn.post_body_digest
-        # digest and flag survive a save/load cycle: a record that declares
-        # them keeps both as given
+        # a record that declares a digest was truncated at capture: its body
+        # and its flag are kept as given
         for flag in (True, False):
             rec = corpusgen.txn_record("v1", "https://a.com/x", method="POST",
                                        post_body=txn.post_body)
-            rec.update(post_body_digest=txn.post_body_digest, post_body_truncated=flag)
+            rec.update(post_body_digest="ab" * 32, post_body_truncated=flag)
             out = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
                                         tmp_path / "o.jsonl")
             txn2 = load_crawl_jsonl(out, psl)[0].transactions[0]
-            assert (txn2.post_body, txn2.post_body_digest, txn2.post_body_truncated) == (
-                txn.post_body, txn.post_body_digest, flag)
+            assert (txn2.post_body, txn2.post_body_truncated) == (txn.post_body, flag)
 
 
 class TestHar:
@@ -294,8 +333,37 @@ class TestHar:
         doc = {"log": {"entries": [
             {"request": {"method": "GET", "url": "https://a.com/x"}},
         ]}}
-        visits = load_har(self._har(tmp_path, doc), psl)
-        assert visits[0].transactions[0].status == 0
+        path = self._har(tmp_path, doc)
+        visits = load_har(path, psl)
+        assert visits[0].transactions[0].response_size == 0
+        assert [r.message for r in caplog.records] == [
+            f"{path}: entry 0 has no response; recorded with status 0"]
+
+    def test_pageless_entries_group_by_pageref(self, tmp_path):
+        """Without ``pages`` every distinct pageref is one visit, and every
+        entry without a pageref goes to ``page_0``."""
+        entries = [{"request": {"url": "https://a.com/"}},
+                   {"request": {"url": "https://a.com/x"}},
+                   {"pageref": "p2", "request": {"url": "https://b.com/"}},
+                   {"pageref": None, "request": {"url": "https://a.com/y"}},
+                   {"pageref": "p2", "request": {"url": "https://b.com/z"}}]
+        visits = load_har(self._har(tmp_path, {"log": {"entries": entries}}))
+        assert [(v.visit_id, v.page_url, [t.request_url for t in v.transactions])
+                for v in visits] == [
+            ("page_0", "https://a.com/", ["https://a.com/", "https://a.com/x", "https://a.com/y"]),
+            ("p2", "https://b.com/", ["https://b.com/", "https://b.com/z"])]
+
+    def test_user_agent_of_earliest_request(self, tmp_path):
+        def entry(t, *user_agents):
+            return {"pageref": "p1", "startedDateTime": t,
+                    "request": {"url": "https://a.com/", "headers": [
+                        {"name": "user-agent", "value": ua} for ua in user_agents]}}
+
+        entries = [entry("3", "Mozilla Chrome/85"), entry("2", "", "Safari/605.1"),
+                   entry("1"), entry("4", "Safari/605.1")]
+        doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}], "entries": entries}}
+        # the entry at "2" sends an empty first User-Agent, so it is passed over
+        assert load_har(self._har(tmp_path, doc))[0].user_agent_label is UaLabel.CHROME_LIKE
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.har"
@@ -321,9 +389,10 @@ class TestHar:
     ], ids=["page-int", "second-page-string", "pages-object", "entries-int", "entries-object",
             "log-int", "doc-array", "page-id-array", "pageref-object"])
     def test_malformed_structure(self, tmp_path, doc, message):
+        path = self._har(tmp_path, doc)
         with pytest.raises(MalformedHar) as exc:
-            load_har(self._har(tmp_path, doc))
-        assert str(exc.value) == message
+            load_har(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_non_string_start_time_names_entry(self, tmp_path):
         entries = [{"pageref": "p1", "startedDateTime": "2020-10-01T00:00:00Z",
@@ -382,7 +451,7 @@ class TestHar:
         entry[side]["headers"] = [header]
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
                        "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}}, entry]}}
-        with pytest.raises(MalformedHar, match=r"^entry 1: header") as exc:
+        with pytest.raises(MalformedHar, match=r": entry 1: header") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
 
@@ -402,7 +471,7 @@ class TestHar:
                        "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}},
                                    {"pageref": "p1", "request": {"url": "https://a.com/x"},
                                     "response": response}]}}
-        with pytest.raises(MalformedHar, match=f"^entry 1: {message}") as exc:
+        with pytest.raises(MalformedHar, match=f": entry 1: {message}") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
 
@@ -412,7 +481,7 @@ class TestHar:
                        "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}},
                                    {"pageref": "p1", "request": {"url": "https://a.com/x"},
                                     "serverIPAddress": server_ip}]}}
-        with pytest.raises(MalformedHar, match="^entry 1: serverIPAddress must be a string") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: serverIPAddress must be a string") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
 
@@ -432,7 +501,7 @@ class TestHar:
     @pytest.mark.parametrize("frame", [{"url": 5}, {"url": ["https://a.com/t.js"]}])
     def test_non_string_call_frame_url_names_entry(self, tmp_path, frame):
         path = self._second_entry(tmp_path, _initiator={"stack": {"callFrames": [frame]}})
-        with pytest.raises(MalformedHar, match="^entry 1: call frame must be an object") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: call frame must be an object") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
@@ -443,7 +512,7 @@ class TestHar:
         ({"stack": ["https://a.com/t.js"]}, "_initiator.stack must be an object"),
     ])
     def test_malformed_initiator_stack_names_entry(self, tmp_path, initiator, message):
-        with pytest.raises(MalformedHar, match=f"^entry 1: {message}") as exc:
+        with pytest.raises(MalformedHar, match=f": entry 1: {message}") as exc:
             load_har(self._second_entry(tmp_path, _initiator=initiator))
         assert exc.value.entry_index == 1
 
@@ -462,21 +531,21 @@ class TestHar:
     @pytest.mark.parametrize("post", ["a=1", ["a=1"], 5])
     def test_non_object_post_data_names_entry(self, tmp_path, post):
         path = self._second_entry(tmp_path, {"method": "POST", "postData": post})
-        with pytest.raises(MalformedHar, match="^entry 1: request.postData must be an object") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: request.postData must be an object") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
     @pytest.mark.parametrize("post", [{"text": 5}, {"text": "a=1", "mimeType": 5}])
     def test_non_string_post_data_fields_name_entry(self, tmp_path, post):
         path = self._second_entry(tmp_path, {"method": "POST", "postData": post})
-        with pytest.raises(MalformedHar, match="^entry 1: postData text and mimeType") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: postData text and mimeType") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
     @pytest.mark.parametrize("method", [5, None, ["GET"]])
     def test_non_string_method_names_entry(self, tmp_path, method):
         path = self._second_entry(tmp_path, {"method": method})
-        with pytest.raises(MalformedHar, match="^entry 1: request.method must be a string") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: request.method must be a string") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
@@ -539,7 +608,26 @@ class TestSignaturesAndRanking:
         assert [s.tracker_id for s in sigs] == ["eulertrack", "pixelstats"]
         assert sigs[0].host_matches("x.eulertrack.net")
         assert not sigs[0].host_matches("eulertrack.net.evil.com")
-        assert sigs[0].id_markers[0].name == "etuid"
+
+    @pytest.mark.parametrize("markers,message", [
+        ([{"name": "uid"}], "'location'"),
+        ([{"location": "cookie"}], "'name'"),
+        ([5], "'int' object is not subscriptable"),
+        (["uid"], "string indices must be integers, not 'str'"),
+        ([["cookie", "uid"]], "list indices must be integers or slices, not str"),
+        (5, "'int' object is not iterable"),
+        (None, "'NoneType' object is not iterable"),
+    ])
+    def test_malformed_id_marker_rejected(self, tmp_path, markers, message):
+        """``id_markers`` are not kept, but each entry must still be an
+        object with a location and a name."""
+        sig = {"tracker_id": "t", "cname_suffixes": ["t.net"], "path_patterns": ["/*"],
+               "id_markers": markers}
+        path = tmp_path / "sigs.json"
+        path.write_text(json.dumps([sig]))
+        with pytest.raises(SchemaViolation) as exc:
+            load_signatures(path)
+        assert str(exc.value) == f"{path}: signature 0: {message}"
 
     def test_signature_without_matcher_rejected(self, tmp_path):
         path = tmp_path / "sigs.json"

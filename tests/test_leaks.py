@@ -129,15 +129,14 @@ class TestPlantedLeaks:
 
 def test_truncated_post_body_warns_once(caplog):
     url = "https://metrics.shop.com/ea/collect"
-    txn = HttpTransaction(url, method="POST", post_body="payload=" + "z" * 40,
-                          post_body_truncated=True)
+    txn = HttpTransaction(url, post_body="payload=" + "z" * 40, post_body_truncated=True)
     visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=[txn])
     det = PublisherDetection("shop.com", "eulertrack", Context.SAME_SITE,
                              [TransactionRef("v1", 0, url, "metrics.shop.com")], Mechanism.CNAME)
     sig = TrackerSignature("eulertrack", cname_suffixes=("eulertrack.net",),
                            path_patterns=("/ea/*",))
     candidates = [CookieRecord(f"c{i}", f"value{i:08d}", "www.shop.com", None,
-                               SetterKind.UNKNOWN, None, (), "shop.com", "v1")
+                               SetterKind.UNKNOWN, None, "shop.com")
                   for i in range(3)]
     with caplog.at_level(logging.WARNING, logger="cnametrack.leaks"):
         assert find_post_leaks([visit], candidates, [det], sig) == []
@@ -166,8 +165,8 @@ def leak_cases(draw):
     values = draw(st.lists(st.builds(str.__add__, st.sampled_from(stems), st.text("ab%2\u00e9 ", max_size=3)),
                            min_size=1, max_size=6))
     names = st.sampled_from(["a", "b", "c"])  # one value may be drawn under two names
-    filtered = [CookieRecord(draw(names), v, None, None, SetterKind.UNKNOWN, None, (),
-                             draw(st.sampled_from([None, "shop.com", "other.com"])), "v1")
+    filtered = [CookieRecord(draw(names), v, None, None, SetterKind.UNKNOWN, None,
+                             draw(st.sampled_from([None, "shop.com", "other.com"])))
                 for v in draw(st.lists(st.sampled_from(values), max_size=6))]
     value = st.sampled_from(values)
     piece = st.one_of(value, value.map(quote), st.builds(lambda v, k: v[:k], value, st.integers(1, 12)),
@@ -180,7 +179,7 @@ def leak_cases(draw):
         if truncated:
             body = body[:draw(st.integers(0, len(body)))]
         txns.append(HttpTransaction(
-            "https://m.shop.com/" + draw(text), method="POST",
+            "https://m.shop.com/" + draw(text),
             request_cookies=draw(st.lists(st.tuples(names, value | st.text("ab", max_size=12)), max_size=4)),
             post_body=body, post_body_truncated=truncated,
             post_content_type=draw(st.sampled_from([None, "application/json", "application/x-www-form-urlencoded",

@@ -1,7 +1,13 @@
 """Every name cnametrack defines has a caller outside the tests: each
 top-level function or class and each public method in the package is
 referenced by name somewhere other than its own definition, in the package,
-in ``demos/`` or in ``perfbench/``.  A name only tests reach is dead code."""
+in ``demos/`` or in ``perfbench/``.  A name only tests reach is dead code.
+
+Every record field has a reader the same way: each annotated field of a
+dataclass or ``NamedTuple`` in the package is read as an attribute
+(``x.field``) somewhere in those places outside its own class's
+``__init__`` and ``__post_init__``.  A field nothing reads is carried for
+nothing."""
 
 import ast
 import re
@@ -63,4 +69,51 @@ def test_every_definition_has_a_caller():
         and not (name.startswith("__") and name.endswith("__"))
         and not any(p != path or not first <= line <= last for p, line in refs.get(name, ()))
     )
+    assert not dead, dead
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A class decorated ``@dataclass`` (called or not) or based on ``NamedTuple``."""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, (ast.Name, ast.Attribute)) and \
+                (target.id if isinstance(target, ast.Name) else target.attr) == "dataclass":
+            return True
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
+def _fields(path: Path):
+    """(class node, field name) of each annotated field of a record class."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ClassDef) and _is_record(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id
+
+
+def _attribute_loads(tree: ast.AST):
+    """(attribute name, line) of each attribute read.  A string such as
+    ``"method"`` is no read: a dict key of the same name would otherwise keep
+    a dead field alive."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def test_every_record_field_is_read():
+    loads: dict[str, list[tuple[Path, int]]] = {}
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for name, line in _attribute_loads(tree):
+                loads.setdefault(name, []).append((path, line))
+    dead = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for cls, name in _fields(path):
+            constructors = [range(f.lineno, f.end_lineno + 1) for f in cls.body
+                            if isinstance(f, ast.FunctionDef)
+                            and f.name in ("__init__", "__post_init__")]
+            if not any(p != path or not any(line in r for r in constructors)
+                       for p, line in loads.get(name, ())):
+                dead.append(f"{path.relative_to(PACKAGE)} {cls.name}.{name}")
     assert not dead, dead

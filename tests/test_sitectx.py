@@ -14,7 +14,6 @@ from cnametrack.sitectx import (
     Origin,
     PublicSuffixTable,
     Relation,
-    SameSitePolicy,
     classify_relation,
     parse_set_cookie,
     validate_host,
@@ -144,19 +143,24 @@ class TestSetCookieParsing:
             "uid=abc123; Domain=.example.com; Path=/app; Secure; "
             "SameSite=Lax; Expires=Wed, 01 Jan 2031 00:00:00 GMT"
         )
-        assert c == CookieAttributes(
-            name="uid", value="abc123", domain_attr="example.com", path="/app",
-            secure=True, same_site=SameSitePolicy.LAX,
-            expires="Wed, 01 Jan 2031 00:00:00 GMT",
-        )
-        assert not c.is_session
+        assert c == CookieAttributes(name="uid", value="abc123", is_session=False)
 
-    def test_minimal_is_host_only_session(self):
-        c = parse_set_cookie("sid=xyz")
-        assert c.domain_attr is None and c.is_session and c.path == "/"
+    def test_minimal_is_session(self):
+        assert parse_set_cookie("sid=xyz") == CookieAttributes("sid", "xyz", is_session=True)
 
-    def test_max_age_counts_as_persistent(self):
-        assert not parse_set_cookie("a=b; Max-Age=3600").is_session
+    @pytest.mark.parametrize("attrs,session", [
+        ("Max-Age=3600", False),
+        ("max-age= 0 ", False),
+        ("Max-Age=-1", False),
+        ("expires=x", False),
+        ("Max-Age=soon", True),
+        ("Max-Age=", True),
+        ("Expires=", True),
+        ("Expires", True),
+        ("Domain=a.com; Path=/; Secure; SameSite=Strict", True),
+    ])
+    def test_expiry_decides_session(self, attrs, session):
+        assert parse_set_cookie(f"a=b; {attrs}").is_session is session
 
     def test_value_with_equals_sign(self):
         c = parse_set_cookie("tok=a=b=c; Path=/")

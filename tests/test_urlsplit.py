@@ -48,7 +48,7 @@ def outcome(fn, url):
 def fast_fields(url):
     txn = HttpTransaction(url)
     page = PageVisit(url, "v")
-    script = JsCookieSet("https://p.example/", "a=1", None, (url,)).script_origin
+    script = JsCookieSet(None, (url,)).script_origin
     return (txn.host, txn.scheme, txn.port, txn.path_and_query, page.page_host, page.page_scheme,
             script, split_url(url))
 
