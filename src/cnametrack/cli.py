@@ -17,7 +17,7 @@ from pathlib import Path
 from . import reports
 from .defense import compare_defenses
 from .detect import candidate_scan, detect_publishers, extract_features, heuristic_flag
-from .dnsgraph import IpPool
+from .dnsgraph import DEFAULT_MAX_DEPTH, IpPool
 from .errors import CnametrackError, SchemaViolation, StaleInputs, open_text
 from .filterlist import load_filter_list
 from .history import (
@@ -49,7 +49,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--ranking", help="rank,domain CSV")
     p.add_argument("--months", help="month-manifest JSON for historical runs")
     p.add_argument("--min-sites", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=10)
+    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for compatibility and ignored; runs are single-threaded")
     p.add_argument("--ua-label", choices=["chrome", "safari", "other"],
@@ -67,6 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--rank-bins", type=int, default=10000)
         p.set_defaults(func=fn)
     return parser
+
+
+def _check_flag_values(args):
+    """Reject a --max-depth or --rank-bins below 1 before any input is read."""
+    for name in ("max_depth", "rank_bins"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            raise CnametrackError(f"--{name.replace('_', '-')} must be at least 1, not {value}")
 
 
 def _require(args, *names):
@@ -116,13 +124,13 @@ def _config(args) -> dict:
 def _detection_pipeline(args, psl):
     _require(args, "dns", "signatures")
     corpus = _load_corpus(args, psl)
-    dns = load_dns(args.dns)
+    dns = load_dns(args.dns, args.max_depth)
     sigs = load_signatures(args.signatures)
     pool = IpPool()
     for sig in sigs:
         for cidr in sig.cidr_ranges:
             pool.add_range(cidr, sig.tracker_id)
-    detections = detect_publishers(corpus, dns, sigs, pool, psl, max_depth=args.max_depth)
+    detections = detect_publishers(corpus, dns, sigs, pool, psl)
     return corpus, dns, sigs, pool, detections
 
 
@@ -155,8 +163,7 @@ def cmd_defense(args) -> int:
     psl = _load_psl(args)
     corpus, dns, sigs, pool, detections = _detection_pipeline(args, psl)
     rules, stats = load_filter_list(args.filters)
-    report = compare_defenses(corpus, detections, rules, dns,
-                              max_depth=args.max_depth)
+    report = compare_defenses(corpus, detections, rules, dns)
     out = _out_dir(args)
     reports.write_defense(report, out)
     reports.write_manifest(out, _inputs(args), _config(args))
@@ -194,13 +201,13 @@ def _month_entries(args) -> list[dict]:
     return manifest
 
 
-def _load_months(entries, psl, seen=None) -> Iterator[MonthDataset]:
+def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
     """The months of ``entries``, each read only when the consumer reaches
     it, so that one month is in memory at a time.  ``seen`` is called with
     each month as it is read."""
     def read(entry) -> MonthDataset:
         month = MonthDataset(entry["month"], load_crawl_jsonl(entry["corpus"], psl),
-                             load_dns(entry["dns"]))
+                             load_dns(entry["dns"], args.max_depth))
         if seen is not None:
             seen(month)
         return month
@@ -213,8 +220,7 @@ def cmd_history(args) -> int:
     _require(args, "signatures")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
-    monthly = backward_iterate(_load_months(_month_entries(args), psl), sigs, psl,
-                               max_depth=args.max_depth)
+    monthly = backward_iterate(_load_months(args, _month_entries(args), psl), sigs, psl)
     out = _out_dir(args)
     import csv as _csv
 
@@ -248,9 +254,8 @@ def cmd_features(args) -> int:
     _require(args, "dns")
     psl = _load_psl(args)
     corpus = _load_corpus(args, psl)
-    dns = load_dns(args.dns)
-    candidates = candidate_scan(corpus, dns, psl, min_sites=args.min_sites,
-                                max_depth=args.max_depth)
+    dns = load_dns(args.dns, args.max_depth)
+    candidates = candidate_scan(corpus, dns, psl, min_sites=args.min_sites)
     rows = []
     for agg in candidates:
         fv = extract_features(agg)
@@ -283,8 +288,8 @@ def cmd_validate(args) -> int:
         if not isinstance(path, str):
             raise SchemaViolation(f"month {month!r}: path must be a string", path=args.external_dns)
     entries = _month_entries(args)
-    external = {month: load_dns(path) for month, path in ext_manifest.items()}
-    trackers = external_trackers(external, sigs, args.max_depth)
+    external = {month: load_dns(path, args.max_depth) for month, path in ext_manifest.items()}
+    trackers = external_trackers(external, sigs)
     paths: dict[str, dict[str, set[str]]] = {}
 
     def keep_paths(month: MonthDataset):  # of the hosts cross_validate looks up
@@ -292,10 +297,8 @@ def cmd_validate(args) -> int:
             paths[month.month] = host_paths(month.corpus, trackers[month.month])
 
     pool = IpPool()
-    monthly = backward_iterate(_load_months(entries, psl, keep_paths), sigs, psl,
-                               max_depth=args.max_depth, pool=pool)
-    report = cross_validate(monthly, external, trackers, paths, sigs, pool, psl,
-                            max_depth=args.max_depth)
+    monthly = backward_iterate(_load_months(args, entries, psl, keep_paths), sigs, psl, pool=pool)
+    report = cross_validate(monthly, external, trackers, paths, sigs, pool, psl)
     out = _out_dir(args)
     reports.write_json({"correctness": report.correctness,
                         "completeness": report.completeness},
@@ -344,6 +347,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flag_values(args)
         return args.func(args)
     except (CnametrackError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -106,7 +106,6 @@ def match_uncloaked(
     dns: DnsRecordStore,
     cache: UncloakCache,
     page_host: str | None = None,
-    max_depth: int = 10,
     content: ContentClass | None = None,
 ) -> BlockDecision:
     """Plain match first; when allowed, re-match with the last CNAME hop
@@ -121,7 +120,7 @@ def match_uncloaked(
         return BlockDecision(Verdict.ALLOWED)
     entry = cache.get(host)
     if entry is None:
-        entry = _last_hop(host, dns, max_depth)
+        entry = _last_hop(host, dns)
         cache.put(host, entry)
     last_hop, dns_missing = entry
     if last_hop is None:
@@ -129,12 +128,12 @@ def match_uncloaked(
     return match_plain(_substitute_host(url, last_hop), relation, rules, page_host, content)
 
 
-def _last_hop(host: str, dns: DnsRecordStore, max_depth: int) -> tuple[str | None, bool]:
+def _last_hop(host: str, dns: DnsRecordStore) -> tuple[str | None, bool]:
     """(the host's last CNAME hop or None, whether DNS data is missing)."""
     if host not in dns:
         log.warning("no DNS coverage for %s; uncloaked match fails open", host)
         return None, True
-    chain = dns.chain(host, max_depth)
+    chain = dns.chain(host)
     return (None, True) if chain is None else (chain.last_hop, False)
 
 
@@ -160,8 +159,7 @@ class DomainSet:
         return None if best is None else best[1]
 
 
-def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[str],
-                   max_depth: int = 10) -> BlockDecision:
+def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[str]) -> BlockDecision:
     """Resolver-level blocking: the hostname or ANY chain hop matching a
     listed domain (suffix semantics) sinks the query.  ``domain_rules`` may
     be a plain list, indexed on the fly."""
@@ -170,7 +168,7 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[st
     hit = domains.hit(hostname)
     if hit:
         return BlockDecision(Verdict.BLOCKED, matched_domain=hit)
-    chain = dns.chain(hostname, max_depth)
+    chain = dns.chain(hostname)
     for hop in chain.hops if chain is not None else ():
         hit = domains.hit(hop)
         if hit:
@@ -210,7 +208,6 @@ def compare_defenses(
     detections: list[PublisherDetection],
     rules: Iterable[FilterRule],
     dns: DnsRecordStore,
-    max_depth: int = 10,
 ) -> DefenseReport:
     """Fraction of each tracker's evidence transactions blocked per defense."""
     rules = FilterList.of(rules)
@@ -226,8 +223,8 @@ def compare_defenses(
         content = txn.content_type_class
         plain = match_plain(txn.request_url, relation, rules, visit.page_host, content)
         uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache,
-                                    visit.page_host, max_depth, content)
-        sink = match_sinkhole(txn.host, dns, domains, max_depth)
+                                    visit.page_host, content)
+        sink = match_sinkhole(txn.host, dns, domains)
         if uncloaked.dns_missing:
             warnings += 1
         verdicts.append(TransactionVerdict(

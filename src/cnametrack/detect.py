@@ -47,7 +47,6 @@ class CandidateAggregate:
     target_etld1: str
     sites: set[str] = field(default_factory=set)
     hostnames: set[str] = field(default_factory=set)
-    requests_per_site: dict[str, int] = field(default_factory=dict)
     paths_per_site: dict[str, set[str]] = field(default_factory=dict)
     total_requests: int = 0
     requests_sending_cookie: int = 0
@@ -65,7 +64,6 @@ class CandidateAggregate:
     def record(self, site: str, txn: HttpTransaction):
         self.sites.add(site)
         self.hostnames.add(txn.host)
-        self.requests_per_site[site] = self.requests_per_site.get(site, 0) + 1
         self.paths_per_site.setdefault(site, set()).add(txn.path_and_query)
         self.total_requests += 1
         if txn.request_cookies:
@@ -114,14 +112,14 @@ class PublisherDetection:
         return (self.publisher_etld1, self.tracker_id, self.context.value)
 
 
-def _chain(dns: DnsRecordStore, host: str, max_depth: int, warned: set[str]) -> CnameChain | None:
+def _chain(dns: DnsRecordStore, host: str, warned: set[str]) -> CnameChain | None:
     """``dns.chain``, warning the first time a host in ``warned`` is skipped
     for a CNAME cycle; callers running several snapshots share one set so
     that a cycle is reported once per run, not once per snapshot."""
-    chain = dns.chain(host, max_depth)
+    chain = dns.chain(host)
     if chain is None and (host := host.lower().rstrip(".")) not in warned:
         warned.add(host)
-        log.warning("skipping host with CNAME cycle: %s", dns.cycle(host, max_depth))
+        log.warning("skipping host with CNAME cycle: %s", dns.cycle(host))
     return chain
 
 
@@ -246,7 +244,6 @@ def candidate_scan(
     dns: DnsRecordStore,
     psl: PublicSuffixTable,
     min_sites: int = 100,
-    max_depth: int = 10,
 ) -> list[CandidateAggregate]:
     """Aggregate same-site (non-same-origin) requests whose host uncloaks to a
     different eTLD+1, grouped by the uncloaked target."""
@@ -260,7 +257,7 @@ def candidate_scan(
         for txn, relation in classified_transactions(visit, psl, origins):
             if relation is not Relation.SAME_SITE:
                 continue
-            chain = _chain(dns, txn.host, max_depth, warned)
+            chain = _chain(dns, txn.host, warned)
             if chain is None:
                 continue
             target = uncloaked_target(chain, psl)
@@ -281,7 +278,7 @@ def extract_features(agg: CandidateAggregate) -> FeatureVector:
         sites=agg.site_count,
         hostnames=agg.hostname_count,
         mean_unique_paths_per_site=sum(len(p) for p in agg.paths_per_site.values()) / nsites,
-        mean_requests_per_site=sum(agg.requests_per_site.values()) / nsites,
+        mean_requests_per_site=agg.total_requests / nsites,
         pct_responses_setting_cookie=100.0 * agg.responses_setting_cookie / total,
         pct_requests_sending_cookie=100.0 * agg.requests_sending_cookie / total,
         bucket_count=len(agg.response_size_buckets),
@@ -349,7 +346,6 @@ def detect_publishers(
     sigs: list[TrackerSignature],
     pool: IpPool | None,
     psl: PublicSuffixTable,
-    max_depth: int = 10,
     warned_cycles: set[str] | None = None,
 ) -> list[PublisherDetection]:
     """One detection per (publisher eTLD+1, tracker, context), deterministic order.
@@ -375,7 +371,7 @@ def detect_publishers(
                 continue
             facts = hosts.get(host)
             if facts is None:
-                chain = _chain(dns, host, max_depth, warned)
+                chain = _chain(dns, host, warned)
                 candidates = frozenset()
                 if chain is not None:
                     candidates = index.cname_positions(chain.hops).union(

@@ -1,8 +1,9 @@
 """DNS snapshot store, CNAME chain resolution, and tracker IP pools.
 
 Every stage resolves a host through ``DnsRecordStore.chain``: once per
-snapshot, host and depth, with None for a cycle.  ``resolve_chain`` is the
-unmemoized resolution behind it.
+snapshot and host, with None for a cycle.  The chain-depth cap belongs to
+the snapshot, set when it is built or loaded, so no stage takes one.
+``resolve_chain`` is the unmemoized resolution behind it.
 
 Addresses are found in networks through a ``NetworkIndex``: one table per
 (IP version, prefix length) maps each network address, as an integer, to
@@ -30,14 +31,15 @@ class DnsRecordStore:
     Records are kept as ``(rr_type, answer)`` tuples in the order they were
     added.  The first CNAME answer of each (host, month) is kept in a dict
     per month, so a later CNAME for the same pair is dropped without a scan,
-    with a warning when it differs.  Resolved chains are memoized per (host,
-    depth); ``add`` clears the memo.
+    with a warning when it differs.  Chains are resolved at most
+    ``max_depth`` hops deep and memoized per host; ``add`` clears the memo.
     """
 
-    def __init__(self):
+    def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
+        self.max_depth = max_depth
         self._records: dict[str, list[tuple[str, str]]] = {}
         self._first_cname: dict[str | None, dict[str, str]] = {}
-        self._chains: dict[tuple[str, int], CnameChain | CnameCycle] = {}
+        self._chains: dict[str, CnameChain | CnameCycle] = {}
 
     def add(self, host: str, rr_type: str, answer: str, month: str | None = None):
         self._chains.clear()
@@ -72,21 +74,21 @@ class DnsRecordStore:
     def hostnames(self):
         return self._records.keys()
 
-    def chain(self, host: str, max_depth: int = DEFAULT_MAX_DEPTH) -> CnameChain | None:
+    def chain(self, host: str) -> CnameChain | None:
         """The host's ``resolve_chain``, or None when it cycles (see ``cycle``)."""
-        key = (host.lower().rstrip("."), max_depth)
-        found = self._chains.get(key)
+        host = host.lower().rstrip(".")
+        found = self._chains.get(host)
         if found is None:
             try:
-                found = resolve_chain(key[0], self, max_depth)
+                found = resolve_chain(host, self, self.max_depth)
             except CnameCycle as exc:
                 found = exc.with_traceback(None)  # a traceback would pin the caller's frames
-            self._chains[key] = found
+            self._chains[host] = found
         return None if isinstance(found, CnameCycle) else found
 
-    def cycle(self, host: str, max_depth: int = DEFAULT_MAX_DEPTH) -> CnameCycle | None:
+    def cycle(self, host: str) -> CnameCycle | None:
         """The error behind a None ``chain``, else None."""
-        return None if self.chain(host, max_depth) else self._chains[host.lower().rstrip("."), max_depth]
+        return None if self.chain(host) else self._chains[host.lower().rstrip(".")]
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,6 @@ def accumulate_ips(
     store: DnsRecordStore,
     declared_ranges: dict[str, list[str]],
     pool: IpPool,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> IpPool:
     """Fold terminal addresses of confirmed tracking hosts into the pool.
 
@@ -245,7 +246,7 @@ def accumulate_ips(
         for cidr in cidrs:
             pool.add_range(cidr, tracker_id)
     for host, tracker_id in sorted(confirmed_hosts.items()):
-        chain = store.chain(host, max_depth)
+        chain = store.chain(host)
         for ip in chain.terminal_ips if chain is not None else ():
             pool.add_address(ip, tracker_id)
     return pool

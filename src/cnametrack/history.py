@@ -90,7 +90,6 @@ def backward_iterate(
     months: Iterable[MonthDataset],
     sigs: list[TrackerSignature],
     psl: PublicSuffixTable,
-    max_depth: int = 10,
     pool: IpPool | None = None,
 ) -> list[MonthlyDetection]:
     """Detect publishers month by month, newest first, growing the tracker IP
@@ -112,21 +111,18 @@ def backward_iterate(
     for month_ds in months:
         if out:
             check_descending_contiguous([out[-1].month, month_ds.month])
-        out.append(_detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed,
-                                 warned_cycles))
+        out.append(_detect_month(month_ds, sigs, psl, pool, declared, confirmed, warned_cycles))
         del month_ds  # release this month before the iterable reads the next
     return out
 
 
-def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, warned_cycles):
+def _detect_month(month_ds, sigs, psl, pool, declared, confirmed, warned_cycles):
     """One month of ``backward_iterate``: fold the addresses that already
     confirmed tracking domains resolve to this month into the pool, detect,
     then grow the pool and ``confirmed`` from this month's detections."""
-    accumulate_ips(confirmed, month_ds.dns, declared, pool, max_depth)
-    detections = detect_publishers(
-        month_ds.corpus, month_ds.dns, sigs, pool, psl, max_depth=max_depth,
-        warned_cycles=warned_cycles,
-    )
+    accumulate_ips(confirmed, month_ds.dns, declared, pool)
+    detections = detect_publishers(month_ds.corpus, month_ds.dns, sigs, pool, psl,
+                                   warned_cycles=warned_cycles)
     new_hosts = _confirmed_hosts(detections)
     # remote addresses observed on confirmed tracking transactions also
     # count as tracker-used IPs
@@ -136,7 +132,7 @@ def _detect_month(month_ds, sigs, psl, max_depth, pool, declared, confirmed, war
                 pool.add_address(txn.remote_ip, det.tracker_id)
             except ValueError:
                 pass
-    accumulate_ips(new_hosts, month_ds.dns, {}, pool, max_depth)
+    accumulate_ips(new_hosts, month_ds.dns, {}, pool)
     confirmed.update(new_hosts)
     return MonthlyDetection(month_ds.month, detections, pool.summary())
 
@@ -155,10 +151,10 @@ class ValidationReport:
     completeness: dict[str, list[dict]]
 
 
-def _external_tracker_chain(host, store, index: SignatureIndex, max_depth=10):
+def _external_tracker_chain(host, store, index: SignatureIndex):
     """First signature, in list order, whose suffix the host's external chain
     reaches, if any."""
-    if (chain := store.chain(host, max_depth)) is None:
+    if (chain := store.chain(host)) is None:
         return None, None
     positions = index.cname_positions(chain.hops)
     return (index.sigs[min(positions)] if positions else None), chain
@@ -180,7 +176,7 @@ def _near_miss_suffix(host: str, sigs: list[TrackerSignature]) -> str | None:
 
 
 def external_trackers(
-    external_dns: dict[str, DnsRecordStore], sigs: list[TrackerSignature], max_depth: int = 10
+    external_dns: dict[str, DnsRecordStore], sigs: list[TrackerSignature]
 ) -> dict[str, dict[str, TrackerSignature]]:
     """month -> {host: first signature its external chain reaches}, over the
     hostnames of each external snapshot, in sorted order: the hosts whose
@@ -190,7 +186,7 @@ def external_trackers(
     for month, ext in external_dns.items():
         hosts = trackers[month] = {}
         for host in sorted(ext.hostnames()):
-            sig = _external_tracker_chain(host, ext, index, max_depth)[0]
+            sig = _external_tracker_chain(host, ext, index)[0]
             if sig is not None:
                 hosts[host] = sig
     return trackers
@@ -215,7 +211,6 @@ def cross_validate(
     sigs: list[TrackerSignature],
     pool: IpPool | None,
     psl: PublicSuffixTable,
-    max_depth: int = 10,
 ) -> ValidationReport:
     """Check ``monthly`` against the external DNS snapshots.
 
@@ -240,7 +235,7 @@ def cross_validate(
             continue
         for det in monthly_det.detections:
             for host in sorted({r.host for r in det.evidence}):
-                sig, chain = _external_tracker_chain(host, ext, index, max_depth)
+                sig, chain = _external_tracker_chain(host, ext, index)
                 if sig is not None:
                     continue  # external data agrees
                 entry = {"month": month, "publisher": det.publisher_etld1,

@@ -24,7 +24,7 @@ import json
 import logging
 import sys
 
-from .dnsgraph import DnsRecordStore
+from .dnsgraph import DEFAULT_MAX_DEPTH, DnsRecordStore
 from .errors import MalformedHar, SchemaViolation, open_text
 from .model import (
     HttpTransaction,
@@ -235,10 +235,17 @@ def _jsonl_headers(obj, key: str, memo: _LoadMemo):
     return read
 
 
-def _ingest_transaction(obj, visits, memo: _LoadMemo):
-    visit = visits.get(obj["visit_id"])
+def _visit_of(obj, visits, rtype: str) -> PageVisit:
+    """The loaded visit a transaction or js_cookie record names."""
+    visit_id = _checked(obj["visit_id"], "visit_id", str, "a string")
+    visit = visits.get(visit_id)
     if visit is None:
-        raise SchemaViolation(f"transaction for unknown visit_id {obj['visit_id']!r}")
+        raise SchemaViolation(f"{rtype} for unknown visit_id {visit_id!r}")
+    return visit
+
+
+def _ingest_transaction(obj, visits, memo: _LoadMemo):
+    visit = _visit_of(obj, visits, "transaction")
     url = _checked(obj["url"], "url", str, "a string")
     _checked(obj.get("method", "GET"), "method", str, "a string")
     cookies, post_content_type, _ = _jsonl_headers(obj, "request_headers", memo)
@@ -269,9 +276,7 @@ def _ingest_transaction(obj, visits, memo: _LoadMemo):
 
 
 def _ingest_js_cookie(obj, visits, memo: _LoadMemo):
-    visit = visits.get(obj["visit_id"])
-    if visit is None:
-        raise SchemaViolation(f"js_cookie for unknown visit_id {obj['visit_id']!r}")
+    visit = _visit_of(obj, visits, "js_cookie")
     assigned = obj["assigned"]
     if not isinstance(assigned, str):
         raise SchemaViolation("js_cookie assigned must be a string")
@@ -349,6 +354,8 @@ def _har_visits(path, psl: PublicSuffixTable | None) -> list[PageVisit]:
         pid = page.get("id") or f"page_{len(order)}"
         if not isinstance(pid, _PAGE_ID):
             raise MalformedHar(f"page {i}: id must be a string or number")
+        if pid in visits:
+            raise MalformedHar(f"page {i}: duplicate id {pid!r}")
         page_url = page.get("title") or page.get("_url") or ""
         if not isinstance(page_url, str):
             raise MalformedHar(f"page {pid!r}: title/_url must be a string")
@@ -430,9 +437,9 @@ def _har_visits(path, psl: PublicSuffixTable | None) -> list[PageVisit]:
     return [visits[v] for v in order]
 
 
-def load_dns(path) -> DnsRecordStore:
-    """Load zdns-style line-delimited JSON into a DnsRecordStore."""
-    store = DnsRecordStore()
+def load_dns(path, max_depth: int = DEFAULT_MAX_DEPTH) -> DnsRecordStore:
+    """Load zdns-style line-delimited JSON into a DnsRecordStore of that chain-depth cap."""
+    store = DnsRecordStore(max_depth)
     add = store.add
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, 1):

@@ -122,17 +122,15 @@ def build_inventory(corpus: list[PageVisit], psl: PublicSuffixTable) -> list[Coo
     return list(inventory.values())
 
 
-def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> dict[str, tuple[int, int]]:
-    """value -> (distinct sites, distinct visits) over sent request cookies."""
+def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> dict[str, int]:
+    """value -> distinct sites it is sent on, over request cookies."""
     sites: dict[str, set[str]] = {}
-    visits: dict[str, set[str]] = {}
     for visit in corpus:
         site = page_site(visit, psl) or visit.page_host
         for txn in visit.transactions:
             for _name, value in txn.request_cookies:
                 sites.setdefault(value, set()).add(site)
-                visits.setdefault(value, set()).add(visit.visit_id)
-    return {v: (len(s), len(visits[v])) for v, s in sites.items()}
+    return {v: len(s) for v, s in sites.items()}
 
 
 def _tracker_hosts(detections: list[PublisherDetection], tracker_id: str) -> set[str]:
@@ -147,7 +145,7 @@ def _is_tracker_setter(record: CookieRecord, sig: TrackerSignature, tracker_host
 
 
 def _site_unique_persistent(
-    inventory: list[CookieRecord], value_site_index: dict[str, tuple[int, int]]
+    inventory: list[CookieRecord], value_site_index: dict[str, int]
 ) -> list[CookieRecord]:
     """The tracker-independent filters: persistent, long, site-unique."""
     out = []
@@ -156,8 +154,7 @@ def _site_unique_persistent(
             continue
         if len(rec.value) < MIN_VALUE_LENGTH:
             continue
-        site_count, _visit_count = value_site_index.get(rec.value, (0, 0))
-        if site_count >= MULTI_SITE_THRESHOLD:
+        if value_site_index.get(rec.value, 0) >= MULTI_SITE_THRESHOLD:
             continue
         out.append(rec)
     return out
@@ -185,7 +182,7 @@ class TrackerScope:
 
 def filter_candidates(
     inventory: list[CookieRecord],
-    value_site_index: dict[str, tuple[int, int]] | None,
+    value_site_index: dict[str, int] | None,
     sig: TrackerSignature,
     detections: list[PublisherDetection],
     scope: TrackerScope | None = None,

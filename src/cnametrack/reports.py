@@ -194,28 +194,27 @@ def rank_bins(
     ranking: dict[str, int],
     bin_size: int = 10000,
 ) -> list[dict]:
-    """Per rank-bin percentage of sites with same-site / cross-site tracking."""
+    """Per rank-bin percentage of sites with same-site / cross-site tracking,
+    counted in one pass over the ranking; a rank below 1 is in no bin."""
     same = {d.publisher_etld1 for d in detections if d.context is Context.SAME_SITE}
     cross = {d.publisher_etld1 for d in detections if d.context is Context.CROSS_SITE}
     if not ranking:
         return []
-    max_rank = max(ranking.values())
-    nbins = (max_rank - 1) // bin_size + 1
-    bins = []
-    for b in range(nbins):
-        lo, hi = b * bin_size + 1, (b + 1) * bin_size
-        members = [d for d, r in ranking.items() if lo <= r <= hi]
-        n = len(members)
-        n_same = sum(1 for d in members if d in same)
-        n_cross = sum(1 for d in members if d in cross)
-        bins.append({
-            "bin_start": lo,
-            "bin_end": hi,
-            "sites": n,
-            "same_site_pct": 100.0 * n_same / n if n else 0.0,
-            "cross_site_pct": 100.0 * n_cross / n if n else 0.0,
-        })
-    return bins
+    nbins = (max(ranking.values()) - 1) // bin_size + 1
+    counts = [[0, 0, 0] for _ in range(nbins)]  # sites, same-site, cross-site
+    for domain, rank in ranking.items():
+        if rank >= 1:
+            count = counts[(rank - 1) // bin_size]
+            count[0] += 1
+            count[1] += domain in same
+            count[2] += domain in cross
+    return [{
+        "bin_start": b * bin_size + 1,
+        "bin_end": (b + 1) * bin_size,
+        "sites": n,
+        "same_site_pct": 100.0 * n_same / n if n else 0.0,
+        "cross_site_pct": 100.0 * n_cross / n if n else 0.0,
+    } for b, (n, n_same, n_cross) in enumerate(counts)]
 
 
 def write_rank_bins(bins: list[dict], out_dir):

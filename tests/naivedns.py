@@ -60,9 +60,9 @@ class NaiveDnsRecordStore:
     def hostnames(self):
         return self._records.keys()
 
-    def chain(self, host: str, max_depth: int = 10):
+    def chain(self, host: str):
         """The host's ``resolve_chain``, unmemoized; None when it cycles."""
         try:
-            return resolve_chain(host, self, max_depth)
+            return resolve_chain(host, self)
         except CnameCycle:
             return None

@@ -430,3 +430,75 @@ def test_malformed_har_structure_exits_1(world, tmp_path, capsys, har, message):
     assert run(["detect", "--har", path, "--dns", world["dns"], "--signatures", world["signatures"],
                 "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["detect", "--max-depth", "0"], "--max-depth must be at least 1, not 0"),
+    (["history", "--max-depth", "-3"], "--max-depth must be at least 1, not -3"),
+    (["report", "--rank-bins", "0"], "--rank-bins must be at least 1, not 0"),
+    (["report", "--rank-bins", "-1"], "--rank-bins must be at least 1, not -1"),
+], ids=["max-depth-zero", "max-depth-negative", "rank-bins-zero", "rank-bins-negative"])
+def test_count_flag_below_one_exits_1(world, tmp_path, capsys, argv, message):
+    """Checked before any input is read: no traceback, and no output."""
+    out = tmp_path / "out"
+    assert run(["detect", "--corpus", world["corpus"], "--dns", world["dns"],
+                "--signatures", world["signatures"], "--out", out]) == 0
+    capsys.readouterr()
+    inputs = ["--corpus", world["corpus"], "--dns", world["dns"], "--signatures", world["signatures"],
+              "--months", world["months"], "--ranking", world["ranking"]]
+    assert run([*argv, *inputs, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (out / "rank_bins.csv").exists()
+
+
+def two_hop_world(root):
+    """One month of one tracking request, sent to an address inside the
+    tracker's declared range from a host two CNAME hops away from it; the
+    external DNS of the month holds the same chain."""
+    month = "2020-10"
+    corpus = corpusgen.write_jsonl([
+        corpusgen.visit_record("v1", "https://www.shop.com/", month=month),
+        corpusgen.txn_record("v1", "https://m.shop.com/p.gif", remote_ip="203.0.113.5")],
+        root / "corpus.jsonl")
+    dns = corpusgen.write_jsonl([corpusgen.dns_line("m.shop.com", [
+        ("m.shop.com", "CNAME", "a.cdn.org"), ("a.cdn.org", "CNAME", "x.trk.net"),
+        ("x.trk.net", "A", "198.51.100.1")], month)], root / "dns.jsonl")
+    sigs = corpusgen.write_signatures(root / "sigs.json", [
+        {"tracker_id": "trk", "cname_suffixes": ["trk.net"], "cidr_ranges": ["203.0.113.0/24"],
+         "path_patterns": ["/*"]}])
+    (root / "filters.txt").write_text("||trk.net^\n")
+    (root / "months.json").write_text(json.dumps([{"month": month, "corpus": str(corpus),
+                                                   "dns": str(dns)}]))
+    (root / "external.json").write_text(json.dumps({month: str(dns)}))
+    detect = ["--corpus", corpus, "--dns", dns, "--signatures", sigs]
+    months = ["--months", root / "months.json", "--signatures", sigs]
+    return {"detect": detect, "defense": [*detect, "--filters", root / "filters.txt"],
+            "history": months, "validate": [*months, "--external-dns", root / "external.json"]}
+
+
+def test_max_depth_reaches_every_chain_stage(tmp_path):
+    """At --max-depth 1 the chain stops at a.cdn.org: the request is still
+    detected by its address, but no longer through the CNAME, nothing
+    uncloaks or sinks it, the pool gains no address from the chain, and the
+    external data no longer backs the detection."""
+    world = two_hop_world(tmp_path)
+
+    def outputs(command, *depth):
+        out = tmp_path / f"{command}{''.join(depth)}"
+        assert run([command, *world[command], *depth, "--out", out]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["max_depth"] == \
+            (int(depth[1]) if depth else 10)
+        return out
+
+    for depth, mechanism in (((), "cname"), (("--max-depth", "1"), "direct-a-record")):
+        detections = json.loads((outputs("detect", *depth) / "publishers.json").read_text())
+        assert [d["mechanism"] for d in detections["detections"]] == [mechanism]
+        verdicts = json.loads((outputs("defense", *depth) / "defense_verdicts.json").read_text())
+        deep = mechanism == "cname"
+        assert [(v["plain"], v["uncloaked"], v["sinkhole"]) for v in verdicts["verdicts"]] == \
+            [(False, deep, deep)]
+        month = json.loads((outputs("history", *depth) / "month_2020-10.json").read_text())
+        assert [d["mechanism"] for d in month["detections"]] == [mechanism]
+        assert month["pool"] == {"trk": {"singles": int(deep), "ranges": 1}}
+        report = json.loads((outputs("validate", *depth) / "validation.json").read_text())
+        assert [e["reason"] for e in report["correctness"]] == ([] if deep else ["unexplained"])

@@ -37,8 +37,8 @@ def rules_of(*texts):
     return [parse_rule(t) for t in texts]
 
 
-def store_with(cnames=(), a_records=()):
-    store = DnsRecordStore()
+def store_with(cnames=(), a_records=(), max_depth=10):
+    store = DnsRecordStore(max_depth)
     for h, t in cnames:
         store.add(h, "CNAME", t)
     for h, ip in a_records:
@@ -270,11 +270,12 @@ class TestCompareDefenses:
             "no DNS coverage for nodns.shop.com; uncloaked match fails open"]
 
     def test_each_chain_resolved_once(self, psl, monkeypatch):
-        """detect_publishers and compare_defenses share the store's memo."""
+        """detect_publishers and compare_defenses share the store's memo,
+        which resolves at the store's depth."""
         resolved: dict[tuple, int] = {}
         resolve = dnsgraph.resolve_chain
 
-        def counting(host, store, max_depth=10):
+        def counting(host, store, max_depth):
             resolved[host, max_depth] = resolved.get((host, max_depth), 0) + 1
             return resolve(host, store, max_depth)
 
@@ -284,15 +285,15 @@ class TestCompareDefenses:
                 "https://loop.shop.com/y", "https://nodns.shop.com/x", "https://nodns.shop.com/y"]
         visit = PageVisit("https://www.shop.com/", "v1", site="shop.com", transactions=[
             HttpTransaction(url, remote_ip="203.0.113.3" if "nodns" in url else None) for url in urls])
-        dns = store_with(cnames=[("m.shop.com", "x.trk.net"), ("loop.shop.com", "a.loop.org"),
-                                 ("a.loop.org", "loop.shop.com")],
-                         a_records=[("x.trk.net", "198.51.100.1"), ("n.shop.com", "203.0.113.2")])
         sig = TrackerSignature("trk", cname_suffixes=("trk.net",), cidr_ranges=("203.0.113.0/28",),
                                path_patterns=("/*",))
         for max_depth in (10, 3):
-            detections = detect_publishers([visit], dns, [sig], None, psl, max_depth=max_depth)
-            report = compare_defenses([visit], detections, rules_of("||trk.net^"), dns,
-                                      max_depth=max_depth)
+            dns = store_with(cnames=[("m.shop.com", "x.trk.net"), ("loop.shop.com", "a.loop.org"),
+                                     ("a.loop.org", "loop.shop.com")],
+                             a_records=[("x.trk.net", "198.51.100.1"), ("n.shop.com", "203.0.113.2")],
+                             max_depth=max_depth)
+            detections = detect_publishers([visit], dns, [sig], None, psl)
+            report = compare_defenses([visit], detections, rules_of("||trk.net^"), dns)
             assert len(report.verdicts) == 7
         assert resolved == {(host, depth): 1 for depth in (10, 3)
                             for host in ("m.shop.com", "n.shop.com", "loop.shop.com", "nodns.shop.com")}

@@ -28,8 +28,8 @@ from naivedns import NaiveDnsRecordStore
 from naivepool import NaiveIpPool
 
 
-def make_store(cnames=(), a_records=()):
-    store = DnsRecordStore()
+def make_store(cnames=(), a_records=(), max_depth=10):
+    store = DnsRecordStore(max_depth)
     for host, target in cnames:
         store.add(host, "CNAME", target)
     for host, ip in a_records:
@@ -91,13 +91,14 @@ class TestResolveChain:
 
 
 class TestChainMemo:
-    """``DnsRecordStore.chain``: ``resolve_chain`` once per (host, depth)."""
+    """``DnsRecordStore.chain``: ``resolve_chain`` once per host, at the
+    store's depth."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         seen = []
 
-        def counting(host, store, max_depth=10):
+        def counting(host, store, max_depth):
             seen.append((host, max_depth))
             return resolve(host, store, max_depth)
 
@@ -106,14 +107,16 @@ class TestChainMemo:
         return seen
 
     def test_resolved_once_per_host_and_depth(self, calls):
-        store = make_store(cnames=[("m.shop.com", "a.cdn.net"), ("a.cdn.net", "x.trk.net")],
-                           a_records=[("x.trk.net", "192.0.2.1")])
+        cnames = [("m.shop.com", "a.cdn.net"), ("a.cdn.net", "x.trk.net")]
+        a_records = [("x.trk.net", "192.0.2.1")]
+        store = make_store(cnames, a_records)
         chain = store.chain("m.shop.com")
         assert chain == resolve_chain("m.shop.com", store)
         assert store.chain("M.Shop.com.") is chain
-        short = store.chain("m.shop.com", 1)
+        shallow = make_store(cnames, a_records, max_depth=1)
+        short = shallow.chain("m.shop.com")
         assert short.truncated and short.hops == ("a.cdn.net",)
-        assert store.chain("m.shop.com", 1) is short
+        assert shallow.chain("m.shop.com") is short
         assert calls == [("m.shop.com", 10), ("m.shop.com", 1)]
 
     def test_cycle_is_none_with_its_error(self, calls):
@@ -123,14 +126,14 @@ class TestChainMemo:
         assert isinstance(cycle, CnameCycle)
         assert str(cycle) == "CNAME cycle at a.test: a.test -> b.test -> a.test"
         assert cycle.__traceback__ is None
-        assert store.cycle("b.test", 10) is not cycle and len(calls) == 2
+        assert store.cycle("b.test") is not cycle and len(calls) == 2
         assert make_store().cycle("a.test") is None
 
     def test_bad_depth_still_raises(self):
-        store = make_store(cnames=[("a.test", "b.test")])
+        store = make_store(cnames=[("a.test", "b.test")], max_depth=0)
         for _ in range(2):
             with pytest.raises(ValueError):
-                store.chain("a.test", 0)
+                store.chain("a.test")
 
     def test_add_after_lookup_is_not_served_stale(self, calls):
         store = make_store(cnames=[("m.shop.com", "x.trk.net")])
@@ -264,11 +267,13 @@ class TestIpPool:
         assert pool.contains("203.0.113.3", "trk")
 
     def test_accumulate_respects_max_depth(self):
-        store = make_store(cnames=[("m.shop.com", "a.cdn.net"), ("a.cdn.net", "t.trk.net")],
-                           a_records=[("t.trk.net", "198.51.100.9")])
-        shallow = accumulate_ips({"m.shop.com": "trk"}, store, {}, IpPool(), max_depth=1)
+        cnames = [("m.shop.com", "a.cdn.net"), ("a.cdn.net", "t.trk.net")]
+        a_records = [("t.trk.net", "198.51.100.9")]
+        shallow = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=1),
+                                 {}, IpPool())
         assert shallow.summary() == {}
-        deep = accumulate_ips({"m.shop.com": "trk"}, store, {}, IpPool(), max_depth=2)
+        deep = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=2),
+                              {}, IpPool())
         assert deep.contains("198.51.100.9", "trk")
 
     def test_accumulate_skips_cycle(self):

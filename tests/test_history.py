@@ -118,8 +118,8 @@ class TestBackwardIterate:
 
 
     def test_max_depth_bounds_pool_accumulation(self, psl):
-        def month(name, cnames, ip):
-            store = DnsRecordStore()
+        def month(name, cnames, ip, depth):
+            store = DnsRecordStore(depth)
             for host, target in cnames:
                 store.add(host, "CNAME", target)
             store.add("x.trk.net", "A", ip)
@@ -130,10 +130,10 @@ class TestBackwardIterate:
         sigs = [TrackerSignature("trk", cname_suffixes=("trk.net",), path_patterns=("/*",))]
         for depth, older_owners in ((1, set()), (2, {"trk"})):
             pool = IpPool()
-            backward_iterate([month("2020-02", [("m.shop.com", "x.trk.net")], "198.51.100.1"),
+            backward_iterate([month("2020-02", [("m.shop.com", "x.trk.net")], "198.51.100.1", depth),
                               month("2020-01", [("m.shop.com", "a.cdn.org"), ("a.cdn.org", "x.trk.net")],
-                                    "198.51.100.2")],
-                             sigs, psl, max_depth=depth, pool=pool)
+                                    "198.51.100.2", depth)],
+                             sigs, psl, pool=pool)
             assert pool.owners("198.51.100.1") == {"trk"}
             # m.shop.com, confirmed in 2020-02, reaches 198.51.100.2 in two hops
             assert pool.owners("198.51.100.2") == older_owners, depth
@@ -188,9 +188,9 @@ def test_each_chain_resolved_once_per_snapshot(tmp_path, monkeypatch):
     stores = []  # kept alive, so that no id is reused
     resolve = dnsgraph.resolve_chain
 
-    def counting(host, store, max_depth=10):
+    def counting(host, store, max_depth):
         stores.append(store)
-        key = (id(store), host, max_depth)
+        key = (id(store), host)
         resolved[key] = resolved.get(key, 0) + 1
         return resolve(host, store, max_depth)
 

@@ -122,6 +122,18 @@ class TestCaptureJsonl:
             load_crawl_jsonl(path)
         assert str(exc.value) == f"{path}:2: {message}"
 
+    @pytest.mark.parametrize("value", [["v1"], {"id": "v1"}, 5])
+    @pytest.mark.parametrize("record", [
+        lambda vid: corpusgen.txn_record(vid, "https://a.com/x"),
+        lambda vid: corpusgen.js_cookie_record(vid, "u=1", []),
+    ], ids=["transaction", "js_cookie"])
+    def test_mistyped_visit_id_of_a_record_names_the_line(self, tmp_path, record, value):
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), record(value)],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_crawl_jsonl(path)
+        assert str(exc.value) == f"{path}:2: visit_id must be a string"
+
     def test_null_user_agent_is_other(self, tmp_path):
         rec = corpusgen.visit_record("v1", "https://a.com/")
         rec["user_agent"] = None
@@ -384,10 +396,12 @@ class TestHar:
         ({"log": 5}, "missing log/entries structure"),
         ([], "missing log/entries structure"),
         ({"log": {"pages": [{"id": ["p1"]}], "entries": []}}, "page 0: id must be a string or number"),
+        ({"log": {"pages": [{"id": "p1"}, {"id": "p2"}, {"id": "p1"}], "entries": []}},
+         "page 2: duplicate id 'p1'"),
         ({"log": {"entries": [{"pageref": {}, "request": {"url": "https://a.com/"}}]}},
          "entry 0: pageref must be a string or number"),
     ], ids=["page-int", "second-page-string", "pages-object", "entries-int", "entries-object",
-            "log-int", "doc-array", "page-id-array", "pageref-object"])
+            "log-int", "doc-array", "page-id-array", "duplicate-page-id", "pageref-object"])
     def test_malformed_structure(self, tmp_path, doc, message):
         path = self._har(tmp_path, doc)
         with pytest.raises(MalformedHar) as exc:

@@ -61,8 +61,8 @@ class TestInventory:
     def test_value_site_index(self, leak_setup):
         corpus, *_ , psl = leak_setup
         index = build_value_site_index(corpus, psl)
-        assert index["sharedconsentvalue01"][0] == 2
-        assert index["ga1.2.leakvalue0000"][0] == 1
+        assert index["sharedconsentvalue01"] == 2
+        assert index["ga1.2.leakvalue0000"] == 1
 
 
 class TestFiltering:
