@@ -8,7 +8,6 @@ Data goes to files under --out; diagnostics go to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from collections.abc import Iterator
@@ -18,7 +17,8 @@ from . import reports
 from .defense import compare_defenses
 from .detect import candidate_scan, detect_publishers, extract_features, heuristic_flag
 from .dnsgraph import DEFAULT_MAX_DEPTH, IpPool
-from .errors import CnametrackError, SchemaViolation, StaleInputs, open_text
+from .errors import (KEEP, REQUIRED, STRING, CnametrackError, SchemaViolation, StaleInputs, field_table,
+                     read_fields, read_json)
 from .filterlist import load_filter_list
 from .history import (
     MonthDataset,
@@ -172,33 +172,30 @@ def cmd_defense(args) -> int:
 
 def _load_month_manifest(path, shape: type):
     """A month manifest: a JSON ``list`` (--months) or ``dict`` (--external-dns)."""
-    with open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
-    if not isinstance(doc, shape):
+    doc = read_json(path)
+    if type(doc) is not shape:
         kind = "array" if shape is list else "object"
         raise SchemaViolation(f"month manifest must be a JSON {kind}", path=str(path))
     return doc
 
 
-def _month_entries(args) -> list[dict]:
-    """The --months manifest's entries, newest first.  Every entry and the
-    months' contiguity are checked; no corpus or DNS file is opened."""
+MONTH_ENTRY = field_table(("month", STRING, REQUIRED, KEEP),
+                          ("corpus", STRING, REQUIRED, KEEP),
+                          ("dns", STRING, REQUIRED, KEEP))
+
+
+def _month_entries(args) -> list[list[str]]:
+    """The --months manifest's (month, corpus, dns) entries, newest first, all
+    checked, and the months' contiguity, before any corpus or DNS file is opened."""
     _require(args, "months")
-    manifest = _load_month_manifest(args.months, list)
-    for i, entry in enumerate(manifest):
-        if not isinstance(entry, dict):
-            raise SchemaViolation(f"entry {i}: not an object", path=args.months)
-        for key in ("month", "corpus", "dns"):
-            if not isinstance(entry.get(key), str):
-                raise SchemaViolation(f"entry {i}: {key!r} missing or not a string", path=args.months)
-        if not is_month(entry["month"]):
-            raise SchemaViolation(f"entry {i}: month {entry['month']!r} is not YYYY-MM", path=args.months)
-    manifest.sort(key=lambda entry: entry["month"], reverse=True)
-    check_descending_contiguous([entry["month"] for entry in manifest], args.months)
-    return manifest
+    entries = [read_fields(entry, MONTH_ENTRY, SchemaViolation, None, args.months, f"entry {i}: ")
+               for i, entry in enumerate(_load_month_manifest(args.months, list))]
+    for i, (month, _corpus, _dns) in enumerate(entries):
+        if not is_month(month):
+            raise SchemaViolation(f"entry {i}: month {month!r} is not YYYY-MM", path=args.months)
+    entries.sort(reverse=True)
+    check_descending_contiguous([month for month, _corpus, _dns in entries], args.months)
+    return entries
 
 
 def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
@@ -206,8 +203,8 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
     it, so that one month is in memory at a time.  ``seen`` is called with
     each month as it is read."""
     def read(entry) -> MonthDataset:
-        month = MonthDataset(entry["month"], load_crawl_jsonl(entry["corpus"], psl),
-                             load_dns(entry["dns"], args.max_depth))
+        name, corpus, dns = entry
+        month = MonthDataset(name, load_crawl_jsonl(corpus, psl), load_dns(dns, args.max_depth))
         if seen is not None:
             seen(month)
         return month

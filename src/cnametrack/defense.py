@@ -113,6 +113,11 @@ def match_uncloaked(
     DNS data is missing or the chain cycles."""
     rules = FilterList.of(rules)
     plain = match_plain(url, relation, rules, page_host, content)
+    return _uncloaked(plain, url, relation, rules, dns, cache, page_host, content)
+
+
+def _uncloaked(plain: BlockDecision, url, relation, rules, dns, cache, page_host, content):
+    """``match_uncloaked`` given the URL's plain verdict, so it is matched once."""
     if plain.blocked:
         return plain
     host = (urlsplit(url).hostname or "").lower()
@@ -222,8 +227,8 @@ def compare_defenses(
         relation = Relation.SAME_SITE if det.context is Context.SAME_SITE else Relation.CROSS_SITE
         content = txn.content_type_class
         plain = match_plain(txn.request_url, relation, rules, visit.page_host, content)
-        uncloaked = match_uncloaked(txn.request_url, relation, rules, dns, cache,
-                                    visit.page_host, content)
+        uncloaked = _uncloaked(plain, txn.request_url, relation, rules, dns, cache,
+                               visit.page_host, content)
         sink = match_sinkhole(txn.host, dns, domains)
         if uncloaked.dns_missing:
             warnings += 1

@@ -17,7 +17,7 @@ import ipaddress
 import logging
 from dataclasses import dataclass
 
-from .errors import CnameCycle, InvalidCidr
+from .errors import CnameCycle, CnametrackError, InvalidCidr
 from .sitectx import PublicSuffixTable
 
 log = logging.getLogger(__name__)
@@ -32,10 +32,12 @@ class DnsRecordStore:
     added.  The first CNAME answer of each (host, month) is kept in a dict
     per month, so a later CNAME for the same pair is dropped without a scan,
     with a warning when it differs.  Chains are resolved at most
-    ``max_depth`` hops deep and memoized per host; ``add`` clears the memo.
+    ``max_depth`` (at least 1) hops deep and memoized per host; ``add`` clears the memo.
     """
 
     def __init__(self, max_depth: int = DEFAULT_MAX_DEPTH):
+        if max_depth < 1:
+            raise CnametrackError(f"max_depth must be at least 1, not {max_depth}")
         self.max_depth = max_depth
         self._records: dict[str, list[tuple[str, str]]] = {}
         self._first_cname: dict[str | None, dict[str, str]] = {}

@@ -1,6 +1,10 @@
 """Exception hierarchy shared across the toolkit, and the one way inputs are
-opened so that a byte that is not UTF-8 is an error naming the file."""
+read: text as UTF-8, JSON decoded in one place (a document or a JSON-lines
+file), and each record checked against its type's ``field_table`` by
+``read_fields``, so that every fault is one error naming where it is.
+"""
 
+import json
 from contextlib import contextmanager
 
 
@@ -33,7 +37,6 @@ class MalformedHar(CnametrackError):
     """HAR file violates the expected 1.2 structure."""
 
     def __init__(self, message: str, entry_index: int | None = None, path: str | None = None):
-        self.reason = message
         if entry_index is not None:
             message = f"entry {entry_index}: {message}"
         super().__init__(f"{path}: {message}" if path is not None else message)
@@ -68,3 +71,87 @@ def open_text(path, **kwargs):
             yield fh
         except UnicodeDecodeError as exc:
             raise SchemaViolation(f"not UTF-8 text: {exc.reason}", path=str(path)) from None
+
+
+def _decoded(text: str, error, loc, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise error(f"bad JSON: {exc}", loc, path) from None
+
+
+def read_json(path, error=SchemaViolation):
+    """The JSON document in file ``path``; bad JSON raises ``error`` naming the file."""
+    with open_text(path) as fh:
+        text = fh.read()
+    return _decoded(text, error, None, str(path))
+
+
+def json_lines(path):
+    """(line number, value) of each non-blank line of a JSON-lines file; bad
+    JSON raises a SchemaViolation naming the path and line."""
+    path = str(path)
+    with open_text(path) as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if line:
+                yield lineno, _decoded(line, SchemaViolation, lineno, path)
+
+
+class Default(str):
+    """A default no JSON value equals: ``REQUIRED``, or one the loader fills in."""
+
+
+REQUIRED = Default("required")
+KEEP, DROP = True, False
+_NULL = type(None)
+
+
+def list_of(what: str, element, null: bool = False):
+    """The kind of a JSON list whose every element passes ``element``."""
+    return (f"a list of {what}" + (", or null" if null else ""), (list, _NULL) if null else (list,),
+            lambda value: not value or all(map(element, value)))
+
+
+def one_of(values):
+    """The kind of a string among ``values``."""
+    values = tuple(values)
+    return ("one of " + ", ".join(map(repr, values)), (str,), values.__contains__)
+
+
+# A kind: (what a value must be, its exact JSON types, a check once the type passed or None)
+STRING = ("a string", (str,), None)
+STRING_OR_NULL = ("a string or null", (str, _NULL), None)
+INTEGER = ("an integer", (int,), None)
+BOOLEAN = ("a boolean", (bool,), None)
+OBJECT = ("an object", (dict,), None)
+OBJECT_OR_NULL = ("an object or null", (dict, _NULL), None)
+STRINGS = list_of("strings", lambda v: type(v) is str)
+OBJECTS = list_of("objects", lambda v: type(v) is dict)
+
+
+def field_table(*rows, prefix: str = ""):
+    """A record type's fields from ``(key, kind, default, kept)`` rows, each
+    named ``prefix + key`` in messages and docs.  A default's own type is
+    accepted too: JSON decodes to no ``()`` or ``Default``."""
+    return tuple((key, types if default is REQUIRED else (*types, type(default)), check, default, kept,
+                  prefix + key, what)
+                 for key, (what, types, check), default, kept in rows)
+
+
+def read_fields(obj, table, error, loc, path: str, at: str = "") -> list:
+    """The kept fields of record ``obj`` in ``table`` order, each its value or
+    its default.  A record that is not an object, or a field missing or not of
+    its kind, raises ``error(at + message, loc, path)``."""
+    if type(obj) is not dict:
+        raise error(f"{at}not an object", loc, path)
+    get = obj.get
+    values = []
+    for key, types, check, default, kept, label, what in table:
+        value = get(key, default)
+        if type(value) not in types or (check is not None and not check(value)):
+            message = f"missing {label}" if value is REQUIRED else f"{label} must be {what}"
+            raise error(at + message, loc, path)
+        if kept:
+            values.append(value)
+    return values

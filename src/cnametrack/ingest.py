@@ -3,7 +3,10 @@ tracker signatures and ranking lists.
 
 Every parser is total: each line yields a record, a counted skip, or a
 line-addressed diagnostic, never silent loss.  File formats are documented in
-docs/formats.md.
+docs/formats.md.  Each record type's fields are declared once, in the tables
+below, and read by ``errors.read_fields``: a fault is a ``SchemaViolation``
+naming the path and line (or signature), or a ``MalformedHar`` naming the
+path and entry (or page).
 
 A corpus repeats its cookies: the same first-party ``Cookie`` header goes out
 on many requests of a visit and the same ``Set-Cookie`` answers recur from
@@ -11,29 +14,19 @@ page to page.  So each corpus load keeps one ``_LoadMemo`` through which
 equal cookie pairs, ``Cookie`` headers and ``Set-Cookie`` / ``document.cookie``
 strings are parsed once and shared by identity; the records are immutable
 tuples and frozen ``CookieAttributes``, so sharing is safe.
-
-Input fields that no stage reads (a request's method, its status, headers
-other than ``Cookie``, ``Content-Type`` and ``Set-Cookie``, a declared POST
-digest, a visit's month, a signature's ``id_markers`` and ``notes``) are
-type-checked as before and then dropped.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 
 from .dnsgraph import DEFAULT_MAX_DEPTH, DnsRecordStore
-from .errors import MalformedHar, SchemaViolation, open_text
-from .model import (
-    HttpTransaction,
-    JsCookieSet,
-    PageVisit,
-    TrackerSignature,
-    UaLabel,
-    classify_content_type,
-)
+from .errors import (BOOLEAN, DROP, INTEGER, KEEP, OBJECT, OBJECT_OR_NULL, OBJECTS, REQUIRED, STRING,
+                     STRING_OR_NULL, STRINGS, Default, MalformedHar, SchemaViolation, field_table,
+                     json_lines, list_of, open_text, read_fields, read_json)
+from .model import (HttpTransaction, JsCookieSet, PageVisit, TrackerSignature, UaLabel,
+                    classify_content_type, split_url)
 from .sitectx import CookieAttributes, PublicSuffixTable, parse_set_cookie
 
 log = logging.getLogger(__name__)
@@ -48,15 +41,92 @@ _UA_ALIASES = {
 }
 
 
-def _parse_cookie_header(value: str) -> list[tuple[str, str]]:
-    cookies = []
-    for part in value.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, val = part.partition("=")
-        cookies.append((name.strip(), val.strip()))
-    return cookies
+_NULL = type(None)
+LINE_NAME = Default("the line's `name`")
+INTEGER_OR_NULL = ("an integer or null", (int, _NULL), None)
+SIZE = ("a non-negative integer", (int,), (0).__le__)
+LIST = ("a list", (list,), None)
+ID_OR_NULL = ("a string, a number or null", (str, int, float, _NULL), None)
+
+
+def _is_url(value) -> bool:
+    """A string that ``split_url`` takes apart."""
+    try:
+        split_url(value)
+    except ValueError:
+        return False
+    return True
+
+
+URLS = list_of("URL strings", lambda v: type(v) is str and _is_url(v))
+HEADER_PAIRS = list_of("[name, value] string pairs", lambda h: type(h) is list and len(h) == 2
+                       and type(h[0]) is str and type(h[1]) is str)
+HAR_HEADERS = list_of("objects with a string name and value", lambda h: type(h) is dict
+                      and type(h.get("name")) is str and type(h.get("value")) is str)
+INITIATOR = ("a URL string or any other JSON value", (str, int, float, bool, list, dict, _NULL),
+             lambda v: type(v) is not str or _is_url(v))
+CALL_FRAMES = list_of("objects whose url is null or a URL string", lambda f: type(f) is dict and (
+    f.get("url") is None or type(f["url"]) is str and _is_url(f["url"])), null=True)
+ID_MARKERS = list_of("objects with a string location and name", lambda m: type(m) is dict
+                     and type(m.get("location")) is str and type(m.get("name")) is str)
+
+VISIT = field_table(("version", INTEGER, CAPTURE_SCHEMA_VERSION, KEEP),
+                    ("visit_id", STRING, REQUIRED, KEEP),
+                    ("page_url", STRING, REQUIRED, KEEP),
+                    ("user_agent", STRING_OR_NULL, None, KEEP),
+                    ("month", STRING_OR_NULL, None, DROP))
+TRANSACTION = field_table(("visit_id", STRING, REQUIRED, KEEP),
+                          ("url", STRING, REQUIRED, KEEP),
+                          ("method", STRING, "GET", DROP),
+                          ("request_headers", HEADER_PAIRS, (), KEEP),
+                          ("response_headers", HEADER_PAIRS, (), KEEP),
+                          ("status", INTEGER, 0, DROP),
+                          ("response_size", SIZE, 0, KEEP),
+                          ("content_type", STRING_OR_NULL, None, KEEP),
+                          ("remote_ip", STRING_OR_NULL, None, KEEP),
+                          ("initiators", URLS, (), KEEP),
+                          ("post_body", STRING_OR_NULL, None, KEEP),
+                          ("post_body_digest", STRING_OR_NULL, None, KEEP),
+                          ("post_body_truncated", BOOLEAN, True, KEEP))
+JS_COOKIE = field_table(("visit_id", STRING, REQUIRED, KEEP),
+                        ("assigned", STRING, REQUIRED, KEEP),
+                        ("stack", URLS, (), KEEP))
+HAR_LOG = field_table(("pages", LIST, (), KEEP), ("entries", LIST, REQUIRED, KEEP), prefix="log.")
+HAR_PAGE = field_table(("id", ID_OR_NULL, None, KEEP),
+                       ("title", STRING_OR_NULL, None, KEEP),
+                       ("_url", STRING_OR_NULL, None, KEEP))
+HAR_ENTRY = field_table(("request", OBJECT, REQUIRED, KEEP),
+                        ("pageref", ID_OR_NULL, None, KEEP),
+                        ("response", OBJECT_OR_NULL, None, KEEP),
+                        ("serverIPAddress", STRING_OR_NULL, None, KEEP),
+                        ("_initiator", INITIATOR, None, KEEP),
+                        ("startedDateTime", STRING_OR_NULL, None, KEEP))
+HAR_REQUEST = field_table(("url", STRING, REQUIRED, KEEP),
+                          ("headers", HAR_HEADERS, (), KEEP),
+                          ("method", STRING, "GET", DROP),
+                          ("postData", OBJECT_OR_NULL, None, KEEP), prefix="request.")
+HAR_POST_DATA = field_table(("text", STRING_OR_NULL, None, KEEP),
+                            ("mimeType", STRING_OR_NULL, None, KEEP), prefix="request.postData.")
+HAR_RESPONSE = field_table(("headers", HAR_HEADERS, (), KEEP),
+                           ("status", INTEGER, 0, DROP),
+                           ("content", OBJECT_OR_NULL, None, KEEP), prefix="response.")
+HAR_CONTENT = field_table(("size", INTEGER_OR_NULL, 0, KEEP),
+                          ("mimeType", STRING_OR_NULL, None, KEEP), prefix="response.content.")
+HAR_INITIATOR = field_table(("stack", OBJECT_OR_NULL, None, KEEP), prefix="_initiator.")
+HAR_STACK = field_table(("callFrames", CALL_FRAMES, None, KEEP), prefix="_initiator.stack.")
+DNS_LINE = field_table(("name", STRING, REQUIRED, KEEP),
+                       ("answers", list_of("objects", lambda v: type(v) is dict, null=True), None, KEEP),
+                       ("data", OBJECT_OR_NULL, None, KEEP),
+                       ("month", STRING_OR_NULL, None, KEEP))
+DNS_DATA = field_table(("answers", OBJECTS, (), KEEP), prefix="data.")
+DNS_ANSWER = field_table(("type", STRING, REQUIRED, KEEP),
+                         ("answer", STRING, REQUIRED, KEEP),
+                         ("name", STRING, LINE_NAME, KEEP), prefix="answer.")
+SIGNATURE = field_table(("tracker_id", STRING, REQUIRED, KEEP),
+                        ("cname_suffixes", STRINGS, (), KEEP),
+                        ("cidr_ranges", STRINGS, (), KEEP),
+                        ("path_patterns", STRINGS, (), KEEP),
+                        ("id_markers", ID_MARKERS, (), DROP))
 
 
 class _LoadMemo:
@@ -86,7 +156,8 @@ class _LoadMemo:
         if cookies is None:
             pair = self.pair
             cookies = self.cookie_headers[value] = tuple(
-                pair(name, val) for name, val in _parse_cookie_header(value))
+                pair(name.strip(), val.strip())
+                for name, _, val in (part.partition("=") for part in value.split(";") if part.strip()))
         return cookies
 
     def set_cookie(self, value: str) -> CookieAttributes:
@@ -97,29 +168,15 @@ class _LoadMemo:
         return attrs
 
 
-def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
-    """(derived, content_type, user_agent) from a header list, or None when
-    an element is not a string pair (HAR: an object with ``name`` and
-    ``value``; JSONL: a two-element list).  The pass that validates the
-    pairs derives the request's cookies, first Content-Type and first
-    User-Agent, or the response's Set-Cookie records (the other two are then
-    None).  The derived records are tuples of values shared through
-    ``memo``; no headers give ``()``.  The pairs themselves are not kept."""
+def _derive_headers(headers, response: bool, memo: _LoadMemo):
+    """(derived, content_type, user_agent) from checked (name, value) header
+    pairs: the request's cookies, first Content-Type and first User-Agent,
+    or the response's Set-Cookie records, as tuples shared through ``memo``."""
     if not headers:
         return (), None, None
     derived = []
     content_type = user_agent = None
-    for h in headers:
-        if har:
-            if not isinstance(h, dict):
-                return None
-            name, value = h.get("name"), h.get("value")
-        elif isinstance(h, list) and len(h) == 2:
-            name, value = h
-        else:
-            return None
-        if not (isinstance(name, str) and isinstance(value, str)):
-            return None
+    for name, value in headers:
         key = name.lower()
         if response:
             if key == "set-cookie":
@@ -137,30 +194,8 @@ def _read_headers(headers: list, response: bool, memo: _LoadMemo, har: bool):
     return cookies, content_type, user_agent
 
 
-_STR_OR_NULL = (str, type(None))
-_PAGE_ID = (str, int, float)  # a HAR page id or pageref: any JSON scalar that keys a dict
-
-
-def _checked(value, key: str, types, what: str):
-    """``value`` when it is an instance of ``types``, else a SchemaViolation."""
-    if not isinstance(value, types):
-        raise SchemaViolation(f"{key} must be {what}")
-    return value
-
-
 def _interned(value: str | None) -> str | None:
     return value if value is None else sys.intern(value)
-
-
-def _strings(value, key: str) -> tuple[str, ...]:
-    """A JSON list of strings as a tuple, else a SchemaViolation."""
-    if isinstance(value, list):
-        for v in value:
-            if not isinstance(v, str):
-                break
-        else:
-            return tuple(value)
-    raise SchemaViolation(f"{key} must be a list of strings")
 
 
 def _ua_label(value: str | None) -> UaLabel:
@@ -179,329 +214,201 @@ def _ua_label(value: str | None) -> UaLabel:
 def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
     """Load the capture JSONL schema (visit / transaction / js_cookie records)."""
     visits: dict[str, PageVisit] = {}
-    order: list[str] = []
     memo = _LoadMemo()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"bad JSON: {exc}", line=lineno, path=str(path))
-            if not isinstance(obj, dict) or "record_type" not in obj:
-                raise SchemaViolation("missing record_type", line=lineno, path=str(path))
-            rtype = obj["record_type"]
-            try:
-                if rtype == "visit":
-                    _ingest_visit(obj, visits, order, psl)
-                elif rtype == "transaction":
-                    _ingest_transaction(obj, visits, memo)
-                elif rtype == "js_cookie":
-                    _ingest_js_cookie(obj, visits, memo)
-                else:
-                    raise SchemaViolation(f"unknown record_type {rtype!r}")
-            except SchemaViolation as exc:
-                raise SchemaViolation(str(exc.args[0]), line=lineno, path=str(path)) from None
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SchemaViolation(f"{rtype} record: {exc}", line=lineno, path=str(path))
-    return [visits[v] for v in order]
+    path = str(path)
+    for lineno, obj in json_lines(path):
+        rtype = obj.get("record_type") if type(obj) is dict else None
+        try:
+            if rtype == "transaction":
+                _ingest_transaction(obj, visits, memo, lineno, path)
+            elif rtype == "visit":
+                _ingest_visit(obj, visits, psl, lineno, path)
+            elif rtype == "js_cookie":
+                _ingest_js_cookie(obj, visits, memo, lineno, path)
+            else:
+                raise SchemaViolation("missing record_type" if rtype is None
+                                      else f"unknown record_type {rtype!r}", lineno, path)
+        except ValueError as exc:  # a URL that does not split
+            raise SchemaViolation(f"bad URL: {exc}", lineno, path) from None
+    return list(visits.values())
 
 
-def _ingest_visit(obj, visits, order, psl):
-    version = obj.get("version", CAPTURE_SCHEMA_VERSION)
+def _ingest_visit(obj, visits, psl, lineno, path):
+    version, visit_id, page_url, user_agent = read_fields(obj, VISIT, SchemaViolation, lineno, path)
     if version != CAPTURE_SCHEMA_VERSION:
-        raise SchemaViolation(f"unsupported capture version {version!r}")
-    visit_id = _checked(obj["visit_id"], "visit_id", str, "a string")
+        raise SchemaViolation(f"unsupported capture version {version}", lineno, path)
     if visit_id in visits:
-        raise SchemaViolation(f"duplicate visit_id {visit_id!r}")
-    page_url = _checked(obj["page_url"], "page_url", str, "a string")
-    user_agent = _checked(obj.get("user_agent"), "user_agent", _STR_OR_NULL, "a string or null")
-    _checked(obj.get("month"), "month", _STR_OR_NULL, "a string or null")  # checked, not kept
-    visit = PageVisit(page_url=page_url, visit_id=visit_id, user_agent_label=_ua_label(user_agent))
+        raise SchemaViolation(f"duplicate visit_id {visit_id!r}", lineno, path)
+    visit = visits[visit_id] = PageVisit(page_url, visit_id, user_agent_label=_ua_label(user_agent))
     if psl:
         visit.site = psl.etld_plus_one_or_none(visit.page_host)
-    visits[visit_id] = visit
-    order.append(visit_id)
 
 
-def _jsonl_headers(obj, key: str, memo: _LoadMemo):
-    headers = obj.get(key, [])
-    read = _read_headers(headers, key == "response_headers", memo, har=False) \
-        if isinstance(headers, list) else None
-    if read is None:
-        raise SchemaViolation(f"{key} must be a list of [name, value] string pairs")
-    return read
-
-
-def _visit_of(obj, visits, rtype: str) -> PageVisit:
+def _visit_of(visit_id, visits, rtype: str, lineno, path) -> PageVisit:
     """The loaded visit a transaction or js_cookie record names."""
-    visit_id = _checked(obj["visit_id"], "visit_id", str, "a string")
     visit = visits.get(visit_id)
     if visit is None:
-        raise SchemaViolation(f"{rtype} for unknown visit_id {visit_id!r}")
+        raise SchemaViolation(f"{rtype} for unknown visit_id {visit_id!r}", lineno, path)
     return visit
 
 
-def _ingest_transaction(obj, visits, memo: _LoadMemo):
-    visit = _visit_of(obj, visits, "transaction")
-    url = _checked(obj["url"], "url", str, "a string")
-    _checked(obj.get("method", "GET"), "method", str, "a string")
-    cookies, post_content_type, _ = _jsonl_headers(obj, "request_headers", memo)
-    set_cookies, _, _ = _jsonl_headers(obj, "response_headers", memo)
-    int(obj.get("status", 0))  # checked, not kept
+def _ingest_transaction(obj, visits, memo: _LoadMemo, lineno, path):
+    (visit_id, url, request_headers, response_headers, size, content_type, remote_ip, initiators,
+     post_body, digest, truncated) = read_fields(obj, TRANSACTION, SchemaViolation, lineno, path)
+    visit = _visit_of(visit_id, visits, "transaction", lineno, path)
+    cookies, post_content_type, _ = _derive_headers(request_headers, False, memo)
     txn = HttpTransaction(
         request_url=url,
         request_cookies=cookies,
-        set_cookies=set_cookies,
+        set_cookies=_derive_headers(response_headers, True, memo)[0],
         post_content_type=post_content_type,
-        response_size=int(obj.get("response_size", 0)),
-        content_type_class=classify_content_type(
-            _checked(obj.get("content_type"), "content_type", _STR_OR_NULL, "a string or null")),
-        remote_ip=_interned(_checked(obj.get("remote_ip"), "remote_ip", _STR_OR_NULL,
-                                     "a string or null")),
-        initiators=_strings(obj.get("initiators", []), "initiators"),
+        response_size=size,
+        content_type_class=classify_content_type(content_type),
+        remote_ip=_interned(remote_ip),
+        initiators=tuple(initiators),
     )
-    if txn.response_size < 0:
-        raise SchemaViolation("negative response_size")
-    post_body = _checked(obj.get("post_body"), "post_body", _STR_OR_NULL, "a string or null")
-    if obj.get("post_body_digest"):
-        # pre-truncated capture: keep the body and the declared flag
-        txn.post_body = post_body
-        txn.post_body_truncated = bool(obj.get("post_body_truncated", True))
+    if digest:  # pre-truncated capture: keep the body and the declared flag
+        txn.post_body, txn.post_body_truncated = post_body, truncated
     else:
         txn.store_post_body(post_body)
     visit.transactions.append(txn)
 
 
-def _ingest_js_cookie(obj, visits, memo: _LoadMemo):
-    visit = _visit_of(obj, visits, "js_cookie")
-    assigned = obj["assigned"]
-    if not isinstance(assigned, str):
-        raise SchemaViolation("js_cookie assigned must be a string")
-    visit.js_cookie_sets.append(
-        JsCookieSet(parsed=memo.set_cookie(assigned), stack=_strings(obj.get("stack", []), "stack")))
+def _ingest_js_cookie(obj, visits, memo: _LoadMemo, lineno, path):
+    visit_id, assigned, stack = read_fields(obj, JS_COOKIE, SchemaViolation, lineno, path)
+    _visit_of(visit_id, visits, "js_cookie", lineno, path).js_cookie_sets.append(
+        JsCookieSet(parsed=memo.set_cookie(assigned), stack=tuple(stack)))
 
 
-def _har_headers(message: dict, entry_index: int, memo: _LoadMemo, response: bool):
-    """A HAR request's or response's headers, read by ``_read_headers``."""
-    headers = message.get("headers", [])
-    if not isinstance(headers, list):
-        raise MalformedHar("headers must be a list", entry_index=entry_index)
-    read = _read_headers(headers, response, memo, har=True)
-    if read is None:
-        raise MalformedHar("header needs a string name and value", entry_index=entry_index)
-    return read
+def _fresh_id(taken, n: int) -> str:
+    """The first of ``page_<n>``, ``page_<n+1>``, ... that is not in ``taken``."""
+    while f"page_{n}" in taken:
+        n += 1
+    return f"page_{n}"
 
 
-def _har_int(value, field: str, entry_index: int) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise MalformedHar(f"{field} must be a number, not {value!r}", entry_index=entry_index) from None
-
-
-def _har_initiators(initiator, entry_index: int) -> tuple[str, ...]:
+def _har_initiators(initiator, idx: int, path: str) -> tuple[str, ...]:
     """The script URLs of an entry's ``_initiator``: the string itself, or the
     non-empty ``url`` of each of its ``stack.callFrames`` objects."""
-    if isinstance(initiator, str):
+    if type(initiator) is str:
         return (initiator,)
-    if not isinstance(initiator, dict):
+    if type(initiator) is not dict:
         return ()
-    stack = initiator.get("stack") or {}
-    frames = (stack.get("callFrames") or []) if isinstance(stack, dict) else None
-    if not isinstance(frames, list):
-        raise MalformedHar("_initiator.stack must be an object with a callFrames list",
-                           entry_index=entry_index)
-    for frame in frames:
-        if not (isinstance(frame, dict) and isinstance(frame.get("url"), _STR_OR_NULL)):
-            raise MalformedHar("call frame must be an object with a string url",
-                               entry_index=entry_index)
-    return tuple(frame["url"] for frame in frames if frame.get("url"))
+    (stack,) = read_fields(initiator, HAR_INITIATOR, MalformedHar, idx, path)
+    (frames,) = read_fields(stack or {}, HAR_STACK, MalformedHar, idx, path)
+    return tuple(frame["url"] for frame in frames or () if frame.get("url"))
 
 
 def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
-    """Load a HAR 1.2 capture; one PageVisit per page entry.  A MalformedHar
-    names the file."""
-    try:
-        return _har_visits(path, psl)
-    except MalformedHar as exc:
-        raise MalformedHar(exc.reason, exc.entry_index, path=str(path)) from None
+    """Load a HAR 1.2 capture; one PageVisit per page entry."""
+    path = str(path)
+    doc = read_json(path, MalformedHar)
+    har_log = doc.get("log") if type(doc) is dict else None
+    if type(har_log) is not dict:
+        raise MalformedHar("missing log/entries structure", None, path)
+    pages, entries = read_fields(har_log, HAR_LOG, MalformedHar, None, path)
 
-
-def _har_visits(path, psl: PublicSuffixTable | None) -> list[PageVisit]:
-    with open_text(path) as fh:
+    visits: dict = {}
+    page_fields = [read_fields(page, HAR_PAGE, MalformedHar, None, path, f"page {i}: ")
+                   for i, page in enumerate(pages)]
+    taken = {pid for pid, _, _ in page_fields if pid}
+    for i, (pid, title, url) in enumerate(page_fields):
+        if pid and pid in visits:
+            raise MalformedHar(f"page {i}: duplicate id {pid!r}", None, path)
+        if not pid:  # never an id the file names
+            pid = _fresh_id(taken, i)
+            taken.add(pid)
         try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedHar(f"not JSON: {exc}")
-    har_log = doc.get("log") if isinstance(doc, dict) else None
-    if not isinstance(har_log, dict) or "entries" not in har_log:
-        raise MalformedHar("missing log/entries structure")
-    pages, entries = har_log.get("pages", []), har_log["entries"]
-    if not isinstance(pages, list):
-        raise MalformedHar("log.pages must be a list")
-    if not isinstance(entries, list):
-        raise MalformedHar("log.entries must be a list")
-
-    visits: dict[str, PageVisit] = {}
-    order: list[str] = []
-    memo = _LoadMemo()
-    for i, page in enumerate(pages):
-        if not isinstance(page, dict):
-            raise MalformedHar(f"page {i}: not an object")
-        pid = page.get("id") or f"page_{len(order)}"
-        if not isinstance(pid, _PAGE_ID):
-            raise MalformedHar(f"page {i}: id must be a string or number")
-        if pid in visits:
-            raise MalformedHar(f"page {i}: duplicate id {pid!r}")
-        page_url = page.get("title") or page.get("_url") or ""
-        if not isinstance(page_url, str):
-            raise MalformedHar(f"page {pid!r}: title/_url must be a string")
-        visit = visits[pid] = PageVisit(page_url=page_url, visit_id=pid)
+            visit = visits[pid] = PageVisit(page_url=title or url or "", visit_id=pid)
+        except ValueError as exc:
+            raise MalformedHar(f"page {i}: bad URL: {exc}", None, path) from None
         if psl and visit.page_host:
             visit.site = psl.etld_plus_one_or_none(visit.page_host)
-        order.append(pid)
 
-    # (pageref, index, transaction, startedDateTime, first User-Agent)
-    timed: list[tuple[str, int, HttpTransaction, str, str | None]] = []
+    memo = _LoadMemo()
+    timed = []  # (pageref, index, transaction, startedDateTime, first User-Agent)
     for idx, entry in enumerate(entries):
+        request, pageref, response, server_ip, initiator, started = read_fields(
+            entry, HAR_ENTRY, MalformedHar, idx, path)
+        url, headers, post = read_fields(request, HAR_REQUEST, MalformedHar, idx, path)
+        if pages and pageref not in visits:
+            raise MalformedHar(f"unknown pageref {pageref!r}", idx, path)
+        cookies, post_content_type, user_agent = _derive_headers(
+            [(h["name"], h["value"]) for h in headers], False, memo)
         try:
-            request = entry["request"]
-            url = request["url"]
-        except (KeyError, TypeError):
-            raise MalformedHar("entry missing request.url", entry_index=idx)
-        if not isinstance(url, str):
-            raise MalformedHar("request.url must be a string", entry_index=idx)
-        pageref = entry.get("pageref")
-        if not isinstance(pageref, (*_PAGE_ID, type(None))):
-            raise MalformedHar("pageref must be a string or number", entry_index=idx)
-        if not pages:  # pageless HAR: one visit per distinct pageref, page_0 for none
-            if pageref is None:
-                pageref = "page_0"
-            if pageref not in visits:
+            txn = HttpTransaction(request_url=url, request_cookies=cookies,
+                                  post_content_type=post_content_type)
+            if not pages and pageref not in visits:  # pageless: one visit per pageref
                 visits[pageref] = PageVisit(page_url=url, visit_id=pageref)
-                order.append(pageref)
-        elif pageref not in visits:
-            raise MalformedHar(f"unknown pageref {pageref!r}", entry_index=idx)
-        cookies, post_content_type, user_agent = _har_headers(request, idx, memo, response=False)
-        if not isinstance(request.get("method", "GET"), str):
-            raise MalformedHar("request.method must be a string", entry_index=idx)
-        txn = HttpTransaction(request_url=url, request_cookies=cookies,
-                              post_content_type=post_content_type)
-        response = entry.get("response")
+        except ValueError as exc:
+            raise MalformedHar(f"bad URL: {exc}", idx, path) from None
         if response:
-            if not isinstance(response, dict):
-                raise MalformedHar("response must be an object", entry_index=idx)
-            txn.set_cookies, _, _ = _har_headers(response, idx, memo, response=True)
-            _har_int(response.get("status", 0), "response.status", idx)  # checked, not kept
-            content = response.get("content", {}) or {}
-            if not isinstance(content, dict):
-                raise MalformedHar("response.content must be an object", entry_index=idx)
-            txn.response_size = max(_har_int(content.get("size", 0) or 0, "content.size", idx), 0)
-            mime = content.get("mimeType")
-            if not isinstance(mime, _STR_OR_NULL):
-                raise MalformedHar("content.mimeType must be a string", entry_index=idx)
+            headers, content = read_fields(response, HAR_RESPONSE, MalformedHar, idx, path)
+            txn.set_cookies = _derive_headers([(h["name"], h["value"]) for h in headers], True, memo)[0]
+            size, mime = read_fields(content or {}, HAR_CONTENT, MalformedHar, idx, path)
+            txn.response_size = max(size or 0, 0)
             txn.content_type_class = classify_content_type(mime)
         else:
             log.warning("%s: entry %d has no response; recorded with status 0", path, idx)
-        post = request.get("postData")
         if post:
-            if not isinstance(post, dict):
-                raise MalformedHar("request.postData must be an object", entry_index=idx)
-            text, post_mime = post.get("text"), post.get("mimeType")
-            if not (isinstance(text, _STR_OR_NULL) and isinstance(post_mime, _STR_OR_NULL)):
-                raise MalformedHar("postData text and mimeType must be strings", entry_index=idx)
+            text, post_mime = read_fields(post, HAR_POST_DATA, MalformedHar, idx, path)
             txn.store_post_body(text)
             if txn.post_content_type is None:  # a Content-Type header wins
                 txn.post_content_type = post_mime
-        server_ip = entry.get("serverIPAddress")
-        if not isinstance(server_ip, _STR_OR_NULL):
-            raise MalformedHar("serverIPAddress must be a string", entry_index=idx)
         txn.remote_ip = _interned(server_ip or None)
-        txn.initiators = _har_initiators(entry.get("_initiator"), idx)
-        started = entry.get("startedDateTime")
-        if not isinstance(started, _STR_OR_NULL):
-            raise MalformedHar("startedDateTime must be a string", entry_index=idx)
+        txn.initiators = _har_initiators(initiator, idx, path)
         timed.append((pageref, idx, txn, started or "", user_agent))
 
+    if None in visits:  # entries of a pageless HAR without a pageref
+        visits[None].visit_id = _fresh_id(visits, 0)
     timed.sort(key=lambda item: (item[3], item[1]))
-    user_agents: dict[str, str] = {}  # the earliest request's non-empty User-Agent, per visit
+    user_agents: dict = {}  # the earliest request's non-empty User-Agent, per visit
     for pageref, _idx, txn, _t, user_agent in timed:
         visits[pageref].transactions.append(txn)
         if user_agent:
             user_agents.setdefault(pageref, user_agent)
     for pageref, user_agent in user_agents.items():
         visits[pageref].user_agent_label = _ua_label(user_agent)
-    return [visits[v] for v in order]
+    return list(visits.values())
 
 
 def load_dns(path, max_depth: int = DEFAULT_MAX_DEPTH) -> DnsRecordStore:
     """Load zdns-style line-delimited JSON into a DnsRecordStore of that chain-depth cap."""
     store = DnsRecordStore(max_depth)
     add = store.add
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaViolation(f"bad JSON: {exc}", line=lineno, path=str(path))
-            if not isinstance(obj, dict) or "name" not in obj:
-                raise SchemaViolation("missing name", line=lineno, path=str(path))
-            answers = obj.get("answers")
-            if answers is None:
-                data = obj.get("data") or {}
-                answers = data.get("answers", []) if isinstance(data, dict) else None
-            if not isinstance(answers, list):
-                raise SchemaViolation("answers must be a list", line=lineno, path=str(path))
-            month = obj.get("month")
-            if not isinstance(month, _STR_OR_NULL):
-                raise SchemaViolation("month must be a string or null", line=lineno, path=str(path))
-            name = obj["name"]
-            for ans in answers:
-                try:
-                    rr_type = ans["type"].upper()
-                    owner = ans.get("name", name)
-                    answer = ans["answer"]
-                except (KeyError, TypeError, AttributeError):
-                    raise SchemaViolation("bad answer record", line=lineno, path=str(path))
-                if not isinstance(answer, str) or not isinstance(owner, str):
-                    raise SchemaViolation("answer and name must be strings", line=lineno, path=str(path))
-                if rr_type == "CNAME":
-                    add(owner, "CNAME", answer, month)
-                elif rr_type == "A" or rr_type == "AAAA":
-                    add(owner, "A", answer, month)
-                # other record types are ignored but not an error
+    path = str(path)
+    for lineno, obj in json_lines(path):
+        name, answers, data, month = read_fields(obj, DNS_LINE, SchemaViolation, lineno, path)
+        if answers is None:
+            (answers,) = read_fields(data or {}, DNS_DATA, SchemaViolation, lineno, path)
+        for ans in answers:
+            rr_type, answer, owner = read_fields(ans, DNS_ANSWER, SchemaViolation, lineno, path)
+            rr_type = rr_type.upper()
+            if owner is LINE_NAME:
+                owner = name
+            if rr_type == "CNAME":
+                add(owner, "CNAME", answer, month)
+            elif rr_type == "A" or rr_type == "AAAA":
+                add(owner, "A", answer, month)
+            # other record types are ignored but not an error
     return store
 
 
 def load_signatures(path) -> list[TrackerSignature]:
     """Load the tracker signature JSON file."""
-    with open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
-    if not isinstance(doc, list):
-        raise SchemaViolation("signature file must be a JSON array", path=str(path))
+    path = str(path)
+    doc = read_json(path)
+    if type(doc) is not list:
+        raise SchemaViolation("signature file must be a JSON array", None, path)
     sigs = []
     for i, entry in enumerate(doc):
+        tracker_id, suffixes, cidr_ranges, path_patterns = read_fields(
+            entry, SIGNATURE, SchemaViolation, None, path, f"signature {i}: ")
         try:
-            tracker_id = _checked(entry["tracker_id"], "tracker_id", str, "a string")
-            cname_suffixes = tuple(s.lower().rstrip(".")
-                                   for s in _strings(entry.get("cname_suffixes", []), "cname_suffixes"))
-            cidr_ranges = _strings(entry.get("cidr_ranges", []), "cidr_ranges")
-            path_patterns = _strings(entry.get("path_patterns", []), "path_patterns")
-            # id_markers are checked, not kept; notes are not read at all
-            for marker in entry.get("id_markers", []):
-                marker["location"], marker["name"]
-            sigs.append(TrackerSignature(tracker_id, cname_suffixes, cidr_ranges, path_patterns))
-        except (KeyError, TypeError, ValueError, SchemaViolation) as exc:
-            raise SchemaViolation(f"signature {i}: {exc}", path=str(path))
+            sigs.append(TrackerSignature(tracker_id, tuple(s.lower().rstrip(".") for s in suffixes),
+                                         tuple(cidr_ranges), tuple(path_patterns)))
+        except ValueError as exc:
+            raise SchemaViolation(f"signature {i}: {exc}", None, path) from None
     return sigs
 
 

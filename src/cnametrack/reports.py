@@ -17,7 +17,8 @@ from .detect import (
     classified_transactions,
     page_site,
 )
-from .errors import SchemaViolation, open_text
+from .errors import (INTEGER, KEEP, OBJECTS, REQUIRED, STRING, SchemaViolation, field_table, one_of,
+                     read_fields, read_json)
 from .filterlist import FilterList
 from .leaks import LeakAuditResult, LeakFinding
 from .sitectx import Relation
@@ -65,11 +66,7 @@ def check_manifest(out_dir) -> bool:
     path = Path(out_dir) / "manifest.json"
     if not path.exists():
         return True
-    with open_text(path) as fh:
-        try:
-            manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
+    manifest = read_json(path)
     inputs = manifest.get("inputs", {}) if isinstance(manifest, dict) else None
     paths = manifest.get("input_paths", {}) if isinstance(manifest, dict) else None
     if not (isinstance(inputs, dict) and isinstance(paths, dict)
@@ -96,27 +93,30 @@ def detection_to_dict(det: PublisherDetection) -> dict:
     }
 
 
+DETECTION = field_table(("publisher", STRING, REQUIRED, KEEP),
+                        ("tracker", STRING, REQUIRED, KEEP),
+                        ("context", one_of(c.value for c in Context), REQUIRED, KEEP),
+                        ("evidence", OBJECTS, REQUIRED, KEEP),
+                        ("mechanism", one_of(m.value for m in Mechanism), REQUIRED, KEEP))
+EVIDENCE = field_table(("visit_id", ("a string or a number", (str, int, float), None), REQUIRED, KEEP),
+                       ("index", INTEGER, REQUIRED, KEEP),
+                       ("url", STRING, REQUIRED, KEEP),
+                       ("host", STRING, REQUIRED, KEEP), prefix="evidence.")
+
+
 def load_detections(path) -> list[PublisherDetection]:
     """Read a publishers.json back into detections; the inverse of
     detection_to_dict.  Raises SchemaViolation naming the detection."""
-    with open_text(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolation(f"bad JSON: {exc}", path=str(path))
-    if not isinstance(doc, dict) or not isinstance(doc.get("detections"), list):
-        raise SchemaViolation("expected an object with a detections array", path=str(path))
+    path = str(path)
+    doc = read_json(path)
+    if type(doc) is not dict or type(doc.get("detections")) is not list:
+        raise SchemaViolation("expected an object with a detections array", path=path)
     detections = []
     for i, d in enumerate(doc["detections"]):
-        try:
-            detections.append(PublisherDetection(
-                d["publisher"], d["tracker"], Context(d["context"]),
-                [TransactionRef(e["visit_id"], e["index"], e["url"], e["host"])
-                 for e in d["evidence"]],
-                Mechanism(d["mechanism"]),
-            ))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"detection {i}: {exc}", path=str(path))
+        at = f"detection {i}: "
+        pub, tracker, context, evidence, mechanism = read_fields(d, DETECTION, SchemaViolation, None, path, at)
+        refs = [TransactionRef(*read_fields(e, EVIDENCE, SchemaViolation, None, path, at)) for e in evidence]
+        detections.append(PublisherDetection(pub, tracker, Context(context), refs, Mechanism(mechanism)))
     return detections
 
 

@@ -78,7 +78,7 @@ class TestDetect:
         assert run(["detect", "--corpus", corpus, "--dns", world["dns"],
                     "--signatures", world["signatures"], "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == f"error: {corpus}:2: {field} must be " + (
-            "a list of strings\n" if field == "initiators" else
+            "a list of URL strings\n" if field == "initiators" else
             "a string\n" if field == "url" else "a string or null\n")
 
     def test_threads_byte_identical(self, world, tmp_path):
@@ -110,6 +110,22 @@ class TestLeaksDefense:
             rollup = {r["channel"]: int(r["distinct_sites"])
                       for r in csv.DictReader(fh)}
         assert rollup == {"cookie-header": 6, "post-body": 3, "url-param": 3}
+
+    @pytest.mark.parametrize("field", ["stack", "initiators"])
+    def test_url_that_does_not_split_exits_1_naming_the_line(self, tmp_path, capsys, field):
+        """A script URL the leak audit would split is checked at load: the
+        command exits 1 naming the line instead of raising a ValueError."""
+        records, dns_lines, _expected = corpusgen.leak_world()
+        visit_id = records[0]["visit_id"]
+        bad = corpusgen.js_cookie_record(visit_id, "zz=1234567890abc; Max-Age=99", ["http://[::1"]) \
+            if field == "stack" else corpusgen.txn_record(visit_id, "https://a.com/", initiators=["http://[::1"])
+        cpath = corpusgen.write_jsonl(records + [bad], tmp_path / "leaks.jsonl")
+        argv = ["leaks", "--corpus", cpath, "--dns", corpusgen.write_jsonl(dns_lines, tmp_path / "dns.jsonl"),
+                "--signatures", corpusgen.write_signatures(tmp_path / "sig.json", [corpusgen.LEAK_TRACKER_SIG]),
+                "--out", tmp_path / "out"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {cpath}:{len(records) + 1}: {field} must be a list of URL strings\n"
 
     def test_defense_command(self, world, tmp_path):
         out = tmp_path / "out"
@@ -177,10 +193,10 @@ class TestHistoryValidate:
     @pytest.mark.parametrize("manifest,where", [
         ({"month": "2020-10"}, "must be a JSON array"),
         (["2020-10"], "entry 0: not an object"),
-        ([{"month": "2020-10", "dns": "dns.jsonl"}], "entry 0: 'corpus' missing"),
+        ([{"month": "2020-10", "dns": "dns.jsonl"}], "entry 0: missing corpus"),
         ([{"month": "2020-10", "corpus": "c.jsonl", "dns": "d.jsonl"}, {"month": "2020-09", "corpus": "c.jsonl"}],
-         "entry 1: 'dns' missing"),
-        ([{"month": "2020-10", "corpus": 5, "dns": "d.jsonl"}], "entry 0: 'corpus' missing or not a string"),
+         "entry 1: missing dns"),
+        ([{"month": "2020-10", "corpus": 5, "dns": "d.jsonl"}], "entry 0: corpus must be a string"),
     ])
     def test_malformed_month_manifest(self, world, tmp_path, capsys, manifest, where):
         path = tmp_path / "months.json"

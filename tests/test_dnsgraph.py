@@ -22,7 +22,7 @@ from cnametrack.dnsgraph import (
     resolve_chain,
     uncloaked_target,
 )
-from cnametrack.errors import CnameCycle, InvalidCidr
+from cnametrack.errors import CnameCycle, CnametrackError, InvalidCidr
 from cnametrack.ingest import load_dns
 from naivedns import NaiveDnsRecordStore
 from naivepool import NaiveIpPool
@@ -129,11 +129,18 @@ class TestChainMemo:
         assert store.cycle("b.test") is not cycle and len(calls) == 2
         assert make_store().cycle("a.test") is None
 
-    def test_bad_depth_still_raises(self):
-        store = make_store(cnames=[("a.test", "b.test")], max_depth=0)
-        for _ in range(2):
+    def test_bad_depth_still_raises(self, tmp_path):
+        """A cap below 1 is refused when the store is built or loaded, with
+        a toolkit error; the unmemoized ``resolve_chain`` keeps its ValueError."""
+        path = tmp_path / "dns.jsonl"
+        path.write_text("")
+        for depth in (0, -1):
+            with pytest.raises(CnametrackError, match=f"^max_depth must be at least 1, not {depth}$"):
+                make_store(cnames=[("a.test", "b.test")], max_depth=depth)
+            with pytest.raises(CnametrackError, match="max_depth must be at least 1"):
+                load_dns(path, depth)
             with pytest.raises(ValueError):
-                store.chain("a.test")
+                resolve_chain("a.test", make_store(cnames=[("a.test", "b.test")]), depth)
 
     def test_add_after_lookup_is_not_served_stale(self, calls):
         store = make_store(cnames=[("m.shop.com", "x.trk.net")])

@@ -1,6 +1,6 @@
 """Shared header and cookie records against the list-building reference.
 
-``ingest._read_headers`` keeps one memo per load call, so equal cookie
+``ingest._derive_headers`` keeps one memo per load call, so equal cookie
 pairs, raw Cookie headers and Set-Cookie / document.cookie strings are parsed
 once and come back as the same immutable object.  ``tests/naiveheaders.py``
 keeps the earlier loader code, which built fresh lists for every record.
@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 import corpusgen
 import naiveheaders
-from cnametrack.ingest import _LoadMemo, _read_headers, _ua_label, load_crawl_jsonl, load_har
+from cnametrack.ingest import (
+    HAR_HEADERS,
+    HEADER_PAIRS,
+    _derive_headers,
+    _LoadMemo,
+    _ua_label,
+    load_crawl_jsonl,
+    load_har,
+)
 from cnametrack.model import HttpTransaction, UaLabel
 
 NAMES = ["Cookie", "cookie", "COOKIE", "CoOkIe", "Set-Cookie", "set-cookie", "SET-COOKIE",
@@ -185,17 +193,19 @@ odd_elements = st.sampled_from([["a"], ["a", "b", "c"], ["a", 1], [None, "b"], "
                                   odd_elements), max_size=5),
        response=st.booleans(), har=st.booleans())
 def test_read_headers_matches_reference_on_any_list(headers, response, har):
+    """The header kind accepts exactly the lists the reference reads, and
+    the derived records of an accepted list equal the reference's."""
     ref = naiveheaders._read_headers(headers, response, har)
-    got = _read_headers(headers, response, _LoadMemo(), har=har)
-    if ref is None:
-        assert got is None
-    else:
+    _what, _types, check = HAR_HEADERS if har else HEADER_PAIRS
+    assert check(headers) is (ref is not None)
+    if ref is not None:
+        pairs = [(h["name"], h["value"]) for h in headers] if har else headers
         user_agent = None if response else first_user_agent(ref[0])
-        assert got == (tuple(ref[1]), ref[2], user_agent)
+        assert _derive_headers(pairs, response, _LoadMemo()) == (tuple(ref[1]), ref[2], user_agent)
 
 
 def test_no_headers_allocate_no_containers():
-    assert _read_headers([], False, _LoadMemo(), har=False) == ((), None, None)
+    assert _derive_headers([], False, _LoadMemo()) == ((), None, None)
     txn = HttpTransaction("https://a.example/")
     assert txn.request_cookies is txn.set_cookies is ()
 

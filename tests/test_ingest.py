@@ -94,16 +94,22 @@ class TestCaptureJsonl:
         with pytest.raises(SchemaViolation):
             load_crawl_jsonl(path)
 
-    @pytest.mark.parametrize("version,shown", [(99, "99"), ("1", "'1'"), (None, "None")])
-    def test_unsupported_version(self, tmp_path, version, shown):
-        """The version is shown as its JSON type: a string "1" is not the
-        supported number 1."""
+    @pytest.mark.parametrize("version,message", [
+        (99, "unsupported capture version 99"),
+        ("1", "version must be an integer"),
+        (None, "version must be an integer"),
+        (True, "version must be an integer"),
+        (1.0, "version must be an integer"),
+    ])
+    def test_unsupported_version(self, tmp_path, version, message):
+        """The version is the JSON integer 1: a string "1", a boolean or a
+        float is not the supported number 1."""
         rec = corpusgen.visit_record("v1", "https://a.com/")
         rec["version"] = version
         path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
         with pytest.raises(SchemaViolation) as exc:
             load_crawl_jsonl(path)
-        assert str(exc.value) == f"{path}:1: unsupported capture version {shown}"
+        assert str(exc.value) == f"{path}:1: {message}"
 
     @pytest.mark.parametrize("field,value,message", [
         ("user_agent", 5, "user_agent must be a string or null"),
@@ -140,21 +146,16 @@ class TestCaptureJsonl:
         path = corpusgen.write_jsonl([rec], tmp_path / "c.jsonl")
         assert load_crawl_jsonl(path)[0].user_agent_label is UaLabel.OTHER
 
-    @pytest.mark.parametrize("status,message", [
-        ("abc", "invalid literal for int() with base 10: 'abc'"),
-        ([200], "int() argument must be a string, a bytes-like object or a real number, not 'list'"),
-        (None, "int() argument must be a string, a bytes-like object or a real number, "
-               "not 'NoneType'"),
-    ])
-    def test_non_numeric_status_names_the_line(self, tmp_path, status, message):
-        """The status is not kept, but a record whose status is no number is
-        still rejected."""
+    @pytest.mark.parametrize("status", ["abc", [200], None, "200", True, 200.0])
+    def test_non_numeric_status_names_the_line(self, tmp_path, status):
+        """The status is not kept, but a record whose status is no JSON
+        integer is still rejected."""
         rec = corpusgen.txn_record("v1", "https://a.com/x", status=status)
         path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), rec],
                                      tmp_path / "c.jsonl")
         with pytest.raises(SchemaViolation) as exc:
             load_crawl_jsonl(path)
-        assert str(exc.value) == f"{path}:2: transaction record: {message}"
+        assert str(exc.value) == f"{path}:2: status must be an integer"
 
     @pytest.mark.parametrize("headers", [[[5, "x"]], [["Cookie"]], ["Cookie: a=1"], {"Cookie": "a"}])
     def test_bad_header_names_the_line(self, tmp_path, headers):
@@ -178,6 +179,14 @@ class TestCaptureJsonl:
         ("initiators", "abc"),
         ("initiators", [5]),
         ("initiators", None),
+        ("initiators", ["http://[::1"]),
+        ("response_size", "7"),
+        ("response_size", True),
+        ("response_size", 1.5),
+        ("response_size", -1),
+        ("post_body_truncated", "no"),
+        ("post_body_truncated", 1),
+        ("post_body_digest", True),
     ])
     def test_mistyped_transaction_field_names_the_line(self, tmp_path, field, value):
         rec = corpusgen.txn_record("v1", "https://a.com/x", remote_ip="192.0.2.1")
@@ -187,6 +196,21 @@ class TestCaptureJsonl:
         with pytest.raises(SchemaViolation, match=f"{field} must be") as exc:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("record,message", [
+        ({"record_type": "transaction", "visit_id": "v1"}, "missing url"),
+        ({"record_type": "visit", "page_url": "https://b.com/"}, "missing visit_id"),
+        ({"record_type": "js_cookie", "visit_id": "v1"}, "missing assigned"),
+        (corpusgen.txn_record("v1", "http://[::1"), "bad URL: Invalid IPv6 URL"),
+        (corpusgen.visit_record("v2", "http://[::1"), "bad URL: Invalid IPv6 URL"),
+        (["v1"], "missing record_type"),
+    ])
+    def test_missing_field_or_bad_url_names_the_line(self, tmp_path, record, message):
+        path = corpusgen.write_jsonl([corpusgen.visit_record("v1", "https://a.com/"), record],
+                                     tmp_path / "c.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_crawl_jsonl(path)
+        assert str(exc.value) == f"{path}:2: {message}"
 
     def test_mistyped_post_body_with_digest_names_the_line(self, tmp_path):
         rec = corpusgen.txn_record("v1", "https://a.com/x", method="POST")
@@ -263,13 +287,13 @@ class TestCaptureJsonl:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("stack", ["https://cdn.x.net/a.js", [5], None])
+    @pytest.mark.parametrize("stack", ["https://cdn.x.net/a.js", [5], None, ["http://[::1"]])
     def test_mistyped_js_cookie_stack_names_the_line(self, tmp_path, stack):
         path = corpusgen.write_jsonl([
             corpusgen.visit_record("v1", "https://a.com/"),
             {"record_type": "js_cookie", "visit_id": "v1", "assigned": "a=1", "stack": stack},
         ], tmp_path / "c.jsonl")
-        with pytest.raises(SchemaViolation, match="stack must be a list of strings") as exc:
+        with pytest.raises(SchemaViolation, match="stack must be a list of URL strings") as exc:
             load_crawl_jsonl(path)
         assert exc.value.line == 2
 
@@ -395,11 +419,12 @@ class TestHar:
         ({"log": {"entries": {"request": {}}}}, "log.entries must be a list"),
         ({"log": 5}, "missing log/entries structure"),
         ([], "missing log/entries structure"),
-        ({"log": {"pages": [{"id": ["p1"]}], "entries": []}}, "page 0: id must be a string or number"),
+        ({"log": {"pages": [{"id": ["p1"]}], "entries": []}},
+         "page 0: id must be a string, a number or null"),
         ({"log": {"pages": [{"id": "p1"}, {"id": "p2"}, {"id": "p1"}], "entries": []}},
          "page 2: duplicate id 'p1'"),
         ({"log": {"entries": [{"pageref": {}, "request": {"url": "https://a.com/"}}]}},
-         "entry 0: pageref must be a string or number"),
+         "entry 0: pageref must be a string, a number or null"),
     ], ids=["page-int", "second-page-string", "pages-object", "entries-int", "entries-object",
             "log-int", "doc-array", "page-id-array", "duplicate-page-id", "pageref-object"])
     def test_malformed_structure(self, tmp_path, doc, message):
@@ -415,6 +440,57 @@ class TestHar:
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}], "entries": entries}}
         with pytest.raises(MalformedHar, match="entry 1: startedDateTime must be a string"):
             load_har(self._har(tmp_path, doc))
+
+    def test_synthesized_page_id_never_collides(self, tmp_path):
+        """A page without ``id`` is named ``page_<n>`` after its position,
+        unless the file names that id itself; then the next free one."""
+        pages = [{"id": "page_1", "title": "https://a.com/"}, {"title": "https://b.com/"},
+                 {"title": "https://c.com/"}, {"id": "page_3", "title": "https://d.com/"}]
+        entries = [{"pageref": "page_1", "request": {"url": "https://a.com/x"}}]
+        visits = load_har(self._har(tmp_path, {"log": {"pages": pages, "entries": entries}}))
+        assert [(v.visit_id, v.page_url) for v in visits] == [
+            ("page_1", "https://a.com/"), ("page_2", "https://b.com/"), ("page_4", "https://c.com/"),
+            ("page_3", "https://d.com/")]
+        assert [len(v.transactions) for v in visits] == [1, 0, 0, 0]
+
+    def test_duplicate_page_id_names_only_ids_of_the_file(self, tmp_path):
+        pages = [{"title": "https://a.com/"}, {"id": "page_0", "title": "https://b.com/"},
+                 {"id": "page_0", "title": "https://c.com/"}]
+        path = self._har(tmp_path, {"log": {"pages": pages, "entries": []}})
+        with pytest.raises(MalformedHar) as exc:
+            load_har(path)
+        assert str(exc.value) == f"{path}: page 2: duplicate id 'page_0'"
+        assert [v.visit_id for v in load_har(self._har(tmp_path, {"log": {"pages": pages[:2], "entries": []}}))] \
+            == ["page_1", "page_0"]
+
+    def test_pageless_default_visit_never_takes_a_pageref(self, tmp_path):
+        entries = [{"pageref": "page_0", "request": {"url": "https://a.com/"}},
+                   {"request": {"url": "https://b.com/"}}]
+        visits = load_har(self._har(tmp_path, {"log": {"entries": entries}}))
+        assert [(v.visit_id, v.page_url) for v in visits] == [("page_0", "https://a.com/"),
+                                                              ("page_1", "https://b.com/")]
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"request": {"url": "http://[::1"}}, "entry 0: bad URL: Invalid IPv6 URL"),
+        ({"request": {"url": "https://a.com/"}, "_initiator": "http://[::1"},
+         "entry 0: _initiator must be a URL string or any other JSON value"),
+        ({"request": {}}, "entry 0: missing request.url"),
+        ({}, "entry 0: missing request"),
+        (5, "entry 0: not an object"),
+        ({"request": {"url": "https://a.com/"}, "pageref": True},
+         "entry 0: pageref must be a string, a number or null"),
+    ])
+    def test_bad_entry_names_it(self, tmp_path, entry, message):
+        """A URL that does not split is a located error, not a bare ValueError."""
+        path = self._har(tmp_path, {"log": {"entries": [entry]}})
+        with pytest.raises(MalformedHar) as exc:
+            load_har(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_page_url_that_does_not_split(self, tmp_path):
+        path = self._har(tmp_path, {"log": {"pages": [{"id": "p", "title": "http://[::1"}], "entries": []}})
+        with pytest.raises(MalformedHar, match=": page 0: bad URL: Invalid IPv6 URL$"):
+            load_har(path)
 
     def test_numeric_page_ids_still_key_their_entries(self, tmp_path):
         doc = {"log": {"pages": [{"id": 1, "title": "https://a.com/"}],
@@ -436,7 +512,7 @@ class TestHar:
 
     @pytest.mark.parametrize("pages,url,message", [
         ([], 5, "entry 0: request.url must be a string"),
-        ([{"id": "p1", "title": 5}], "https://a.com/", "page 'p1': title/_url must be a string"),
+        ([{"id": "p1", "title": 5}], "https://a.com/", "page 0: title must be a string or null"),
     ])
     def test_non_string_url_is_malformed(self, tmp_path, pages, url, message):
         doc = {"log": {"pages": pages, "entries": [{"pageref": "p1", "request": {"url": url}}]}}
@@ -465,7 +541,8 @@ class TestHar:
         entry[side]["headers"] = [header]
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
                        "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}}, entry]}}
-        with pytest.raises(MalformedHar, match=r": entry 1: header") as exc:
+        with pytest.raises(MalformedHar, match=f": entry 1: {side}.headers must be a list of objects "
+                           "with a string name and value") as exc:
             load_har(self._har(tmp_path, doc))
         assert exc.value.entry_index == 1
 
@@ -473,12 +550,16 @@ class TestHar:
         ("ok", "response must be an object"),
         ([200], "response must be an object"),
         ({"status": 200, "content": "text/html"}, "response.content must be an object"),
-        ({"status": "OK"}, "response.status must be a number"),
-        ({"status": [200]}, "response.status must be a number"),
-        ({"status": 200, "content": {"size": "big"}}, "content.size must be a number"),
-        ({"status": 200, "content": {"size": [1]}}, "content.size must be a number"),
-        ({"status": 200, "content": {"mimeType": 5}}, "content.mimeType must be a string"),
-        ({"status": 200, "content": {"mimeType": ["image/gif"]}}, "content.mimeType must be a string"),
+        ({"status": "OK"}, "response.status must be an integer"),
+        ({"status": [200]}, "response.status must be an integer"),
+        ({"status": "200"}, "response.status must be an integer"),
+        ({"status": 200, "content": {"size": "big"}}, "response.content.size must be an integer or null"),
+        ({"status": 200, "content": {"size": [1]}}, "response.content.size must be an integer or null"),
+        ({"status": 200, "content": {"size": "7"}}, "response.content.size must be an integer or null"),
+        ({"status": 200, "content": {"size": True}}, "response.content.size must be an integer or null"),
+        ({"status": 200, "content": {"mimeType": 5}}, "response.content.mimeType must be a string"),
+        ({"status": 200, "content": {"mimeType": ["image/gif"]}},
+         "response.content.mimeType must be a string"),
     ])
     def test_malformed_response_names_entry(self, tmp_path, response, message):
         doc = {"log": {"pages": [{"id": "p1", "title": "https://a.com/"}],
@@ -512,17 +593,18 @@ class TestHar:
                        "entries": [{"pageref": "p1", "request": {"url": "https://a.com/"}}, entry]}}
         return self._har(tmp_path, doc)
 
-    @pytest.mark.parametrize("frame", [{"url": 5}, {"url": ["https://a.com/t.js"]}])
+    @pytest.mark.parametrize("frame", [{"url": 5}, {"url": ["https://a.com/t.js"]}, {"url": "http://[::1"}])
     def test_non_string_call_frame_url_names_entry(self, tmp_path, frame):
         path = self._second_entry(tmp_path, _initiator={"stack": {"callFrames": [frame]}})
-        with pytest.raises(MalformedHar, match=": entry 1: call frame must be an object") as exc:
+        with pytest.raises(MalformedHar, match=": entry 1: _initiator.stack.callFrames must be a list of "
+                           "objects whose url is null or a URL string, or null") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
     @pytest.mark.parametrize("initiator,message", [
-        ({"stack": {"callFrames": ["https://a.com/t.js"]}}, "call frame must be an object"),
-        ({"stack": {"callFrames": [5]}}, "call frame must be an object"),
-        ({"stack": {"callFrames": "https://a.com/t.js"}}, "_initiator.stack must be an object"),
+        ({"stack": {"callFrames": ["https://a.com/t.js"]}}, "_initiator.stack.callFrames must be a list"),
+        ({"stack": {"callFrames": [5]}}, "_initiator.stack.callFrames must be a list"),
+        ({"stack": {"callFrames": "https://a.com/t.js"}}, "_initiator.stack.callFrames must be a list"),
         ({"stack": ["https://a.com/t.js"]}, "_initiator.stack must be an object"),
     ])
     def test_malformed_initiator_stack_names_entry(self, tmp_path, initiator, message):
@@ -549,10 +631,10 @@ class TestHar:
             load_har(path)
         assert exc.value.entry_index == 1
 
-    @pytest.mark.parametrize("post", [{"text": 5}, {"text": "a=1", "mimeType": 5}])
-    def test_non_string_post_data_fields_name_entry(self, tmp_path, post):
+    @pytest.mark.parametrize("post,key", [({"text": 5}, "text"), ({"text": "a=1", "mimeType": 5}, "mimeType")])
+    def test_non_string_post_data_fields_name_entry(self, tmp_path, post, key):
         path = self._second_entry(tmp_path, {"method": "POST", "postData": post})
-        with pytest.raises(MalformedHar, match=": entry 1: postData text and mimeType") as exc:
+        with pytest.raises(MalformedHar, match=f": entry 1: request.postData.{key} must be a string") as exc:
             load_har(path)
         assert exc.value.entry_index == 1
 
@@ -604,6 +686,26 @@ class TestDns:
             load_dns(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line,message", [
+        ({"name": 5, "answers": [{"name": "a.test", "type": "A", "answer": "192.0.2.1"}]},
+         "name must be a string"),
+        ({"name": "a.test", "answers": [{"type": "A"}]}, "missing answer.answer"),
+        ({"name": "a.test", "answers": [{"name": None, "type": "A", "answer": "192.0.2.1"}]},
+         "answer.name must be a string"),
+        ({"name": "a.test", "data": 0}, "data must be an object or null"),
+        ({"name": "a.test", "answers": ["192.0.2.1"]}, "answers must be a list of objects, or null"),
+    ])
+    def test_dns_fields_name_the_line(self, tmp_path, line, message):
+        path = corpusgen.write_jsonl([line], tmp_path / "dns.jsonl")
+        with pytest.raises(SchemaViolation) as exc:
+            load_dns(path)
+        assert str(exc.value) == f"{path}:1: {message}"
+
+    def test_answer_name_defaults_to_the_line_name(self, tmp_path):
+        path = corpusgen.write_jsonl([{"name": "a.test", "answers": [{"type": "cname", "answer": "b.test"}]}],
+                                     tmp_path / "dns.jsonl")
+        assert load_dns(path).cname_target("a.test") == "b.test"
+
     @pytest.mark.parametrize("month", [5, ["2020-10"], {"m": 1}])
     def test_mistyped_month_names_the_line(self, tmp_path, month):
         good = corpusgen.dns_line("b.test", [("b.test", "A", "192.0.2.1")])
@@ -623,22 +725,29 @@ class TestSignaturesAndRanking:
         assert sigs[0].host_matches("x.eulertrack.net")
         assert not sigs[0].host_matches("eulertrack.net.evil.com")
 
-    @pytest.mark.parametrize("markers,message", [
-        ([{"name": "uid"}], "'location'"),
-        ([{"location": "cookie"}], "'name'"),
-        ([5], "'int' object is not subscriptable"),
-        (["uid"], "string indices must be integers, not 'str'"),
-        ([["cookie", "uid"]], "list indices must be integers or slices, not str"),
-        (5, "'int' object is not iterable"),
-        (None, "'NoneType' object is not iterable"),
+    @pytest.mark.parametrize("markers", [
+        [{"name": "uid"}], [{"location": "cookie"}], [5], ["uid"], [["cookie", "uid"]], 5, None,
+        [{"location": 5, "name": "uid"}], "", {},
     ])
-    def test_malformed_id_marker_rejected(self, tmp_path, markers, message):
+    def test_malformed_id_marker_rejected(self, tmp_path, markers):
         """``id_markers`` are not kept, but each entry must still be an
-        object with a location and a name."""
+        object with a string location and name."""
         sig = {"tracker_id": "t", "cname_suffixes": ["t.net"], "path_patterns": ["/*"],
                "id_markers": markers}
         path = tmp_path / "sigs.json"
         path.write_text(json.dumps([sig]))
+        with pytest.raises(SchemaViolation) as exc:
+            load_signatures(path)
+        assert str(exc.value) == \
+            f"{path}: signature 0: id_markers must be a list of objects with a string location and name"
+
+    @pytest.mark.parametrize("entry,message", [
+        ("eulertrack", "not an object"),
+        ({"cname_suffixes": ["t.net"], "path_patterns": ["/*"]}, "missing tracker_id"),
+    ])
+    def test_signature_entry_names_its_index(self, tmp_path, entry, message):
+        path = tmp_path / "sigs.json"
+        path.write_text(json.dumps([entry]))
         with pytest.raises(SchemaViolation) as exc:
             load_signatures(path)
         assert str(exc.value) == f"{path}: signature 0: {message}"
