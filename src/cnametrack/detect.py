@@ -142,7 +142,7 @@ class SignatureIndex:
     ``address_positions`` memoizes, per address string, the signatures whose
     declared networks contain it (a ``NetworkIndex`` lookup) or whose tracker
     the pool credits with it; the pool must not change while the index is in
-    use.
+    use, and it parses the addresses (once per run, not per index).
     """
 
     def __init__(self, sigs: list[TrackerSignature], pool: IpPool | None = None):
@@ -171,7 +171,7 @@ class SignatureIndex:
         found = self._by_addr.get(addr)
         if found is None:
             try:
-                ip = ipaddress.ip_address(addr)
+                ip = ipaddress.ip_address(addr) if self.pool is None else self.pool.address(addr)
             except ValueError:
                 found = frozenset()
             else:
@@ -330,7 +330,7 @@ def signature_match_route(
         candidates.append(txn.remote_ip)
     for addr in candidates:
         try:
-            ip = ipaddress.ip_address(addr)
+            ip = ipaddress.ip_address(addr) if pool is None else pool.address(addr)
         except ValueError:
             continue
         if any(ip in net for net in sig.networks):

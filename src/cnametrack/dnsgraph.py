@@ -16,6 +16,7 @@ from __future__ import annotations
 import ipaddress
 import logging
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import CnameCycle, CnametrackError, InvalidCidr
 from .sitectx import PublicSuffixTable
@@ -170,12 +171,14 @@ class NetworkIndex:
 
 class IpPool:
     """Accumulated tracker addresses: single IPs plus CIDR ranges, each with
-    the set of tracker ids that hold it."""
+    the set of tracker ids that hold it; it lives for a whole run, so it also
+    parses each address string once for every stage and month."""
 
     def __init__(self):
         self._singles: dict[ipaddress._BaseAddress, set[str]] = {}
         self._ranges: dict[ipaddress._BaseNetwork, set[str]] = {}
         self._range_index = NetworkIndex()  # each range's id set, by network
+        self.address = cache(ipaddress.ip_address)  # a bad address raises its ValueError each time
 
     def add_range(self, cidr: str, tracker_id: str):
         try:
@@ -197,7 +200,7 @@ class IpPool:
                 del self._singles[addr]
 
     def add_address(self, addr: str, tracker_id: str):
-        ip = ipaddress.ip_address(addr)
+        ip = self.address(addr)
         for ids in self._range_index.lookup(ip):
             if tracker_id in ids:
                 return  # already covered by this tracker's range
@@ -208,7 +211,7 @@ class IpPool:
         as a single or by range; none when the address does not parse."""
         if isinstance(addr, str):
             try:
-                ip = ipaddress.ip_address(addr)
+                ip = self.address(addr)
             except ValueError:
                 return set()
         else:

@@ -1,11 +1,17 @@
 """Exception hierarchy shared across the toolkit, and the one way inputs are
 read: text as UTF-8, JSON decoded in one place (a document or a JSON-lines
 file), and each record checked against its type's ``field_table`` by
-``read_fields``, so that every fault is one error naming where it is.
+``read_fields``, so that every fault is one error naming where it is.  The
+C scanner of ``json`` decodes alone when it takes the whole text; any other
+text (whitespace or data around the value, a BOM, a fault) goes to
+``json.loads``, so values and messages are exactly ``json.loads``'s.
 """
 
 import json
 from contextlib import contextmanager
+from functools import cached_property
+
+_scan_once = json.JSONDecoder().scan_once
 
 
 class CnametrackError(Exception):
@@ -75,8 +81,14 @@ def open_text(path, **kwargs):
 
 def _decoded(text: str, error, loc, path: str):
     try:
+        try:
+            value, end = _scan_once(text, 0)
+            if end == len(text):
+                return value
+        except (StopIteration, ValueError):
+            pass
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a fault, too many digits or too deep nesting
         raise error(f"bad JSON: {exc}", loc, path) from None
 
 
@@ -109,8 +121,10 @@ _NULL = type(None)
 
 def list_of(what: str, element, null: bool = False):
     """The kind of a JSON list whose every element passes ``element``."""
-    return (f"a list of {what}" + (", or null" if null else ""), (list, _NULL) if null else (list,),
-            lambda value: not value or all(map(element, value)))
+    def check(value):
+        return not value or all(map(element, value))
+    check.element = element  # applied inline by ``FieldTable.read``
+    return (f"a list of {what}" + (", or null" if null else ""), (list, _NULL) if null else (list,), check)
 
 
 def one_of(values):
@@ -130,13 +144,34 @@ STRINGS = list_of("strings", lambda v: type(v) is str)
 OBJECTS = list_of("objects", lambda v: type(v) is dict)
 
 
+class FieldTable(tuple):
+    """A record type's rows ``(key, types, check, default, kept, label, what)``."""
+
+    @cached_property
+    def read(self):
+        """``read(record.get)``: the kept values of a dict record, or None if a
+        field is not of its kind.  Straight-line code compiled on first use:
+        one ``get`` per row, then each exact-type test and check in row order,
+        a list's element test inline and skipped when the list is empty."""
+        names, gets, tests = {}, [], []
+        for i, (key, types, check, default, *_) in enumerate(self):
+            one, element = len(set(types)) == 1, getattr(check, "element", None)
+            names.update({f"d{i}": default, f"t{i}": types[0] if one else types, f"c{i}": element or check})
+            gets.append(f" v{i} = get({key!r}, d{i})\n")
+            tests.append(f"type(v{i}) {'is' if one else 'in'} t{i}" + ("" if check is None else (
+                f" and (not v{i} or all(map(c{i}, v{i})))" if element else f" and c{i}(v{i})")))
+        kept = ", ".join(f"v{i}" for i, row in enumerate(self) if row[4])
+        exec(f"def read(get):\n{''.join(gets)} if {' and '.join(tests)}:\n  return [{kept}]", names)
+        return names["read"]
+
+
 def field_table(*rows, prefix: str = ""):
     """A record type's fields from ``(key, kind, default, kept)`` rows, each
     named ``prefix + key`` in messages and docs.  A default's own type is
     accepted too: JSON decodes to no ``()`` or ``Default``."""
-    return tuple((key, types if default is REQUIRED else (*types, type(default)), check, default, kept,
-                  prefix + key, what)
-                 for key, (what, types, check), default, kept in rows)
+    return FieldTable((key, types if default is REQUIRED else (*types, type(default)), check, default, kept,
+                       prefix + key, what)
+                      for key, (what, types, check), default, kept in rows)
 
 
 def read_fields(obj, table, error, loc, path: str, at: str = "") -> list:
@@ -145,13 +180,11 @@ def read_fields(obj, table, error, loc, path: str, at: str = "") -> list:
     its kind, raises ``error(at + message, loc, path)``."""
     if type(obj) is not dict:
         raise error(f"{at}not an object", loc, path)
-    get = obj.get
-    values = []
-    for key, types, check, default, kept, label, what in table:
-        value = get(key, default)
-        if type(value) not in types or (check is not None and not check(value)):
-            message = f"missing {label}" if value is REQUIRED else f"{label} must be {what}"
-            raise error(at + message, loc, path)
-        if kept:
-            values.append(value)
+    values = table.read(obj.get)
+    if values is None:  # name the first field, in table order, not of its kind
+        for key, types, check, default, _kept, label, what in table:
+            value = obj.get(key, default)
+            if type(value) not in types or (check is not None and not check(value)):
+                message = f"missing {label}" if value is REQUIRED else f"{label} must be {what}"
+                raise error(at + message, loc, path)
     return values

@@ -12,14 +12,16 @@ A corpus repeats its cookies: the same first-party ``Cookie`` header goes out
 on many requests of a visit and the same ``Set-Cookie`` answers recur from
 page to page.  So each corpus load keeps one ``_LoadMemo`` through which
 equal cookie pairs, ``Cookie`` headers and ``Set-Cookie`` / ``document.cookie``
-strings are parsed once and shared by identity; the records are immutable
-tuples and frozen ``CookieAttributes``, so sharing is safe.
+strings are parsed once and shared by identity (and content types classified
+once); the records are immutable tuples and frozen ``CookieAttributes``, so
+sharing is safe.
 """
 
 from __future__ import annotations
 
 import logging
 import sys
+from functools import cache
 
 from .dnsgraph import DEFAULT_MAX_DEPTH, DnsRecordStore
 from .errors import (BOOLEAN, DROP, INTEGER, KEEP, OBJECT, OBJECT_OR_NULL, OBJECTS, REQUIRED, STRING,
@@ -132,19 +134,20 @@ SIGNATURE = field_table(("tracker_id", STRING, REQUIRED, KEEP),
 class _LoadMemo:
     """The values one load call shares between its records.
 
-    Each distinct ``(name, value)`` cookie pair, raw ``Cookie`` header and
-    ``Set-Cookie`` or ``document.cookie`` string is built once, and an
-    equal input later in the same load gets the same object back.
-    Everything stored is immutable (tuples of strings, frozen
-    ``CookieAttributes``), so only identity is shared; the memo is dropped
-    with the load call."""
+    Each distinct ``(name, value)`` cookie pair, raw ``Cookie`` header,
+    ``Set-Cookie`` or ``document.cookie`` string and content type is built
+    or classified once, and an equal input later in the same load gets the
+    same object back.  Everything stored is immutable (tuples of strings,
+    frozen ``CookieAttributes``, ``ContentClass`` members), so only identity
+    is shared; the memo is dropped with the load call."""
 
-    __slots__ = ("pairs", "cookie_headers", "set_cookies")
+    __slots__ = ("pairs", "cookie_headers", "set_cookies", "content_class")
 
     def __init__(self):
         self.pairs: dict[tuple[str, str], tuple[str, str]] = {}
         self.cookie_headers: dict[str, tuple[tuple[str, str], ...]] = {}
         self.set_cookies: dict[str, CookieAttributes] = {}
+        self.content_class = cache(classify_content_type)  # a response's content type, classified
 
     def pair(self, name: str, value: str) -> tuple[str, str]:
         key = (name, value)
@@ -172,8 +175,6 @@ def _derive_headers(headers, response: bool, memo: _LoadMemo):
     """(derived, content_type, user_agent) from checked (name, value) header
     pairs: the request's cookies, first Content-Type and first User-Agent,
     or the response's Set-Cookie records, as tuples shared through ``memo``."""
-    if not headers:
-        return (), None, None
     derived = []
     content_type = user_agent = None
     for name, value in headers:
@@ -192,10 +193,6 @@ def _derive_headers(headers, response: bool, memo: _LoadMemo):
     # a single Cookie header, the usual case, keeps its shared tuple
     cookies = derived[0] if len(derived) == 1 else tuple(c for cs in derived for c in cs)
     return cookies, content_type, user_agent
-
-
-def _interned(value: str | None) -> str | None:
-    return value if value is None else sys.intern(value)
 
 
 def _ua_label(value: str | None) -> UaLabel:
@@ -255,21 +252,22 @@ def _visit_of(visit_id, visits, rtype: str, lineno, path) -> PageVisit:
 def _ingest_transaction(obj, visits, memo: _LoadMemo, lineno, path):
     (visit_id, url, request_headers, response_headers, size, content_type, remote_ip, initiators,
      post_body, digest, truncated) = read_fields(obj, TRANSACTION, SchemaViolation, lineno, path)
-    visit = _visit_of(visit_id, visits, "transaction", lineno, path)
-    cookies, post_content_type, _ = _derive_headers(request_headers, False, memo)
+    visit = visits.get(visit_id) or _visit_of(visit_id, visits, "transaction", lineno, path)
+    cookies, post_content_type, _ = (_derive_headers(request_headers, False, memo) if request_headers
+                                     else ((), None, None))
     txn = HttpTransaction(
         request_url=url,
         request_cookies=cookies,
-        set_cookies=_derive_headers(response_headers, True, memo)[0],
+        set_cookies=_derive_headers(response_headers, True, memo)[0] if response_headers else (),
         post_content_type=post_content_type,
         response_size=size,
-        content_type_class=classify_content_type(content_type),
-        remote_ip=_interned(remote_ip),
+        content_type_class=memo.content_class(content_type),
+        remote_ip=remote_ip and sys.intern(remote_ip),
         initiators=tuple(initiators),
     )
     if digest:  # pre-truncated capture: keep the body and the declared flag
         txn.post_body, txn.post_body_truncated = post_body, truncated
-    else:
+    elif post_body is not None:
         txn.store_post_body(post_body)
     visit.transactions.append(txn)
 
@@ -347,7 +345,7 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
             txn.set_cookies = _derive_headers([(h["name"], h["value"]) for h in headers], True, memo)[0]
             size, mime = read_fields(content or {}, HAR_CONTENT, MalformedHar, idx, path)
             txn.response_size = max(size or 0, 0)
-            txn.content_type_class = classify_content_type(mime)
+            txn.content_type_class = memo.content_class(mime)
         else:
             log.warning("%s: entry %d has no response; recorded with status 0", path, idx)
         if post:
@@ -355,7 +353,7 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
             txn.store_post_body(text)
             if txn.post_content_type is None:  # a Content-Type header wins
                 txn.post_content_type = post_mime
-        txn.remote_ip = _interned(server_ip or None)
+        txn.remote_ip = sys.intern(server_ip) if server_ip else None
         txn.initiators = _har_initiators(initiator, idx, path)
         timed.append((pageref, idx, txn, started or "", user_agent))
 
@@ -372,6 +370,9 @@ def load_har(path, psl: PublicSuffixTable | None = None) -> list[PageVisit]:
     return list(visits.values())
 
 
+_RR_KINDS = {"CNAME": "CNAME", "A": "A", "AAAA": "A"}  # other record types are ignored, not an error
+
+
 def load_dns(path, max_depth: int = DEFAULT_MAX_DEPTH) -> DnsRecordStore:
     """Load zdns-style line-delimited JSON into a DnsRecordStore of that chain-depth cap."""
     store = DnsRecordStore(max_depth)
@@ -383,14 +384,9 @@ def load_dns(path, max_depth: int = DEFAULT_MAX_DEPTH) -> DnsRecordStore:
             (answers,) = read_fields(data or {}, DNS_DATA, SchemaViolation, lineno, path)
         for ans in answers:
             rr_type, answer, owner = read_fields(ans, DNS_ANSWER, SchemaViolation, lineno, path)
-            rr_type = rr_type.upper()
-            if owner is LINE_NAME:
-                owner = name
-            if rr_type == "CNAME":
-                add(owner, "CNAME", answer, month)
-            elif rr_type == "A" or rr_type == "AAAA":
-                add(owner, "A", answer, month)
-            # other record types are ignored but not an error
+            kind = _RR_KINDS.get(rr_type) or _RR_KINDS.get(rr_type.upper())
+            if kind:
+                add(name if owner is LINE_NAME else owner, kind, answer, month)
     return store
 
 

@@ -27,8 +27,11 @@ class Relation(enum.Enum):
 
 
 def is_ip_literal(host: str) -> bool:
+    host = host.strip("[]")
+    if ":" not in host and not host[-1:].isdigit():  # neither IPv6 nor dotted-decimal IPv4
+        return False
     try:
-        ipaddress.ip_address(host.strip("[]"))
+        ipaddress.ip_address(host)
         return True
     except ValueError:
         return False

@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -446,6 +447,43 @@ def test_malformed_har_structure_exits_1(world, tmp_path, capsys, har, message):
     assert run(["detect", "--har", path, "--dns", world["dns"], "--signatures", world["signatures"],
                 "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", ["corpus", "dns", "signatures", "months"])
+@pytest.mark.parametrize("deep", ["[" * 100_000, '{"a":' * 100_000, " " + "[" * 100_000],
+                         ids=["array", "object", "past-the-scanner"])
+def test_deeply_nested_json_exits_1_naming_the_place(world, tmp_path, capsys, flag, deep):
+    """Nesting too deep to decode is bad JSON, on the C scanner's path and
+    on ``json.loads``'s (a leading space), not a RecursionError traceback."""
+    bad = tmp_path / "deep.json"
+    inputs = {"corpus": world["corpus"], "dns": world["dns"], "signatures": world["signatures"]}
+    if flag in ("corpus", "dns"):  # a good first line, then the deep one
+        first = Path(inputs[flag]).read_text(encoding="utf-8").splitlines()[0]
+        bad.write_text(f"{first}\n{deep}\n")
+        where = f"{bad}:2"
+    else:
+        bad.write_text(deep)
+        where = str(bad)
+    if flag == "months":
+        argv = ["history", "--months", bad, "--signatures", inputs["signatures"]]
+    else:
+        inputs[flag] = bad
+        argv = ["detect", *(a for k, v in inputs.items() for a in (f"--{k}", v))]
+    assert run([*argv, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: bad JSON: maximum recursion depth exceeded while decoding a JSON ")
+    assert err.count("\n") == 1
+
+
+def test_integer_past_the_digit_limit_exits_1_naming_the_line(world, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(corpusgen.visit_record("v1", "https://www.shop00.net/")) + "\n"
+                      + '{"record_type": "transaction", "response_size": ' + "1" * 5000 + "}\n")
+    assert run(["detect", "--corpus", corpus, "--dns", world["dns"], "--signatures", world["signatures"],
+                "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {corpus}:2: bad JSON: Exceeds the limit (4300 digits) for integer string")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv,message", [

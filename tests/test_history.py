@@ -1,9 +1,11 @@
 """Historical-reconstruction tests: backward iteration with the IP pool,
 cross-validation archetypes, and adoption-window analytics."""
 
+import ipaddress
 import json
 import logging
 import random
+import sys
 import weakref
 
 import pytest
@@ -201,6 +203,29 @@ def test_each_chain_resolved_once_per_snapshot(tmp_path, monkeypatch):
         assert cli_main(["validate", "--months", world["months"], "--signatures", world["signatures"],
                          "--external-dns", world["external"], "--out", str(tmp_path / f"v{seed}")]) == 0
     assert resolved and max(resolved.values()) == 1
+
+
+@pytest.mark.parametrize("command", ["history", "validate"])
+def test_each_address_parsed_once_per_run(tmp_path, monkeypatch, command):
+    """The run's IpPool parses each address string once for every month's
+    detection, pool growth and validation."""
+    parsed: dict[str, int] = {}
+    ip_address = ipaddress.ip_address
+
+    def counting(addr):
+        if sys._getframe(1).f_globals["__name__"] in ("cnametrack.dnsgraph", "cnametrack.detect"):
+            parsed[addr] = parsed.get(addr, 0) + 1
+        return ip_address(addr)
+
+    monkeypatch.setattr(ipaddress, "ip_address", counting)
+    for seed in range(3):
+        (tmp_path / str(seed)).mkdir()
+        world = random_month_world(random.Random(seed), tmp_path / str(seed))
+        parsed.clear()
+        external = ["--external-dns", world["external"]] if command == "validate" else []
+        assert cli_main([command, "--months", world["months"], "--signatures", world["signatures"],
+                         *external, "--out", str(tmp_path / f"out{seed}")]) == 0
+        assert parsed and max(parsed.values()) == 1
 
 
 def planted_month(tmp_path, psl, month, refs=None) -> MonthDataset:
