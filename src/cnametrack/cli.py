@@ -96,11 +96,15 @@ def _load_corpus(args, psl):
         visits = load_har(args.har, psl)
     else:
         raise CnametrackError("missing required flag --corpus (or --har)")
-    if args.ua_label:
-        wanted = {"chrome": UaLabel.CHROME_LIKE, "safari": UaLabel.SAFARI_LIKE,
-                  "other": UaLabel.OTHER}[args.ua_label]
-        visits = [v for v in visits if v.user_agent_label is wanted]
-    return visits
+    return _ua_filter(args, visits)
+
+
+def _ua_filter(args, visits):
+    """The visits of the --ua-label user agent; all of them without the flag."""
+    if not args.ua_label:
+        return visits
+    wanted = UaLabel(args.ua_label)
+    return [v for v in visits if v.user_agent_label is wanted]
 
 
 def _out_dir(args) -> Path:
@@ -123,21 +127,17 @@ def _config(args) -> dict:
 
 def _detection_pipeline(args, psl):
     _require(args, "dns", "signatures")
+    sigs = load_signatures(args.signatures)  # first: a bad signature fails before a large input is read
     corpus = _load_corpus(args, psl)
     dns = load_dns(args.dns, args.max_depth)
-    sigs = load_signatures(args.signatures)
-    pool = IpPool()
-    for sig in sigs:
-        for cidr in sig.cidr_ranges:
-            pool.add_range(cidr, sig.tracker_id)
-    detections = detect_publishers(corpus, dns, sigs, pool, psl)
-    return corpus, dns, sigs, pool, detections
+    detections = detect_publishers(corpus, dns, sigs, None, psl)
+    return corpus, dns, sigs, detections
 
 
 def cmd_detect(args) -> int:
     """Detect CNAME-tracking publishers and write publishers.json + summary.csv."""
     psl = _load_psl(args)
-    corpus, dns, sigs, pool, detections = _detection_pipeline(args, psl)
+    corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     out = _out_dir(args)
     reports.write_detections(detections, out)
     reports.write_manifest(out, _inputs(args), _config(args))
@@ -148,7 +148,7 @@ def cmd_detect(args) -> int:
 def cmd_leaks(args) -> int:
     """Run the cookie-leak and transport audit over detected tracker traffic."""
     psl = _load_psl(args)
-    corpus, dns, sigs, pool, detections = _detection_pipeline(args, psl)
+    corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     result = audit_leaks(corpus, detections, sigs, psl)
     out = _out_dir(args)
     reports.write_leaks(result, out)
@@ -161,7 +161,7 @@ def cmd_defense(args) -> int:
     """Compare plain / uncloaked / sinkhole blocking over tracker transactions."""
     _require(args, "filters")
     psl = _load_psl(args)
-    corpus, dns, sigs, pool, detections = _detection_pipeline(args, psl)
+    corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     rules, stats = load_filter_list(args.filters)
     report = compare_defenses(corpus, detections, rules, dns)
     out = _out_dir(args)
@@ -204,7 +204,8 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
     each month as it is read."""
     def read(entry) -> MonthDataset:
         name, corpus, dns = entry
-        month = MonthDataset(name, load_crawl_jsonl(corpus, psl), load_dns(dns, args.max_depth))
+        month = MonthDataset(name, _ua_filter(args, load_crawl_jsonl(corpus, psl)),
+                             load_dns(dns, args.max_depth))
         if seen is not None:
             seen(month)
         return month

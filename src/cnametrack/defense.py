@@ -94,8 +94,11 @@ def match_plain(url: str, relation: Relation, rules: Iterable[FilterRule],
 
 
 def _substitute_host(url: str, new_host: str) -> str:
+    """The URL with ``new_host`` for its host, without userinfo; the port
+    stays as written, even one that is not a valid number."""
     parts = urlsplit(url)
-    netloc = new_host if parts.port is None else f"{new_host}:{parts.port}"
+    port = parts.netloc.rpartition("@")[2].rpartition("]")[2].partition(":")[2]
+    netloc = f"{new_host}:{port}" if port else new_host
     return urlunsplit((parts.scheme, netloc, parts.path, parts.query, parts.fragment))
 
 

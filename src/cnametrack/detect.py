@@ -4,7 +4,6 @@ matching, and publisher detection with same-site/cross-site context."""
 from __future__ import annotations
 
 import enum
-import ipaddress
 import logging
 from dataclasses import dataclass, field
 
@@ -12,7 +11,6 @@ from .dnsgraph import (
     CnameChain,
     DnsRecordStore,
     IpPool,
-    NetworkIndex,
     uncloaked_target,
 )
 from .errors import InvalidHostname
@@ -140,9 +138,9 @@ class SignatureIndex:
     one of their label suffixes: a hop matches suffix ``s`` iff it equals
     ``s`` or ends with ``"." + s``, exactly ``TrackerSignature.host_matches``.
     ``address_positions`` memoizes, per address string, the signatures whose
-    declared networks contain it (a ``NetworkIndex`` lookup) or whose tracker
-    the pool credits with it; the pool must not change while the index is in
-    use, and it parses the addresses (once per run, not per index).
+    tracker ``pool`` holds it (declared ranges are in the pool, filed by
+    ``IpPool.add_signatures``); the pool must not change while the index is
+    in use.  Only an index given a pool looks addresses up.
     """
 
     def __init__(self, sigs: list[TrackerSignature], pool: IpPool | None = None):
@@ -150,13 +148,10 @@ class SignatureIndex:
         self.pool = pool
         self._by_suffix: dict[str, list[int]] = {}
         self._by_tracker: dict[str, list[int]] = {}
-        self._networks = NetworkIndex()
         for pos, sig in enumerate(sigs):
             for suffix in sig.cname_suffixes:
                 self._by_suffix.setdefault(suffix, []).append(pos)
             self._by_tracker.setdefault(sig.tracker_id, []).append(pos)
-            for net in sig.networks:
-                self._networks.add(net, pos)
         self._by_addr: dict[str, frozenset[int]] = {}
 
     def cname_positions(self, hops) -> frozenset[int]:
@@ -170,17 +165,9 @@ class SignatureIndex:
     def address_positions(self, addr: str) -> frozenset[int]:
         found = self._by_addr.get(addr)
         if found is None:
-            try:
-                ip = ipaddress.ip_address(addr) if self.pool is None else self.pool.address(addr)
-            except ValueError:
-                found = frozenset()
-            else:
-                hits = set(self._networks.lookup(ip))
-                if self.pool is not None:
-                    for tracker_id in self.pool.owners(ip):
-                        hits.update(self._by_tracker.get(tracker_id, ()))
-                found = frozenset(hits)
-            self._by_addr[addr] = found
+            by_tracker = self._by_tracker
+            found = self._by_addr[addr] = frozenset(
+                pos for tracker_id in self.pool.owners(addr) for pos in by_tracker.get(tracker_id, ()))
         return found
 
 
@@ -312,31 +299,22 @@ def signature_match_route(
     txn: HttpTransaction,
     chain: CnameChain | None,
     sig: TrackerSignature,
-    pool: IpPool | None = None,
+    pool: IpPool,
 ) -> Mechanism | None:
     """How (if at all) a transaction matches a signature.
 
     CNAME route: any chain hop carries one of the signature's host suffixes.
-    IP route: the remote or terminal address sits in the signature's declared
-    ranges or the accumulated pool for that tracker.  Either way the request
-    path+query must match one of the path patterns.
+    IP route: the pool holds the remote or a terminal address for the
+    signature's tracker id (see ``IpPool.add_signatures``).  Either way the
+    request path+query must match one of the path patterns.
     """
     if not sig.path_match(txn.path_and_query):
         return None
     if chain is not None and any(sig.host_matches(hop) for hop in chain.hops):
         return Mechanism.CNAME
-    candidates = list(chain.terminal_ips) if chain is not None else []
-    if txn.remote_ip:
-        candidates.append(txn.remote_ip)
-    for addr in candidates:
-        try:
-            ip = ipaddress.ip_address(addr) if pool is None else pool.address(addr)
-        except ValueError:
-            continue
-        if any(ip in net for net in sig.networks):
-            return Mechanism.DIRECT_A_RECORD
-        if pool is not None and pool.contains(addr, sig.tracker_id):
-            return Mechanism.DIRECT_A_RECORD
+    addrs = chain.terminal_ips if chain is not None else ()
+    if any(pool.contains(addr, sig.tracker_id) for addr in (*addrs, txn.remote_ip) if addr):
+        return Mechanism.DIRECT_A_RECORD
     return None
 
 
@@ -352,11 +330,15 @@ def detect_publishers(
 
     Each transaction is checked, with ``signature_match_route`` and in
     signature order, against only the signatures that can reach it: those
-    carrying a label suffix of a chain hop, and those owning a terminal or
-    remote address by declared range or pool.  A host whose chain cycles is
-    skipped, with one warning per host in ``warned_cycles``.
+    carrying a label suffix of a chain hop, and those whose tracker id the
+    pool credits with a terminal or remote address.  Every signature's declared
+    ranges are filed into ``pool`` (a fresh one when None) first, so a range
+    counts for every signature of its tracker id.  A host whose chain cycles
+    is skipped, with one warning per host in ``warned_cycles``.
     """
     warned = set() if warned_cycles is None else warned_cycles
+    pool = IpPool() if pool is None else pool
+    pool.add_signatures(sigs)
     index = SignatureIndex(sigs, pool)
     hosts: dict[str, tuple[CnameChain | None, frozenset[int], str | None]] = {}
     grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}

@@ -170,9 +170,12 @@ class NetworkIndex:
 
 
 class IpPool:
-    """Accumulated tracker addresses: single IPs plus CIDR ranges, each with
-    the set of tracker ids that hold it; it lives for a whole run, so it also
-    parses each address string once for every stage and month."""
+    """Tracker address ownership: single IPs plus CIDR ranges, each with the
+    set of tracker ids that hold it.  It is the one table the IP route reads:
+    ``add_signatures`` files every signature's declared ranges under its
+    tracker id, and ``history`` adds the addresses confirmed tracking hosts
+    resolve to.  It lives for a whole run, so it also parses each address
+    string once for every stage and month."""
 
     def __init__(self):
         self._singles: dict[ipaddress._BaseAddress, set[str]] = {}
@@ -185,6 +188,16 @@ class IpPool:
             net = ipaddress.ip_network(cidr, strict=False)
         except ValueError as exc:
             raise InvalidCidr(str(exc)) from exc
+        self._add_network(net, tracker_id)
+
+    def add_signatures(self, sigs):
+        """File each signature's declared ``networks`` under its tracker id,
+        so that signatures sharing a tracker id share their ranges."""
+        for sig in sigs:
+            for net in sig.networks:
+                self._add_network(net, sig.tracker_id)
+
+    def _add_network(self, net: ipaddress.IPv4Network | ipaddress.IPv6Network, tracker_id: str):
         ids = self._ranges.get(net)
         if ids is None:
             ids = self._ranges[net] = set()
@@ -206,16 +219,13 @@ class IpPool:
                 return  # already covered by this tracker's range
         self._singles.setdefault(ip, set()).add(tracker_id)
 
-    def owners(self, addr: str | ipaddress.IPv4Address | ipaddress.IPv6Address) -> set[str]:
-        """Tracker ids holding an address (a string, or one already parsed),
-        as a single or by range; none when the address does not parse."""
-        if isinstance(addr, str):
-            try:
-                ip = self.address(addr)
-            except ValueError:
-                return set()
-        else:
-            ip = addr
+    def owners(self, addr: str) -> set[str]:
+        """Tracker ids holding an address, as a single or by range; none when
+        the address does not parse."""
+        try:
+            ip = self.address(addr)
+        except ValueError:
+            return set()
         hits = set(self._singles.get(ip, ()))
         for ids in self._range_index.lookup(ip):
             hits |= ids
@@ -234,22 +244,14 @@ class IpPool:
         return dict(sorted(per.items()))
 
 
-def accumulate_ips(
-    confirmed_hosts: dict[str, str],
-    store: DnsRecordStore,
-    declared_ranges: dict[str, list[str]],
-    pool: IpPool,
-) -> IpPool:
+def accumulate_ips(confirmed_hosts: dict[str, str], store: DnsRecordStore, pool: IpPool) -> IpPool:
     """Fold terminal addresses of confirmed tracking hosts into the pool.
 
     confirmed_hosts maps hostname -> tracker id (hosts whose transactions
     already matched that tracker's signature); a host whose chain cycles in
-    this snapshot adds nothing.  Declared CIDR ranges are added verbatim per
-    tracker.
+    this snapshot adds nothing.  Declared ranges are not added here:
+    ``detect_publishers`` files them with ``IpPool.add_signatures``.
     """
-    for tracker_id, cidrs in sorted(declared_ranges.items()):
-        for cidr in cidrs:
-            pool.add_range(cidr, tracker_id)
     for host, tracker_id in sorted(confirmed_hosts.items()):
         chain = store.chain(host)
         for ip in chain.terminal_ips if chain is not None else ():

@@ -104,23 +104,22 @@ def backward_iterate(
     can be reused (e.g. by cross_validate)."""
     if pool is None:
         pool = IpPool()
-    declared = {s.tracker_id: list(s.cidr_ranges) for s in sigs if s.cidr_ranges}
     confirmed: dict[str, str] = {}
     warned_cycles: set[str] = set()  # each cycle host is reported once, not once per month
     out: list[MonthlyDetection] = []
     for month_ds in months:
         if out:
             check_descending_contiguous([out[-1].month, month_ds.month])
-        out.append(_detect_month(month_ds, sigs, psl, pool, declared, confirmed, warned_cycles))
+        out.append(_detect_month(month_ds, sigs, psl, pool, confirmed, warned_cycles))
         del month_ds  # release this month before the iterable reads the next
     return out
 
 
-def _detect_month(month_ds, sigs, psl, pool, declared, confirmed, warned_cycles):
+def _detect_month(month_ds, sigs, psl, pool, confirmed, warned_cycles):
     """One month of ``backward_iterate``: fold the addresses that already
     confirmed tracking domains resolve to this month into the pool, detect,
     then grow the pool and ``confirmed`` from this month's detections."""
-    accumulate_ips(confirmed, month_ds.dns, declared, pool)
+    accumulate_ips(confirmed, month_ds.dns, pool)
     detections = detect_publishers(month_ds.corpus, month_ds.dns, sigs, pool, psl,
                                    warned_cycles=warned_cycles)
     new_hosts = _confirmed_hosts(detections)
@@ -132,7 +131,7 @@ def _detect_month(month_ds, sigs, psl, pool, declared, confirmed, warned_cycles)
                 pool.add_address(txn.remote_ip, det.tracker_id)
             except ValueError:
                 pass
-    accumulate_ips(new_hosts, month_ds.dns, {}, pool)
+    accumulate_ips(new_hosts, month_ds.dns, pool)
     confirmed.update(new_hosts)
     return MonthlyDetection(month_ds.month, detections, pool.summary())
 

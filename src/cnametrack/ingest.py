@@ -222,9 +222,12 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
                 _ingest_visit(obj, visits, psl, lineno, path)
             elif rtype == "js_cookie":
                 _ingest_js_cookie(obj, visits, memo, lineno, path)
-            else:
+            elif type(rtype) is not str:
                 raise SchemaViolation("missing record_type" if rtype is None
-                                      else f"unknown record_type {rtype!r}", lineno, path)
+                                      else "record_type must be a string", lineno, path)
+            else:  # echo at most 40 characters of it
+                raise SchemaViolation(f"unknown record_type {rtype[:40]!r}{'...' * (len(rtype) > 40)}",
+                                      lineno, path)
         except ValueError as exc:  # a URL that does not split
             raise SchemaViolation(f"bad URL: {exc}", lineno, path) from None
     return list(visits.values())
@@ -398,11 +401,11 @@ def load_signatures(path) -> list[TrackerSignature]:
         raise SchemaViolation("signature file must be a JSON array", None, path)
     sigs = []
     for i, entry in enumerate(doc):
-        tracker_id, suffixes, cidr_ranges, path_patterns = read_fields(
+        tracker_id, suffixes, ranges, path_patterns = read_fields(
             entry, SIGNATURE, SchemaViolation, None, path, f"signature {i}: ")
         try:
             sigs.append(TrackerSignature(tracker_id, tuple(s.lower().rstrip(".") for s in suffixes),
-                                         tuple(cidr_ranges), tuple(path_patterns)))
+                                         tuple(ranges), tuple(path_patterns)))
         except ValueError as exc:
             raise SchemaViolation(f"signature {i}: {exc}", None, path) from None
     return sigs

@@ -184,7 +184,7 @@ class TrackerSignature:
     cname_suffixes: tuple[str, ...] = ()
     cidr_ranges: tuple[str, ...] = ()
     path_patterns: tuple[str, ...] = ()
-    # cidr_ranges parsed once; unparseable entries never match
+    # cidr_ranges parsed once, for ``IpPool.add_signatures``; one that does not parse is a ValueError
     networks: tuple[ipaddress.IPv4Network | ipaddress.IPv6Network, ...] = field(
         init=False, repr=False, compare=False)
 
@@ -193,13 +193,8 @@ class TrackerSignature:
             raise ValueError(f"{self.tracker_id}: needs cname_suffixes or cidr_ranges")
         if not self.path_patterns:
             raise ValueError(f"{self.tracker_id}: path_patterns must be non-empty")
-        nets = []
-        for cidr in self.cidr_ranges:
-            try:
-                nets.append(ipaddress.ip_network(cidr, strict=False))
-            except ValueError:
-                continue
-        object.__setattr__(self, "networks", tuple(nets))
+        object.__setattr__(self, "networks",
+                           tuple(ipaddress.ip_network(cidr, strict=False) for cidr in self.cidr_ranges))
 
     def host_matches(self, host: str) -> bool:
         host = host.lower().rstrip(".")

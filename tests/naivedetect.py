@@ -4,10 +4,13 @@ This is ``signature_match_route`` and the ``detect_publishers`` loop, and
 history's ``_external_tracker_chain``, as they stood before the signature
 index in ``cnametrack.detect`` replaced the scans, ``classified_transactions``
 as it stood before request origins were memoized, and ``ChainCache`` as it
-stood before chains were memoized in ``DnsRecordStore``, kept verbatim as
-the oracles for the differential tests in tests/test_detectindex.py.
-Detection makes one route call per transaction and signature; do not use it
-outside tests.
+stood before chains were memoized in ``DnsRecordStore``, kept as the oracles
+for the differential tests in tests/test_detectindex.py.  The IP route
+follows the per-tracker rule: a declared range counts for every signature
+sharing its tracker id.  The oracle finds such ranges by parsing the
+``cidr_ranges`` of every signature with that id, and reads the pool it is
+given without adding to it.  Detection makes one route call per transaction
+and signature; do not use it outside tests.
 """
 
 from __future__ import annotations
@@ -58,18 +61,26 @@ class ChainCache:
         return self._cache[host]
 
 
+def declared_networks(sig: TrackerSignature, sigs: list[TrackerSignature]) -> list:
+    """The parsed ``cidr_ranges`` of every signature sharing ``sig``'s tracker id."""
+    return [ipaddress.ip_network(cidr, strict=False)
+            for other in sigs if other.tracker_id == sig.tracker_id for cidr in other.cidr_ranges]
+
+
 def signature_match_route(
     txn: HttpTransaction,
     chain: CnameChain | None,
     sig: TrackerSignature,
+    sigs: list[TrackerSignature],
     pool: IpPool | None = None,
 ) -> Mechanism | None:
     """How (if at all) a transaction matches a signature.
 
     CNAME route: any chain hop carries one of the signature's host suffixes.
-    IP route: the remote or terminal address sits in the signature's declared
-    ranges or the accumulated pool for that tracker.  Either way the request
-    path+query must match one of the path patterns.
+    IP route: the remote or terminal address sits in the declared ranges of
+    some signature in ``sigs`` with the same tracker id, or in the
+    accumulated pool for that tracker.  Either way the request path+query
+    must match one of the path patterns.
     """
     if not any(fnmatchcase(txn.path_and_query, pat) for pat in sig.path_patterns):
         return None
@@ -83,7 +94,7 @@ def signature_match_route(
             ip = ipaddress.ip_address(addr)
         except ValueError:
             continue
-        if any(ip in net for net in sig.networks):
+        if any(ip in net for net in declared_networks(sig, sigs)):
             return Mechanism.DIRECT_A_RECORD
         if pool is not None and pool.contains(addr, sig.tracker_id):
             return Mechanism.DIRECT_A_RECORD
@@ -113,7 +124,7 @@ def detect_publishers(
             chain = chains.get(host)
             context = Context.SAME_SITE if psl.etld_plus_one_or_none(host) == site else Context.CROSS_SITE
             for sig in sigs:
-                route = signature_match_route(txn, chain, sig, pool)
+                route = signature_match_route(txn, chain, sig, sigs, pool)
                 if route is None:
                     continue
                 key = (site, sig.tracker_id, context)

@@ -556,3 +556,98 @@ def test_max_depth_reaches_every_chain_stage(tmp_path):
         assert month["pool"] == {"trk": {"singles": int(deep), "ranges": 1}}
         report = json.loads((outputs("validate", *depth) / "validation.json").read_text())
         assert [e["reason"] for e in report["correctness"]] == ([] if deep else ["unexplained"])
+
+
+def one_request_world(root, url, answers, sigs, remote_ip=None):
+    """One month (2020-01) of one request from a chrome visit to
+    www.shop.com, the DNS answers of its host, ``sigs`` and a ``||trk.net^``
+    filter list, as the flags of each command that reads them."""
+    month = "2020-01"
+    corpus = corpusgen.write_jsonl([
+        corpusgen.visit_record("v1", "https://www.shop.com/", month=month),
+        corpusgen.txn_record("v1", url, remote_ip=remote_ip)], root / "corpus.jsonl")
+    dns = corpusgen.write_jsonl([corpusgen.dns_line("m.shop.com", answers, month)], root / "dns.jsonl")
+    sigs = corpusgen.write_signatures(root / "sigs.json", sigs)
+    (root / "filters.txt").write_text("||trk.net^\n")
+    (root / "months.json").write_text(json.dumps([{"month": month, "corpus": str(corpus),
+                                                   "dns": str(dns)}]))
+    (root / "external.json").write_text(json.dumps({month: str(dns)}))
+    detect = ["--corpus", corpus, "--dns", dns, "--signatures", sigs]
+    months = ["--months", root / "months.json", "--signatures", sigs]
+    return {"detect": detect, "leaks": detect, "defense": [*detect, "--filters", root / "filters.txt"],
+            "features": detect, "history": months,
+            "validate": [*months, "--external-dns", root / "external.json"]}
+
+
+def test_signatures_sharing_a_tracker_id_share_their_ranges(tmp_path):
+    """The address is in the first signature's range, the path matches only
+    the second's pattern: both are tracker "trk", so both commands detect
+    the request, and the month's pool holds both ranges."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "A", "203.0.113.5")], [
+        {"tracker_id": "trk", "cidr_ranges": ["203.0.113.0/24"], "path_patterns": ["/pixel/*"]},
+        {"tracker_id": "trk", "cidr_ranges": ["198.51.100.0/24"], "path_patterns": ["/ea/*"]}])
+    assert run(["detect", *world["detect"], "--out", tmp_path / "detect"]) == 0
+    assert (tmp_path / "detect" / "summary.csv").read_text().splitlines()[1:] == \
+        ["shop.com,trk,same-site,direct-a-record,1"]
+    assert run(["history", *world["history"], "--out", tmp_path / "history"]) == 0
+    assert (tmp_path / "history" / "timeline.csv").read_text().splitlines()[1:] == ["2020-01,trk,1,0"]
+    month = json.loads((tmp_path / "history" / "month_2020-01.json").read_text())
+    assert [(d["publisher"], d["mechanism"]) for d in month["detections"]] == \
+        [("shop.com", "direct-a-record")]
+    assert month["pool"] == {"trk": {"singles": 0, "ranges": 2}}
+
+
+@pytest.mark.parametrize("port", ["99999", "abc"])
+def test_defense_keeps_a_malformed_port_when_uncloaking(tmp_path, port):
+    world = one_request_world(tmp_path, f"https://m.shop.com:{port}/ea/x",
+                              [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    assert run(["defense", *world["defense"], "--out", tmp_path / "out"]) == 0
+    verdicts = json.loads((tmp_path / "out" / "defense_verdicts.json").read_text())["verdicts"]
+    assert len(verdicts) == 1 and verdicts[0]["uncloaked"] is True
+
+
+@pytest.mark.parametrize("label,detected", [("chrome", True), ("safari", False)])
+def test_ua_label_filters_every_month(tmp_path, label, detected):
+    """--ua-label keeps only the visits of its user agent in each month of
+    history and validate, as it does for detect."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    assert run(["history", *world["history"], "--ua-label", label, "--out", tmp_path / "history"]) == 0
+    assert (tmp_path / "history" / "timeline.csv").read_text().splitlines()[1:] == \
+        (["2020-01,trk,1,0"] if detected else [])
+    assert run(["validate", *world["validate"], "--ua-label", label, "--out", tmp_path / "validate"]) == 0
+    report = json.loads((tmp_path / "validate" / "validation.json").read_text())
+    assert report["completeness"]["absent-from-corpus"] == \
+        ([] if detected else [{"month": "2020-01", "host": "m.shop.com", "tracker": "trk"}])
+
+
+@pytest.mark.parametrize("command", ["detect", "leaks", "defense", "history", "validate", "features"])
+def test_bad_cidr_exits_1_naming_the_signature(tmp_path, capsys, command):
+    """Every command that loads --signatures rejects a range that does not
+    parse, naming the file and the signature; features does not load them."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "A", "203.0.113.5")], [
+        {"tracker_id": "trk", "cidr_ranges": ["203.0.113.0/33"], "path_patterns": ["/ea/*"]}])
+    capsys.readouterr()
+    code = run([command, *world[command], "--out", tmp_path / "out"])
+    if command == "features":
+        assert code == 0
+        return
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'sigs.json'}: signature 0: "
+                                       "'203.0.113.0/33' does not appear to be an IPv4 or IPv6 network\n")
+
+
+@pytest.mark.parametrize("value,message", [
+    ("[" * 500 + "]" * 500, "record_type must be a string"),
+    (json.dumps("x" * 10_000), "unknown record_type '" + "x" * 40 + "'..."),
+    ('"mystery"', "unknown record_type 'mystery'")], ids=["nested-list", "long-string", "string"])
+def test_record_type_error_line_is_bounded(world, tmp_path, capsys, value, message):
+    """The error line echoes at most 40 characters of a record_type string,
+    and nothing of a value that is not a string."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(f'{{"record_type": {value}}}\n')
+    capsys.readouterr()
+    assert run(["detect", "--corpus", corpus, "--dns", world["dns"], "--signatures", world["signatures"],
+                "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: {corpus}:1: {message}\n"

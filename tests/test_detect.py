@@ -51,6 +51,13 @@ class TestSignatureRouting:
                            cidr_ranges=("203.0.113.0/28",),
                            path_patterns=("/ea/*",))
 
+    @staticmethod
+    def _pool(*sigs):
+        """A pool holding the declared ranges of ``sigs``, as ``detect_publishers`` files them."""
+        pool = IpPool()
+        pool.add_signatures(sigs)
+        return pool
+
     def _chain(self, cnames=(), a_records=()):
         store = DnsRecordStore()
         for h, t in cnames:
@@ -64,25 +71,25 @@ class TestSignatureRouting:
                             [("x.trk.net", "198.51.100.1")])
         txn = HttpTransaction("https://m.shop.com/ea/collect")
         chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG) is Mechanism.CNAME
+        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.CNAME
 
     def test_path_pattern_gates(self):
         store = self._chain([("m.shop.com", "x.trk.net")],
                             [("x.trk.net", "198.51.100.1")])
         txn = HttpTransaction("https://m.shop.com/other/path")
         chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG) is None
+        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is None
 
     def test_direct_a_record_via_cidr(self):
         store = self._chain(a_records=[("m.shop.com", "203.0.113.4")])
         txn = HttpTransaction("https://m.shop.com/ea/collect")
         chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG) is Mechanism.DIRECT_A_RECORD
+        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.DIRECT_A_RECORD
 
     def test_direct_a_record_via_remote_ip(self):
         txn = HttpTransaction("https://m.shop.com/ea/collect",
                               remote_ip="203.0.113.4")
-        assert signature_match_route(txn, None, self.SIG) is Mechanism.DIRECT_A_RECORD
+        assert signature_match_route(txn, None, self.SIG, self._pool(self.SIG)) is Mechanism.DIRECT_A_RECORD
 
     def test_direct_a_record_via_pool(self):
         pool = IpPool()
@@ -101,27 +108,19 @@ class TestSignatureRouting:
         txn = HttpTransaction("https://m.shop.com/ea/collect",
                               remote_ip="203.0.113.4")
         chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG) is Mechanism.CNAME
+        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.CNAME
 
 
 class TestPlantedDetection:
     def test_precision_recall_one(self, month0, signatures, psl):
         corpus, dns, truth = month0
-        pool = IpPool()
-        for sig in signatures:
-            for cidr in sig.cidr_ranges:
-                pool.add_range(cidr, sig.tracker_id)
-        detections = detect_publishers(corpus, dns, signatures, pool, psl)
+        detections = detect_publishers(corpus, dns, signatures, None, psl)
         got = {(d.publisher_etld1, d.tracker_id, d.context.value) for d in detections}
         assert got == truth  # precision == recall == 1.0
 
     def test_mechanism_labels(self, month0, signatures, psl):
         corpus, dns, truth = month0
-        pool = IpPool()
-        for sig in signatures:
-            for cidr in sig.cidr_ranges:
-                pool.add_range(cidr, sig.tracker_id)
-        detections = detect_publishers(corpus, dns, signatures, pool, psl)
+        detections = detect_publishers(corpus, dns, signatures, None, psl)
         by_pub = {d.publisher_etld1: d for d in detections
                   if d.context is Context.SAME_SITE}
         for i in range(corpusgen.N_DIRECT_A):

@@ -6,8 +6,10 @@ tests/naivedetect.py keeps the loop that routed every transaction through
 every signature.  Both must give equal detections, evidence and mechanism
 included, on every input, including the ones an index can get wrong:
 upper-case and trailing-dot hops, empty labels, suffixes and path patterns
-shared by several signatures, duplicate tracker ids, IPv6 and invalid
-addresses, and a pool holding singles and ranges.
+shared by several signatures, duplicate tracker ids (whose declared ranges
+count for each other), IPv6 and invalid addresses, and a pool holding
+singles and ranges.  ``detect_publishers`` files the declared ranges into
+the pool it is given, so it gets its own copy of each random pool.
 
 ``classified_transactions`` builds each request origin once per (scheme,
 host, port) instead of once per request; it must classify every request
@@ -17,6 +19,7 @@ as the per-request reference does, whatever its port, scheme or userinfo.
 import logging
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,7 +43,7 @@ _TRACKER_IDS = ["t0", "t1", "t2"]
 _SUFFIXES = ["trk.net", "trk.net", "b.trk.net", "net", "metrics.io", "cdn.org",
              "TRK.net", "trk.net.", "", ".trk.net"]
 _CIDRS = ["203.0.113.0/28", "198.51.100.0/24", "2001:db8::/32", "2001:db8:1::/48",
-          "10.0.0.0/8", "not-a-cidr"]
+          "10.0.0.0/8"]
 _PATTERNS = ["/ea/*", "/collect*", "/collect", "*", "/p?q=[ab]*", "/EA/*", "/x*y*z"]
 _HOPS = ["x.trk.net", "X.Trk.NET.", "a..trk.net", ".trk.net", "y.b.trk.net", "trk.net",
          "edge.metrics.io", "c.cdn.org", "deep.x.trk.net", "trk.net.evil.com", "", "cdn.org."]
@@ -69,16 +72,29 @@ def _random_sigs(rng: random.Random) -> list[TrackerSignature]:
     return sigs
 
 
-def _random_pool(rng: random.Random) -> IpPool | None:
+def _random_pool(rng: random.Random):
+    """A function building a fresh copy of one random pool each call, or
+    building None."""
     if rng.random() < 0.25:
-        return None
-    pool = IpPool()
-    for _ in range(rng.randint(0, 3)):
-        pool.add_range(rng.choice(["203.0.113.0/24", "2001:db8::/48", "10.1.0.0/16", "192.0.2.0/30"]),
-                       rng.choice(_TRACKER_IDS + ["other"]))
-    for _ in range(rng.randint(0, 4)):
-        pool.add_address(rng.choice(_ADDRS[:-1] + _REMOTE[4:]), rng.choice(_TRACKER_IDS + ["other"]))
-    return pool
+        return lambda: None
+    ranges = [(rng.choice(["203.0.113.0/24", "2001:db8::/48", "10.1.0.0/16", "192.0.2.0/30"]),
+               rng.choice(_TRACKER_IDS + ["other"])) for _ in range(rng.randint(0, 3))]
+    addrs = [(rng.choice(_ADDRS[:-1] + _REMOTE[4:]), rng.choice(_TRACKER_IDS + ["other"]))
+             for _ in range(rng.randint(0, 4))]
+
+    def build():
+        pool = IpPool()
+        for cidr, tracker_id in ranges:
+            pool.add_range(cidr, tracker_id)
+        for addr, tracker_id in addrs:
+            pool.add_address(addr, tracker_id)
+        return pool
+    return build
+
+
+def test_signature_rejects_a_range_that_does_not_parse():
+    with pytest.raises(ValueError, match="'not-a-cidr' does not appear to be"):
+        TrackerSignature("t0", cidr_ranges=("203.0.113.0/28", "not-a-cidr"), path_patterns=("/*",))
 
 
 def _random_world(rng: random.Random):
@@ -139,9 +155,10 @@ def run_detect_cases(n_cases: int, seed: int) -> dict[str, int]:
     seen = dict.fromkeys(["cname", "direct", "raw_hop", "ipv6", "pool_only", "dup_ids",
                           "shared_suffix"], 0)
     for _ in range(n_cases):
-        corpus, store, sigs, pool = _random_world(rng)
+        corpus, store, sigs, new_pool = _random_world(rng)
+        pool = new_pool()
         want = _quiet(naivedetect.detect_publishers, corpus, store, sigs, pool, PSL)
-        got = _quiet(detect_publishers, corpus, store, sigs, pool, PSL)
+        got = _quiet(detect_publishers, corpus, store, sigs, new_pool(), PSL)
         assert got == want, ([(s.tracker_id, s.cname_suffixes, s.cidr_ranges, s.path_patterns)
                               for s in sigs], got, want)
         if not want:
@@ -202,10 +219,11 @@ class TestSignatureIndex:
 
     def test_address_positions(self):
         pool = IpPool()
+        pool.add_signatures(self.SIGS)
         pool.add_range("203.0.113.0/24", "b")
         pool.add_address("192.0.2.1", "a")
         index = SignatureIndex(self.SIGS, pool)
-        assert index.address_positions("2001:db8::1") == {3}
+        assert index.address_positions("2001:db8::1") == {0, 3}  # the range of "a" counts for both
         assert index.address_positions("203.0.113.9") == {1}
         assert index.address_positions("192.0.2.1") == {0, 3}  # both signatures of tracker "a"
         assert index.address_positions("not-an-ip") == set()

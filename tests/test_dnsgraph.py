@@ -269,25 +269,23 @@ class TestIpPool:
         store = make_store(cnames=[("m.shop.com", "t.trk.net")],
                            a_records=[("t.trk.net", "198.51.100.9")])
         pool = IpPool()
-        accumulate_ips({"m.shop.com": "trk"}, store, {"trk": ["203.0.113.0/28"]}, pool)
+        accumulate_ips({"m.shop.com": "trk"}, store, pool)
         assert pool.contains("198.51.100.9", "trk")
-        assert pool.contains("203.0.113.3", "trk")
+        assert pool.summary() == {"trk": {"singles": 1, "ranges": 0}}  # no declared range
 
     def test_accumulate_respects_max_depth(self):
         cnames = [("m.shop.com", "a.cdn.net"), ("a.cdn.net", "t.trk.net")]
         a_records = [("t.trk.net", "198.51.100.9")]
-        shallow = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=1),
-                                 {}, IpPool())
+        shallow = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=1), IpPool())
         assert shallow.summary() == {}
-        deep = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=2),
-                              {}, IpPool())
+        deep = accumulate_ips({"m.shop.com": "trk"}, make_store(cnames, a_records, max_depth=2), IpPool())
         assert deep.contains("198.51.100.9", "trk")
 
     def test_accumulate_skips_cycle(self):
         store = make_store(cnames=[("m.shop.com", "a.loop.org"), ("a.loop.org", "m.shop.com"),
                                    ("n.shop.com", "t.trk.net")],
                            a_records=[("t.trk.net", "198.51.100.9")])
-        pool = accumulate_ips({"m.shop.com": "trk", "n.shop.com": "trk"}, store, {}, IpPool())
+        pool = accumulate_ips({"m.shop.com": "trk", "n.shop.com": "trk"}, store, IpPool())
         assert pool.summary() == {"trk": {"singles": 1, "ranges": 0}}
 
     @settings(max_examples=200)
@@ -394,7 +392,8 @@ class TestIpPoolAgainstReference:
            probes=st.lists(_ADDRS, max_size=10))
     def test_multi_month_backward_sequence(self, declared, found, probes):
         """As ``history.backward_iterate`` drives it: newest month first, every
-        month re-adds the declared ranges, then that month's addresses."""
+        month's ``detect_publishers`` re-files the declared ranges, then the
+        month's addresses are added."""
         pool, ref = IpPool(), NaiveIpPool()
         for addrs in found:
             for cidr, tracker in declared:
