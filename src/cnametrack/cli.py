@@ -13,32 +13,20 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from . import reports
-from .defense import compare_defenses
-from .detect import candidate_scan, detect_publishers, extract_features, heuristic_flag
-from .dnsgraph import DEFAULT_MAX_DEPTH, IpPool
+from .dnsgraph import DEFAULT_MAX_DEPTH
 from .errors import (KEEP, REQUIRED, STRING, CnametrackError, SchemaViolation, StaleInputs, field_table,
                      read_fields, read_json)
-from .filterlist import load_filter_list
-from .history import (
-    MonthDataset,
-    adoption_windows,
-    backward_iterate,
-    check_descending_contiguous,
-    cross_validate,
-    external_trackers,
-    host_paths,
-    is_month,
-)
 from .ingest import load_crawl_jsonl, load_dns, load_har, load_ranking, load_signatures
-from .leaks import audit_leaks
 from .model import UaLabel
 from .sitectx import PublicSuffixTable
 
+# Stage modules are imported in the commands that run them, so that start-up
+# loads only what the command needs.
 log = logging.getLogger("cnametrack")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _common_options() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--corpus", help="capture JSONL corpus")
     p.add_argument("--har", help="HAR 1.2 capture (alternative corpus input)")
     p.add_argument("--dns", help="DNS snapshot JSONL")
@@ -55,14 +43,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--ua-label", choices=["chrome", "safari", "other"],
                    help="restrict corpus to one user-agent label")
     p.add_argument("--out", default=".", help="output directory")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnametrack")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_options()
     for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__)
-        _add_common(p)
+        p = sub.add_parser(name, help=fn.__doc__, parents=[common])
         if name == "report":
             p.add_argument("--rank-bins", type=int, default=10000)
         p.set_defaults(func=fn)
@@ -89,13 +78,14 @@ def _load_psl(args) -> PublicSuffixTable:
     return PublicSuffixTable.bundled()
 
 
-def _load_corpus(args, psl):
-    if args.corpus:
-        visits = load_crawl_jsonl(args.corpus, psl)
-    elif args.har:
-        visits = load_har(args.har, psl)
-    else:
+def _require_corpus(args):
+    if not (args.corpus or args.har):
         raise CnametrackError("missing required flag --corpus (or --har)")
+
+
+def _load_corpus(args, psl):
+    _require_corpus(args)
+    visits = load_crawl_jsonl(args.corpus, psl) if args.corpus else load_har(args.har, psl)
     return _ua_filter(args, visits)
 
 
@@ -126,6 +116,7 @@ def _config(args) -> dict:
 
 
 def _detection_pipeline(args, psl):
+    from .detect import detect_publishers
     _require(args, "dns", "signatures")
     sigs = load_signatures(args.signatures)  # first: a bad signature fails before a large input is read
     corpus = _load_corpus(args, psl)
@@ -136,6 +127,7 @@ def _detection_pipeline(args, psl):
 
 def cmd_detect(args) -> int:
     """Detect CNAME-tracking publishers and write publishers.json + summary.csv."""
+    from . import reports
     psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     out = _out_dir(args)
@@ -147,6 +139,8 @@ def cmd_detect(args) -> int:
 
 def cmd_leaks(args) -> int:
     """Run the cookie-leak and transport audit over detected tracker traffic."""
+    from . import reports
+    from .leaks import audit_leaks
     psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     result = audit_leaks(corpus, detections, sigs, psl)
@@ -159,6 +153,9 @@ def cmd_leaks(args) -> int:
 
 def cmd_defense(args) -> int:
     """Compare plain / uncloaked / sinkhole blocking over tracker transactions."""
+    from . import reports
+    from .defense import compare_defenses
+    from .filterlist import load_filter_list
     _require(args, "filters")
     psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
@@ -187,6 +184,7 @@ MONTH_ENTRY = field_table(("month", STRING, REQUIRED, KEEP),
 def _month_entries(args) -> list[list[str]]:
     """The --months manifest's (month, corpus, dns) entries, newest first, all
     checked, and the months' contiguity, before any corpus or DNS file is opened."""
+    from .history import check_descending_contiguous, is_month
     _require(args, "months")
     entries = [read_fields(entry, MONTH_ENTRY, SchemaViolation, None, args.months, f"entry {i}: ")
                for i, entry in enumerate(_load_month_manifest(args.months, list))]
@@ -202,6 +200,8 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
     """The months of ``entries``, each read only when the consumer reaches
     it, so that one month is in memory at a time.  ``seen`` is called with
     each month as it is read."""
+    from .history import MonthDataset
+
     def read(entry) -> MonthDataset:
         name, corpus, dns = entry
         month = MonthDataset(name, _ua_filter(args, load_crawl_jsonl(corpus, psl)),
@@ -215,15 +215,16 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
 
 def cmd_history(args) -> int:
     """Backward-iterating monthly detection with IP-pool accumulation."""
+    import csv
+    from . import reports
+    from .history import adoption_windows, backward_iterate
     _require(args, "signatures")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     monthly = backward_iterate(_load_months(args, _month_entries(args), psl), sigs, psl)
     out = _out_dir(args)
-    import csv as _csv
-
     with open(out / "timeline.csv", "w", newline="", encoding="utf-8") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["month", "tracker", "same_site_count", "cross_site_count"])
         rows = {}
         for m in monthly:
@@ -249,6 +250,8 @@ def cmd_history(args) -> int:
 
 def cmd_features(args) -> int:
     """Candidate discovery and assisted-detection feature extraction."""
+    from . import reports
+    from .detect import candidate_scan, extract_features, heuristic_flag
     _require(args, "dns")
     psl = _load_psl(args)
     corpus = _load_corpus(args, psl)
@@ -276,6 +279,9 @@ def cmd_features(args) -> int:
 
 def cmd_validate(args) -> int:
     """Cross-validate historical detections against external DNS data."""
+    from . import reports
+    from .dnsgraph import IpPool
+    from .history import MonthDataset, backward_iterate, cross_validate, external_trackers, host_paths, is_month
     _require(args, "signatures", "external_dns")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
@@ -307,6 +313,11 @@ def cmd_validate(args) -> int:
 
 def cmd_report(args) -> int:
     """Render rank bins, tracker summary, leak rollup and defense matrix."""
+    from . import reports
+    cooccurrence = bool(args.corpus or args.har or args.filters)
+    if cooccurrence:  # a corpus and a filter list, or neither
+        _require_corpus(args)
+        _require(args, "filters")
     psl = _load_psl(args)
     out = _out_dir(args)
     if not reports.check_manifest(out):
@@ -319,7 +330,8 @@ def cmd_report(args) -> int:
         ranking = load_ranking(args.ranking)
         bins = reports.rank_bins(detections, ranking, bin_size=args.rank_bins)
         reports.write_rank_bins(bins, out)
-    if args.corpus and args.filters:
+    if cooccurrence:
+        from .filterlist import load_filter_list
         corpus = _load_corpus(args, psl)
         rules, _stats = load_filter_list(args.filters)
         frac = reports.cooccurrence_fraction(corpus, detections, rules, psl)

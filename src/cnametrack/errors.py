@@ -14,6 +14,12 @@ from functools import cached_property
 _scan_once = json.JSONDecoder().scan_once
 
 
+def excerpt(value: str, limit: int = 40) -> str:
+    """``value`` quoted for an error line, cut after ``limit`` characters
+    (then ``...``), so that one bad input value cannot make the line long."""
+    return f"{value[:limit]!r}{'...' * (len(value) > limit)}"
+
+
 class CnametrackError(Exception):
     """Base class for all toolkit errors."""
 

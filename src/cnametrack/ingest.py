@@ -25,8 +25,8 @@ from functools import cache
 
 from .dnsgraph import DEFAULT_MAX_DEPTH, DnsRecordStore
 from .errors import (BOOLEAN, DROP, INTEGER, KEEP, OBJECT, OBJECT_OR_NULL, OBJECTS, REQUIRED, STRING,
-                     STRING_OR_NULL, STRINGS, Default, MalformedHar, SchemaViolation, field_table,
-                     json_lines, list_of, open_text, read_fields, read_json)
+                     STRING_OR_NULL, STRINGS, Default, MalformedHar, SchemaViolation, excerpt,
+                     field_table, json_lines, list_of, open_text, read_fields, read_json)
 from .model import (HttpTransaction, JsCookieSet, PageVisit, TrackerSignature, UaLabel,
                     classify_content_type, split_url)
 from .sitectx import CookieAttributes, PublicSuffixTable, parse_set_cookie
@@ -225,9 +225,8 @@ def load_crawl_jsonl(path, psl: PublicSuffixTable | None = None) -> list[PageVis
             elif type(rtype) is not str:
                 raise SchemaViolation("missing record_type" if rtype is None
                                       else "record_type must be a string", lineno, path)
-            else:  # echo at most 40 characters of it
-                raise SchemaViolation(f"unknown record_type {rtype[:40]!r}{'...' * (len(rtype) > 40)}",
-                                      lineno, path)
+            else:
+                raise SchemaViolation(f"unknown record_type {excerpt(rtype)}", lineno, path)
         except ValueError as exc:  # a URL that does not split
             raise SchemaViolation(f"bad URL: {exc}", lineno, path) from None
     return list(visits.values())

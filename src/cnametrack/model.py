@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from urllib.parse import urlsplit
 
+from .errors import excerpt
 from .sitectx import CookieAttributes
 
 POST_BODY_PREFIX_LIMIT = 64 * 1024
@@ -176,6 +177,13 @@ class PageVisit:
         self.page_host, self.page_scheme, _, _ = split_url(self.page_url)
 
 
+def _network(cidr: str):
+    try:
+        return ipaddress.ip_network(cidr, strict=False)
+    except ValueError:  # ipaddress's own message echoes the whole value
+        raise ValueError(f"{excerpt(cidr)} does not appear to be an IPv4 or IPv6 network") from None
+
+
 @dataclass(frozen=True)
 class TrackerSignature:
     """Declarative per-tracker matcher."""
@@ -190,11 +198,10 @@ class TrackerSignature:
 
     def __post_init__(self):
         if not self.cname_suffixes and not self.cidr_ranges:
-            raise ValueError(f"{self.tracker_id}: needs cname_suffixes or cidr_ranges")
+            raise ValueError(f"{excerpt(self.tracker_id)}: needs cname_suffixes or cidr_ranges")
         if not self.path_patterns:
-            raise ValueError(f"{self.tracker_id}: path_patterns must be non-empty")
-        object.__setattr__(self, "networks",
-                           tuple(ipaddress.ip_network(cidr, strict=False) for cidr in self.cidr_ranges))
+            raise ValueError(f"{excerpt(self.tracker_id)}: path_patterns must be non-empty")
+        object.__setattr__(self, "networks", tuple(map(_network, self.cidr_ranges)))
 
     def host_matches(self, host: str) -> bool:
         host = host.lower().rstrip(".")

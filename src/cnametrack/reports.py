@@ -7,8 +7,8 @@ import csv
 import hashlib
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .defense import DefenseReport, match_plain
 from .detect import (
     Context,
     Mechanism,
@@ -19,9 +19,11 @@ from .detect import (
 )
 from .errors import (INTEGER, KEEP, OBJECTS, REQUIRED, STRING, SchemaViolation, field_table, one_of,
                      read_fields, read_json)
-from .filterlist import FilterList
-from .leaks import LeakAuditResult, LeakFinding
 from .sitectx import Relation
+
+if TYPE_CHECKING:
+    from .defense import DefenseReport
+    from .leaks import LeakAuditResult, LeakFinding
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -230,6 +232,8 @@ def cooccurrence_fraction(
     corpus, detections: list[PublisherDetection], rules, psl
 ) -> float:
     """Fraction of publisher sites that also load >= 1 blocked third-party tracker."""
+    from .defense import match_plain
+    from .filterlist import FilterList
     publishers = {d.publisher_etld1 for d in detections}
     if not publishers:
         return 0.0

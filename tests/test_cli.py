@@ -651,3 +651,62 @@ def test_record_type_error_line_is_bounded(world, tmp_path, capsys, value, messa
     assert run(["detect", "--corpus", corpus, "--dns", world["dns"], "--signatures", world["signatures"],
                 "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: {corpus}:1: {message}\n"
+
+
+@pytest.mark.parametrize("sig,message", [
+    ({"tracker_id": "t" * 10_000, "cname_suffixes": ["trk.net"], "path_patterns": []},
+     f"'{'t' * 40}'...: path_patterns must be non-empty"),
+    ({"tracker_id": "t" * 10_000, "path_patterns": ["/ea/*"]},
+     f"'{'t' * 40}'...: needs cname_suffixes or cidr_ranges"),
+    ({"tracker_id": "trk", "cidr_ranges": ["1" * 10_000], "path_patterns": ["/ea/*"]},
+     f"'{'1' * 40}'... does not appear to be an IPv4 or IPv6 network")],
+    ids=["empty-path-patterns", "no-suffix-or-range", "bad-range"])
+def test_signature_error_line_is_bounded(tmp_path, capsys, sig, message):
+    """A signature error shows at most 40 characters of the offending value."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")], [sig])
+    capsys.readouterr()
+    assert run(["detect", *world["detect"], "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {tmp_path / 'sigs.json'}: signature 0: {message}\n"
+    assert len(err.encode()) - len(str(tmp_path)) < 200
+
+
+def cooccurrence_world(root):
+    """One page of www.shop.com that loads a CNAME-cloaked tracker request
+    and a blocked cross-site one, as capture JSONL and as HAR, then detect
+    run into ``root / "out"``: the flags of each corpus and the filters."""
+    urls = ["https://m.shop.com/ea/x", "https://px.trk.net/p.gif"]
+    world = one_request_world(root, urls[0], [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    with open(root / "corpus.jsonl", "a") as fh:
+        fh.write(json.dumps(corpusgen.txn_record("v1", urls[1])) + "\n")
+    (root / "capture.har").write_text(json.dumps({"log": {
+        "pages": [{"id": "p1", "title": "https://www.shop.com/"}],
+        "entries": [{"pageref": "p1", "startedDateTime": f"2020-01-01T00:00:0{i}Z",
+                     "request": {"url": url, "method": "GET"},
+                     "response": {"status": 200, "content": {"size": 250, "mimeType": "image/gif"}}}
+                    for i, url in enumerate(urls)]}}))
+    assert run(["detect", *world["detect"], "--out", root / "out"]) == 0
+    return {"corpus": ["--corpus", root / "corpus.jsonl"], "har": ["--har", root / "capture.har"],
+            "filters": ["--filters", root / "filters.txt"]}
+
+
+@pytest.mark.parametrize("corpus", ["corpus", "har"])
+def test_report_cooccurrence_reads_either_corpus(tmp_path, corpus):
+    flags = cooccurrence_world(tmp_path)
+    assert run(["report", *flags[corpus], *flags["filters"], "--out", tmp_path / "out"]) == 0
+    assert json.loads((tmp_path / "out" / "cooccurrence.json").read_text()) == \
+        {"schema_version": 1, "third_party_cooccurrence_fraction": 1.0}
+
+
+@pytest.mark.parametrize("given,missing", [
+    ("corpus", "--filters"), ("har", "--filters"), ("filters", "--corpus (or --har)")],
+    ids=["corpus-alone", "har-alone", "filters-alone"])
+def test_report_needs_a_corpus_and_filters_together(tmp_path, capsys, given, missing):
+    """Half of the pair exits 1 naming the other half, before publishers.json is read."""
+    flags = cooccurrence_world(tmp_path)
+    (tmp_path / "out" / "publishers.json").write_text("not JSON")
+    capsys.readouterr()
+    assert run(["report", *flags[given], "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == f"error: missing required flag {missing}\n"
+    assert not (tmp_path / "out" / "cooccurrence.json").exists()
