@@ -21,8 +21,8 @@ from urllib.parse import urlsplit, urlunsplit
 from .detect import Context, PublisherDetection, evidence_transactions
 from .dnsgraph import DnsRecordStore
 from .filterlist import FilterList, FilterRule, url_tokens
-from .model import ContentClass, PageVisit
-from .sitectx import Relation
+from .model import ContentClass, PageVisit, split_url
+from .sitectx import Relation, canonical_host, label_suffixes
 
 log = logging.getLogger(__name__)
 
@@ -123,7 +123,7 @@ def _uncloaked(plain: BlockDecision, url, relation, rules, dns, cache, page_host
     """``match_uncloaked`` given the URL's plain verdict, so it is matched once."""
     if plain.blocked:
         return plain
-    host = (urlsplit(url).hostname or "").lower()
+    host = split_url(url)[0]
     if not host:
         return BlockDecision(Verdict.ALLOWED)
     entry = cache.get(host)
@@ -146,25 +146,19 @@ def _last_hop(host: str, dns: DnsRecordStore) -> tuple[str | None, bool]:
 
 
 class DomainSet:
-    """Sinkhole domains, looked up through the label suffixes of a host."""
+    """Sinkhole domains, made canonical once and looked up through the label
+    suffixes of a canonical host."""
 
     def __init__(self, domains: Iterable[str]):
         self._rank: dict[str, int] = {}
         for rank, dom in enumerate(domains):
-            self._rank.setdefault(dom.lower().rstrip("."), rank)
+            self._rank.setdefault(canonical_host(dom), rank)
 
     def hit(self, host: str) -> str | None:
-        """The listed domain equal to ``host`` or to one of its label
-        suffixes; when several are, the one listed first."""
-        host = host.lower().rstrip(".")
-        best = None
-        suffix, rest = host, True
-        while rest:
-            rank = self._rank.get(suffix)
-            if rank is not None and (best is None or rank < best[0]):
-                best = (rank, suffix)
-            _, rest, suffix = suffix.partition(".")
-        return None if best is None else best[1]
+        """The listed domain equal to ``host`` (canonical) or to one of its
+        label suffixes; when several are, the one listed first."""
+        return min((s for s in label_suffixes(host) if s in self._rank),
+                   key=self._rank.__getitem__, default=None)
 
 
 def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[str]) -> BlockDecision:
@@ -172,7 +166,7 @@ def match_sinkhole(hostname: str, dns: DnsRecordStore, domain_rules: Iterable[st
     listed domain (suffix semantics) sinks the query.  ``domain_rules`` may
     be a plain list, indexed on the fly."""
     domains = domain_rules if isinstance(domain_rules, DomainSet) else DomainSet(domain_rules)
-    hostname = hostname.lower().rstrip(".")
+    hostname = canonical_host(hostname)
     hit = domains.hit(hostname)
     if hit:
         return BlockDecision(Verdict.BLOCKED, matched_domain=hit)

@@ -15,7 +15,7 @@ from .dnsgraph import (
 )
 from .errors import InvalidHostname
 from .model import HttpTransaction, PageVisit, TrackerSignature
-from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation
+from .sitectx import Origin, PublicSuffixTable, Relation, canonical_host, classify_relation, label_suffixes
 
 log = logging.getLogger(__name__)
 
@@ -115,19 +115,10 @@ def _chain(dns: DnsRecordStore, host: str, warned: set[str]) -> CnameChain | Non
     for a CNAME cycle; callers running several snapshots share one set so
     that a cycle is reported once per run, not once per snapshot."""
     chain = dns.chain(host)
-    if chain is None and (host := host.lower().rstrip(".")) not in warned:
+    if chain is None and host not in warned:
         warned.add(host)
         log.warning("skipping host with CNAME cycle: %s", dns.cycle(host))
     return chain
-
-
-def _label_suffixes(host: str):
-    """host itself, then what follows each of its dots, longest first."""
-    yield host
-    dot = host.find(".")
-    while dot >= 0:
-        yield host[dot + 1:]
-        dot = host.find(".", dot + 1)
 
 
 class SignatureIndex:
@@ -135,8 +126,9 @@ class SignatureIndex:
 
     Positions refer to ``sigs``, so iterating them sorted keeps signature
     order.  ``cname_positions`` maps chain hops to the signatures carrying
-    one of their label suffixes: a hop matches suffix ``s`` iff it equals
-    ``s`` or ends with ``"." + s``, exactly ``TrackerSignature.host_matches``.
+    one of the label suffixes of their ``canonical_host``: a hop matches
+    suffix ``s`` iff it equals ``s`` or ends with ``"." + s``, exactly
+    ``TrackerSignature.host_matches``.
     ``address_positions`` memoizes, per address string, the signatures whose
     tracker ``pool`` holds it (declared ranges are in the pool, filed by
     ``IpPool.add_signatures``); the pool must not change while the index is
@@ -158,7 +150,7 @@ class SignatureIndex:
         by_suffix = self._by_suffix
         found: set[int] = set()
         for hop in hops:
-            for suffix in _label_suffixes(hop.lower().rstrip(".")):
+            for suffix in label_suffixes(canonical_host(hop)):
                 found.update(by_suffix.get(suffix, ()))
         return frozenset(found)
 

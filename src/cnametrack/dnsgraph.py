@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .errors import CnameCycle, CnametrackError, InvalidCidr
-from .sitectx import PublicSuffixTable
+from .model import _network
+from .sitectx import PublicSuffixTable, canonical_host
 
 log = logging.getLogger(__name__)
 
@@ -27,7 +28,8 @@ DEFAULT_MAX_DEPTH = 10
 
 
 class DnsRecordStore:
-    """Hostname -> record set, case-insensitive; immutable after load.
+    """Hostname -> record set; immutable after load.  ``add`` and each lookup
+    apply ``canonical_host`` to a name, so keys, CNAME answers and hops are canonical.
 
     Records are kept as ``(rr_type, answer)`` tuples in the order they were
     added.  The first CNAME answer of each (host, month) is kept in a dict
@@ -46,10 +48,10 @@ class DnsRecordStore:
 
     def add(self, host: str, rr_type: str, answer: str, month: str | None = None):
         self._chains.clear()
-        host = host.lower().rstrip(".")
+        host = canonical_host(host)
         recs = self._records.setdefault(host, [])
         if rr_type == "CNAME":
-            answer = answer.lower().rstrip(".")
+            answer = canonical_host(answer)
             firsts = self._first_cname.get(month)
             if firsts is None:
                 firsts = self._first_cname[month] = {}
@@ -62,16 +64,16 @@ class DnsRecordStore:
         recs.append((rr_type, answer))
 
     def __contains__(self, host: str) -> bool:
-        return host.lower().rstrip(".") in self._records
+        return canonical_host(host) in self._records
 
     def cname_target(self, host: str) -> str | None:
-        for rr_type, answer in self._records.get(host.lower().rstrip("."), ()):
+        for rr_type, answer in self._records.get(canonical_host(host), ()):
             if rr_type == "CNAME":
                 return answer
         return None
 
     def a_records(self, host: str) -> list[str]:
-        return [answer for rr_type, answer in self._records.get(host.lower().rstrip("."), ())
+        return [answer for rr_type, answer in self._records.get(canonical_host(host), ())
                 if rr_type == "A"]
 
     def hostnames(self):
@@ -79,7 +81,7 @@ class DnsRecordStore:
 
     def chain(self, host: str) -> CnameChain | None:
         """The host's ``resolve_chain``, or None when it cycles (see ``cycle``)."""
-        host = host.lower().rstrip(".")
+        host = canonical_host(host)
         found = self._chains.get(host)
         if found is None:
             try:
@@ -91,7 +93,7 @@ class DnsRecordStore:
 
     def cycle(self, host: str) -> CnameCycle | None:
         """The error behind a None ``chain``, else None."""
-        return None if self.chain(host) else self._chains[host.lower().rstrip(".")]
+        return None if self.chain(host) else self._chains[canonical_host(host)]
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ def resolve_chain(host: str, store: DnsRecordStore, max_depth: int = DEFAULT_MAX
     """
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    host = host.lower().rstrip(".")
+    host = canonical_host(host)
     current = host
     hops: list[str] = []
     seen = {host}
@@ -185,9 +187,9 @@ class IpPool:
 
     def add_range(self, cidr: str, tracker_id: str):
         try:
-            net = ipaddress.ip_network(cidr, strict=False)
+            net = _network(cidr)
         except ValueError as exc:
-            raise InvalidCidr(str(exc)) from exc
+            raise InvalidCidr(str(exc)) from None
         self._add_network(net, tracker_id)
 
     def add_signatures(self, sigs):

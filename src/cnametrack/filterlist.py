@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .model import ContentClass
-from .sitectx import Relation
+from .sitectx import Relation, canonical_host
 
 log = logging.getLogger(__name__)
 
@@ -57,8 +57,8 @@ class FilterRule:
     domain: str | None = None
     options: frozenset[str] = frozenset()
     content_types: frozenset[ContentClass] = frozenset()  # $script / $image
-    domain_include: tuple[str, ...] = ()  # domain= values
-    domain_exclude: tuple[str, ...] = ()  # domain=~ values, "~" removed
+    domain_include: tuple[str, ...] = ()  # domain= values, canonical
+    domain_exclude: tuple[str, ...] = ()  # domain=~ values, "~" removed, canonical
     inert: bool = False
     pattern: str | None = None  # regex source; None for inert rules
     token: str | None = None  # bounded literal token the index keys on
@@ -154,7 +154,7 @@ def parse_rule(line: str) -> FilterRule | None:
             if not opt:
                 continue
             if opt.startswith("domain="):
-                domain_option = opt[len("domain="):].lower().split("|")
+                domain_option = opt[len("domain="):].split("|")
             elif opt == "~third-party":
                 options.add("first-party")
             elif opt in SUPPORTED_OPTIONS:
@@ -173,7 +173,7 @@ def parse_rule(line: str) -> FilterRule | None:
         m = re.match(r"^([a-z0-9_.-]+)", body, re.IGNORECASE)
         if not m:
             return None
-        domain = m.group(1).lower().rstrip(".")
+        domain = canonical_host(m.group(1))
         rest = body[m.end():] or "^"
         pattern = _SCHEME + r"(?:[^/?#]*\.)?" + re.escape(domain) + _translate_pattern(rest)
         # the domain starts after "://" or a "." label separator
@@ -199,8 +199,8 @@ def parse_rule(line: str) -> FilterRule | None:
         domain=domain,
         options=frozenset(options),
         content_types=frozenset(_TYPE_OPTIONS[o] for o in options if o in _TYPE_OPTIONS),
-        domain_include=tuple(d for d in domain_option if not d.startswith("~")),
-        domain_exclude=tuple(d[1:] for d in domain_option if d.startswith("~")),
+        domain_include=tuple(canonical_host(d) for d in domain_option if not d.startswith("~")),
+        domain_exclude=tuple(canonical_host(d[1:]) for d in domain_option if d.startswith("~")),
         inert=inert,
         pattern=None if inert else pattern,
         token=None if inert else _bounded_token(shape),

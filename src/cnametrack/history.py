@@ -240,8 +240,7 @@ def cross_validate(
                 entry = {"month": month, "publisher": det.publisher_etld1,
                          "tracker": det.tracker_id, "host": host}
                 if chain is None or (not chain.hops and not chain.terminal_ips):
-                    key = host.lower().rstrip(".")
-                    appears_later = any(key in trackers[m] for m in ordered_months if m > month)
+                    appears_later = any(host in trackers[m] for m in ordered_months if m > month)
                     entry["reason"] = "timing-gap" if appears_later else "missing-external-data"
                 else:
                     typo = next(

@@ -29,7 +29,7 @@ from .errors import (BOOLEAN, DROP, INTEGER, KEEP, OBJECT, OBJECT_OR_NULL, OBJEC
                      field_table, json_lines, list_of, open_text, read_fields, read_json)
 from .model import (HttpTransaction, JsCookieSet, PageVisit, TrackerSignature, UaLabel,
                     classify_content_type, split_url)
-from .sitectx import CookieAttributes, PublicSuffixTable, parse_set_cookie
+from .sitectx import CookieAttributes, PublicSuffixTable, canonical_host, parse_set_cookie
 
 log = logging.getLogger(__name__)
 
@@ -403,7 +403,7 @@ def load_signatures(path) -> list[TrackerSignature]:
         tracker_id, suffixes, ranges, path_patterns = read_fields(
             entry, SIGNATURE, SchemaViolation, None, path, f"signature {i}: ")
         try:
-            sigs.append(TrackerSignature(tracker_id, tuple(s.lower().rstrip(".") for s in suffixes),
+            sigs.append(TrackerSignature(tracker_id, tuple(map(canonical_host, suffixes)),
                                          tuple(ranges), tuple(path_patterns)))
         except ValueError as exc:
             raise SchemaViolation(f"signature {i}: {exc}", None, path) from None
@@ -425,6 +425,6 @@ def load_ranking(path) -> dict[str, int]:
                 rank = int(row[0])
             except ValueError:
                 raise SchemaViolation(f"bad rank {row[0]!r}", line=lineno, path=str(path))
-            domain = row[1].strip().lower()
+            domain = canonical_host(row[1].strip())
             ranks.setdefault(domain, rank)
     return ranks

@@ -181,23 +181,17 @@ class TrackerScope:
 
 
 def filter_candidates(
-    inventory: list[CookieRecord],
-    value_site_index: dict[str, int] | None,
+    persistent: list[CookieRecord],
     sig: TrackerSignature,
     detections: list[PublisherDetection],
     scope: TrackerScope | None = None,
 ) -> list[CookieRecord]:
-    """Leak candidates for one tracker: persistent, long, site-unique cookies
-    not set by the tracker itself.
-
-    With ``value_site_index=None`` the inventory is taken to have passed the
-    tracker-independent filters already (``audit_leaks`` applies them once per
-    run), and only the tracker-set cookies are removed.
-    """
-    if value_site_index is not None:
-        inventory = _site_unique_persistent(inventory, value_site_index)
+    """Leak candidates for one tracker: the cookies of ``persistent``, an
+    inventory already through the tracker-independent filters
+    (``_site_unique_persistent``, applied once per run), not set by the
+    tracker itself."""
     tracker_hosts = scope.hosts if scope else _tracker_hosts(detections, sig.tracker_id)
-    return [rec for rec in inventory if not _is_tracker_setter(rec, sig, tracker_hosts)]
+    return [rec for rec in persistent if not _is_tracker_setter(rec, sig, tracker_hosts)]
 
 
 class _ValueIndex:
@@ -368,7 +362,7 @@ def audit_leaks(
     for sig in sigs:
         own = by_tracker.get(sig.tracker_id, [])
         scope = TrackerScope(corpus, own, sig)
-        filtered = filter_candidates(persistent, None, sig, own, scope)
+        filtered = filter_candidates(persistent, sig, own, scope)
         # module globals, read per call: wrappers installed on the module see each stage
         for find in (find_header_leaks, find_post_leaks, find_url_leaks):
             findings.extend(find(corpus, filtered, own, sig, scope))

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from urllib.parse import urlsplit
 
 from .errors import excerpt
-from .sitectx import CookieAttributes
+from .sitectx import CookieAttributes, canonical_host
 
 POST_BODY_PREFIX_LIMIT = 64 * 1024
 POST_BODY_TRUNCATE_THRESHOLD = 1024 * 1024
@@ -63,10 +63,10 @@ _PLAIN_URL = re.compile(
 
 
 def _urlsplit_fields(url: str) -> tuple[str, str, int | None, str]:
-    """(host, scheme, port, path_and_query) by ``urlsplit``: host and scheme
-    lower-cased and interned; port None when absent, -1 when malformed."""
+    """(host, scheme, port, path_and_query) by ``urlsplit``: host canonical,
+    scheme lower-cased, both interned; port None when absent, -1 when malformed."""
     parts = urlsplit(url)
-    host = sys.intern((parts.hostname or "").lower())
+    host = sys.intern(canonical_host(parts.hostname or ""))
     scheme = sys.intern(parts.scheme.lower())
     try:  # a netloc without ":" has no port; skip parsing it again
         port = parts.port if ":" in parts.netloc else None
@@ -204,7 +204,7 @@ class TrackerSignature:
         object.__setattr__(self, "networks", tuple(map(_network, self.cidr_ranges)))
 
     def host_matches(self, host: str) -> bool:
-        host = host.lower().rstrip(".")
+        host = canonical_host(host)
         return any(host == s or host.endswith("." + s) for s in self.cname_suffixes)
 
     @cached_property

@@ -2,7 +2,8 @@
 
 Registrable-domain extraction follows the public-suffix algorithm
 (https://publicsuffix.org/list/) over a read-only rule table.  Hosts are
-expected in lowercase ASCII/punycode form; no Unicode normalization is done.
+ASCII/punycode, in the ``canonical_host`` form given where a name enters the
+program; no Unicode normalization is done.
 """
 
 from __future__ import annotations
@@ -37,11 +38,26 @@ def is_ip_literal(host: str) -> bool:
         return False
 
 
+def canonical_host(name: str) -> str:
+    """The one form of a hostname the program compares: lower-case, without
+    trailing dots.  A name made only of dots becomes ``""``, no host."""
+    return name.lower().rstrip(".")
+
+
+def label_suffixes(host: str):
+    """host itself, then what follows each of its dots, longest first."""
+    yield host
+    dot = host.find(".")
+    while dot >= 0:
+        yield host[dot + 1:]
+        dot = host.find(".", dot + 1)
+
+
 def validate_host(host: str) -> str:
-    """Lowercase and validate a DNS name; raises InvalidHostname."""
+    """The canonical form of a DNS name, validated; raises InvalidHostname."""
     if not host:
         raise InvalidHostname("empty hostname")
-    host = host.lower().rstrip(".")
+    host = canonical_host(host)
     if not host or len(host) > 253:
         raise InvalidHostname(f"bad hostname length: {host!r}")
     if is_ip_literal(host):
@@ -71,12 +87,13 @@ class Origin:
 
     @classmethod
     def from_url(cls, url: str) -> "Origin":
-        from urllib.parse import urlsplit
+        """The URL's origin by ``model.split_url``; a malformed port is a ValueError."""
+        from .model import split_url
 
-        parts = urlsplit(url)
-        if parts.scheme not in _DEFAULT_PORTS or not parts.hostname:
+        host, scheme, port, _ = split_url(url)
+        if scheme not in _DEFAULT_PORTS or not host:
             raise InvalidHostname(f"cannot derive origin from {url!r}")
-        return cls(parts.scheme, parts.hostname, parts.port or 0)
+        return cls(scheme, host, port or 0)
 
 
 class PublicSuffixTable:

@@ -2,7 +2,8 @@
 
 The bodies of ``__post_init__`` below are the transaction's and the page
 visit's URL parsing as they were before ``model.split_url`` gave them a
-memoized fast path; the differential tests compare the two on any string.
+memoized fast path, with the one hostname rule (lower-case, no trailing
+dots); the differential tests compare the two on any string.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ class NaiveTransaction:
 
     def __post_init__(self):
         parts = urlsplit(self.request_url)
-        self.host = sys.intern((parts.hostname or "").lower())
+        self.host = sys.intern((parts.hostname or "").lower().rstrip("."))
         self.scheme = sys.intern(parts.scheme.lower())
         try:  # a netloc without ":" has no port; skip parsing it again
             self.port = parts.port if ":" in parts.netloc else None
@@ -35,10 +36,10 @@ class NaivePageVisit:
 
     def __post_init__(self):
         parts = urlsplit(self.page_url)
-        self.page_host = sys.intern((parts.hostname or "").lower())
+        self.page_host = sys.intern((parts.hostname or "").lower().rstrip("."))
         self.page_scheme = sys.intern(parts.scheme.lower())
 
 
 def naive_script_origin(url: str) -> str:
     """``JsCookieSet.script_origin`` and the leak initiator host, as before."""
-    return (urlsplit(url).hostname or "").lower()
+    return (urlsplit(url).hostname or "").lower().rstrip(".")

@@ -239,6 +239,11 @@ class TestIpPool:
         with pytest.raises(InvalidCidr):
             IpPool().add_range("not-a-cidr", "trk")
 
+    def test_bad_cidr_message_is_bounded(self):
+        with pytest.raises(InvalidCidr) as info:
+            IpPool().add_range("1" * 10_000, "trk")
+        assert str(info.value) == f"'{'1' * 40}'... does not appear to be an IPv4 or IPv6 network"
+
     def test_single_covered_by_own_range_skipped(self):
         pool = IpPool()
         pool.add_range("203.0.113.0/28", "trk")

@@ -476,7 +476,7 @@ class TestCrossValidate:
         internal.add("m.alpha.com", "CNAME", "x0.2o7.net")
         ds = MonthDataset("2020-10", load_crawl_jsonl(path, psl), internal)
         monthly = backward_iterate([ds], [self.SIG], psl)
-        assert [r.host for d in monthly[0].detections for r in d.evidence] == ["m.alpha.com."]
+        assert [r.host for d in monthly[0].detections for r in d.evidence] == ["m.alpha.com"]
         ext11 = DnsRecordStore()
         ext11.add("m.alpha.com", "CNAME", "x0.2o7.net")
         external = {"2020-10": DnsRecordStore(), "2020-11": ext11}

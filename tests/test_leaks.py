@@ -17,6 +17,7 @@ from cnametrack.leaks import (
     CookieRecord,
     SetterKind,
     TransportKind,
+    _site_unique_persistent,
     audit_leaks,
     build_inventory,
     build_value_site_index,
@@ -68,9 +69,9 @@ class TestInventory:
 class TestFiltering:
     def test_filters_remove_decoys(self, leak_setup):
         corpus, dns, sig, detections, expected, psl = leak_setup
-        inventory = build_inventory(corpus, psl)
-        index = build_value_site_index(corpus, psl)
-        filtered = filter_candidates(inventory, index, sig, detections)
+        persistent = _site_unique_persistent(build_inventory(corpus, psl),
+                                             build_value_site_index(corpus, psl))
+        filtered = filter_candidates(persistent, sig, detections)
         names = {r.name for r in filtered}
         for n in range(12, 14):
             assert f"short{n}" not in names      # too short
