@@ -302,7 +302,7 @@ def cmd_validate(args) -> int:
 
     pool = IpPool()
     monthly = backward_iterate(_load_months(args, entries, psl, keep_paths), sigs, psl, pool=pool)
-    report = cross_validate(monthly, external, trackers, paths, sigs, pool, psl)
+    report = cross_validate(monthly, external, trackers, paths, sigs, pool)
     out = _out_dir(args)
     reports.write_json({"correctness": report.correctness,
                         "completeness": report.completeness},

@@ -116,14 +116,14 @@ def match_uncloaked(
     DNS data is missing or the chain cycles."""
     rules = FilterList.of(rules)
     plain = match_plain(url, relation, rules, page_host, content)
-    return _uncloaked(plain, url, relation, rules, dns, cache, page_host, content)
+    return _uncloaked(plain, url, split_url(url)[0], relation, rules, dns, cache, page_host, content)
 
 
-def _uncloaked(plain: BlockDecision, url, relation, rules, dns, cache, page_host, content):
-    """``match_uncloaked`` given the URL's plain verdict, so it is matched once."""
+def _uncloaked(plain: BlockDecision, url, host, relation, rules, dns, cache, page_host, content):
+    """``match_uncloaked`` given the URL's plain verdict, so it is matched
+    once, and the URL's canonical host."""
     if plain.blocked:
         return plain
-    host = split_url(url)[0]
     if not host:
         return BlockDecision(Verdict.ALLOWED)
     entry = cache.get(host)
@@ -224,7 +224,7 @@ def compare_defenses(
         relation = Relation.SAME_SITE if det.context is Context.SAME_SITE else Relation.CROSS_SITE
         content = txn.content_type_class
         plain = match_plain(txn.request_url, relation, rules, visit.page_host, content)
-        uncloaked = _uncloaked(plain, txn.request_url, relation, rules, dns, cache,
+        uncloaked = _uncloaked(plain, txn.request_url, txn.host, relation, rules, dns, cache,
                                visit.page_host, content)
         sink = match_sinkhole(txn.host, dns, domains)
         if uncloaked.dns_missing:

@@ -15,7 +15,7 @@ from .dnsgraph import (
 )
 from .errors import InvalidHostname
 from .model import HttpTransaction, PageVisit, TrackerSignature
-from .sitectx import Origin, PublicSuffixTable, Relation, canonical_host, classify_relation, label_suffixes
+from .sitectx import Origin, PublicSuffixTable, Relation, classify_relation, label_suffixes
 
 log = logging.getLogger(__name__)
 
@@ -125,10 +125,10 @@ class SignatureIndex:
     """Signatures looked up by what can reach them instead of scanned.
 
     Positions refer to ``sigs``, so iterating them sorted keeps signature
-    order.  ``cname_positions`` maps chain hops to the signatures carrying
-    one of the label suffixes of their ``canonical_host``: a hop matches
-    suffix ``s`` iff it equals ``s`` or ends with ``"." + s``, exactly
-    ``TrackerSignature.host_matches``.
+    order.  ``cname_positions`` maps chain hops, canonical as every
+    ``DnsRecordStore`` holds them, to the signatures carrying one of their
+    label suffixes: a hop matches suffix ``s`` iff it equals ``s`` or ends
+    with ``"." + s``, exactly ``TrackerSignature.host_matches``.
     ``address_positions`` memoizes, per address string, the signatures whose
     tracker ``pool`` holds it (declared ranges are in the pool, filed by
     ``IpPool.add_signatures``); the pool must not change while the index is
@@ -150,7 +150,7 @@ class SignatureIndex:
         by_suffix = self._by_suffix
         found: set[int] = set()
         for hop in hops:
-            for suffix in label_suffixes(canonical_host(hop)):
+            for suffix in label_suffixes(hop):
                 found.update(by_suffix.get(suffix, ()))
         return frozenset(found)
 
@@ -325,7 +325,9 @@ def detect_publishers(
     carrying a label suffix of a chain hop, and those whose tracker id the
     pool credits with a terminal or remote address.  Every signature's declared
     ranges are filed into ``pool`` (a fresh one when None) first, so a range
-    counts for every signature of its tracker id.  A host whose chain cycles
+    counts for every signature of its tracker id.  A transaction is one
+    evidence ref of a tracker however many of its signatures match it; the
+    routes of all of them count for the mechanism.  A host whose chain cycles
     is skipped, with one warning per host in ``warned_cycles``.
     """
     warned = set() if warned_cycles is None else warned_cycles
@@ -357,15 +359,17 @@ def detect_publishers(
             if not candidates:
                 continue
             context = Context.SAME_SITE if host_site == site else Context.CROSS_SITE
+            evidence_of: set[str] = set()  # the trackers this transaction is already evidence for
             for pos in sorted(candidates):
                 sig = sigs[pos]
                 route = signature_match_route(txn, chain, sig, pool)
                 if route is None:
                     continue
                 key = (site, sig.tracker_id, context)
-                grouped.setdefault(key, []).append(
-                    TransactionRef(visit.visit_id, idx, txn.request_url, host))
                 routes.setdefault(key, set()).add(route)
+                if sig.tracker_id not in evidence_of:
+                    evidence_of.add(sig.tracker_id)
+                    grouped.setdefault(key, []).append(TransactionRef(visit.visit_id, idx, txn.request_url, host))
     detections = []
     for key in sorted(grouped, key=lambda k: (k[0], k[1], k[2].value)):
         site, tracker, context = key

@@ -17,7 +17,7 @@ from .detect import (
 )
 from .dnsgraph import DnsRecordStore, IpPool, accumulate_ips
 from .errors import NonContiguousMonths
-from .model import PageVisit, TrackerSignature
+from .model import PageVisit, TrackerSignature, signatures_by_tracker
 from .sitectx import PublicSuffixTable
 
 ADOPTION_WINDOW = 6
@@ -209,14 +209,14 @@ def cross_validate(
     corpus_paths: dict[str, dict[str, set[str]]],
     sigs: list[TrackerSignature],
     pool: IpPool | None,
-    psl: PublicSuffixTable,
 ) -> ValidationReport:
     """Check ``monthly`` against the external DNS snapshots.
 
     ``trackers`` is ``external_trackers`` of the snapshots.  ``corpus_paths``
     maps a month to ``host_paths`` of its corpus for (at least) the month's
     ``trackers`` hosts, so no corpus has to stay loaded; a month or host
-    missing from it counts as never requested."""
+    missing from it counts as never requested.  An undetected host's paths
+    are checked against every signature carrying its tracker id."""
     ordered_months = sorted(external_dns)
     correctness: list[dict] = []
     buckets: dict[str, list[dict]] = {
@@ -226,6 +226,7 @@ def cross_validate(
         "ip-outside-pool": [],
     }
     index = SignatureIndex(sigs)
+    sigs_of = signatures_by_tracker(sigs)
 
     for monthly_det in monthly:
         month = monthly_det.month
@@ -274,14 +275,15 @@ def cross_validate(
             if not paths:
                 buckets["absent-from-corpus"].append(entry)
             else:
-                path_hit = any(sig.path_match(p) for p in paths)
+                tracker_sigs = sigs_of[sig.tracker_id]
+                path_hit = any(s.path_match(p) for s in tracker_sigs for p in paths)
                 if not path_hit:
-                    # requests exist but none matches the tracking signature;
+                    # requests exist but none matches the tracker's signatures;
                     # distinguish "no tracking-shaped request at all" from a
-                    # near-miss on the pattern
+                    # near-miss on a pattern
                     tracking_shaped = any(
                         any(p.startswith(pat.split("*")[0]) for p in paths)
-                        for pat in sig.path_patterns if pat.split("*")[0]
+                        for s in tracker_sigs for pat in s.path_patterns if pat.split("*")[0]
                     )
                     if tracking_shaped:
                         buckets["signature-mismatch"].append(entry)
@@ -292,18 +294,17 @@ def cross_validate(
     return ValidationReport(correctness, buckets)
 
 
-def adoption_windows(
-    monthly: list[MonthlyDetection], window: int = ADOPTION_WINDOW
-) -> list[tuple[str, str, str]]:
-    """(publisher, tracker, adoption month) for publishers absent `window`
-    consecutive months then present for the following `window` months."""
+def adoption_windows(monthly: list[MonthlyDetection]) -> list[tuple[str, str, str]]:
+    """(publisher, tracker, adoption month) for publishers absent
+    ``ADOPTION_WINDOW`` consecutive months then present for the following
+    ``ADOPTION_WINDOW`` months."""
     by_month = sorted(monthly, key=lambda m: m.month)
     months = [m.month for m in by_month]
     present = [{(d.publisher_etld1, d.tracker_id) for d in m.detections} for m in by_month]
     presence = {key: [key in p for p in present] for key in set().union(*present)}
     events = []
     for (pub, tracker), bits in sorted(presence.items()):
-        for i in range(window, len(bits) - window + 1):
-            if not any(bits[i - window:i]) and all(bits[i:i + window]):
+        for i in range(ADOPTION_WINDOW, len(bits) - ADOPTION_WINDOW + 1):
+            if not any(bits[i - ADOPTION_WINDOW:i]) and all(bits[i:i + ADOPTION_WINDOW]):
                 events.append((pub, tracker, months[i]))
     return events

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from urllib.parse import unquote
 
 from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
-from .model import ContentClass, HttpTransaction, PageVisit, TrackerSignature, split_url
+from .model import ContentClass, PageVisit, TrackerSignature, signatures_by_tracker, split_url
 from .sitectx import CookieAttributes, PublicSuffixTable
 
 log = logging.getLogger(__name__)
@@ -133,17 +133,6 @@ def build_value_site_index(corpus: list[PageVisit], psl: PublicSuffixTable) -> d
     return {v: len(s) for v, s in sites.items()}
 
 
-def _tracker_hosts(detections: list[PublisherDetection], tracker_id: str) -> set[str]:
-    return {ref.host for det in detections if det.tracker_id == tracker_id for ref in det.evidence}
-
-
-def _is_tracker_setter(record: CookieRecord, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
-    origin = record.setter_origin
-    if not origin:
-        return False
-    return origin in tracker_hosts or sig.host_matches(origin)
-
-
 def _site_unique_persistent(
     inventory: list[CookieRecord], value_site_index: dict[str, int]
 ) -> list[CookieRecord]:
@@ -160,38 +149,33 @@ def _site_unique_persistent(
     return out
 
 
-def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_hosts: set[str]) -> bool:
-    for url in txn.initiators:
-        host = split_url(url)[0]
-        if host and (host in tracker_hosts or sig.host_matches(host)):
-            return True
-    return False
-
-
 class TrackerScope:
-    """What one tracker's candidate filter and channel searches share, each
-    derived once: the hosts its evidence was seen on, and its evidence
-    transactions as (site, ref, txn, initiated by the tracker's own script)."""
+    """One tracker, as its candidate filter and channel searches see it, each
+    fact derived once: ``sigs``, every signature carrying its tracker id;
+    ``detections``, its own; and its evidence transactions as (site, ref,
+    txn, initiated by the tracker's own script)."""
 
-    def __init__(self, corpus: list[PageVisit], detections: list[PublisherDetection], sig: TrackerSignature):
-        own = [d for d in detections if d.tracker_id == sig.tracker_id]
-        self.hosts = _tracker_hosts(own, sig.tracker_id)
-        self.evidence = [(det.publisher_etld1, ref, txn, _active_initiators(txn, sig, self.hosts))
-                         for det, ref, _visit, txn in evidence_transactions(corpus, own)]
+    def __init__(self, corpus: list[PageVisit], detections: list[PublisherDetection],
+                 sigs: list[TrackerSignature]):
+        self.sigs = sigs
+        self.detections = [d for d in detections if d.tracker_id == sigs[0].tracker_id]
+        self._hosts = {ref.host for det in self.detections for ref in det.evidence}
+        self.evidence = [(det.publisher_etld1, ref, txn,
+                          any(self.owns(split_url(url)[0]) for url in txn.initiators))
+                         for det, ref, _visit, txn in evidence_transactions(corpus, self.detections)]
+
+    def owns(self, host: str | None) -> bool:
+        """Whether ``host`` is the tracker's: seen in its evidence, or under
+        one of its signatures' suffixes."""
+        return bool(host) and (host in self._hosts or any(sig.host_matches(host) for sig in self.sigs))
 
 
-def filter_candidates(
-    persistent: list[CookieRecord],
-    sig: TrackerSignature,
-    detections: list[PublisherDetection],
-    scope: TrackerScope | None = None,
-) -> list[CookieRecord]:
+def filter_candidates(persistent: list[CookieRecord], scope: TrackerScope) -> list[CookieRecord]:
     """Leak candidates for one tracker: the cookies of ``persistent``, an
     inventory already through the tracker-independent filters
     (``_site_unique_persistent``, applied once per run), not set by the
     tracker itself."""
-    tracker_hosts = scope.hosts if scope else _tracker_hosts(detections, sig.tracker_id)
-    return [rec for rec in persistent if not _is_tracker_setter(rec, sig, tracker_hosts)]
+    return [rec for rec in persistent if not scope.owns(rec.setter_origin)]
 
 
 class _ValueIndex:
@@ -237,20 +221,13 @@ class _ValueIndex:
         return sorted((pos, start, decoded) for pos, (start, decoded) in found.items())
 
 
-def _find_leaks(
-    channel: Channel,
-    corpus: list[PageVisit],
-    filtered: list[CookieRecord],
-    detections: list[PublisherDetection],
-    sig: TrackerSignature,
-    scope: TrackerScope | None,
-) -> list[LeakFinding]:
+def _find_leaks(channel: Channel, filtered: list[CookieRecord], tracker_id: str,
+                scope: TrackerScope) -> list[LeakFinding]:
     """Findings of one channel for one tracker, sorted by ``sort_key``.
 
     Each carrier's hits are emitted in ``filtered`` order (Cookie-header order
     on the header channel), so ties in the sort keep a fixed order.
     """
-    scope = scope or TrackerScope(corpus, detections, sig)
     if channel is Channel.COOKIE_HEADER:
         by_pair = {(r.name, r.value): pos for pos, r in enumerate(filtered)}
     else:
@@ -273,7 +250,7 @@ def _find_leaks(
             rec = filtered[pos]
             findings.append(LeakFinding(
                 site=site,
-                tracker_id=sig.tracker_id,
+                tracker_id=tracker_id,
                 channel=channel,
                 cookie=rec,
                 carrier=ref,
@@ -286,15 +263,19 @@ def _find_leaks(
     return findings
 
 
+# The channel searches read only ``filtered``, ``sig.tracker_id`` and
+# ``scope``; ``corpus`` and ``detections``, what ``scope`` was built from,
+# stay in their places for perfbench/tracer.py, which reads them by position.
+
 def find_header_leaks(
     corpus: list[PageVisit],
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
-    scope: TrackerScope | None = None,
+    scope: TrackerScope,
 ) -> list[LeakFinding]:
     """Filtered cookies present in a tracker transaction's Cookie header."""
-    return _find_leaks(Channel.COOKIE_HEADER, corpus, filtered, detections, sig, scope)
+    return _find_leaks(Channel.COOKIE_HEADER, filtered, sig.tracker_id, scope)
 
 
 def find_post_leaks(
@@ -302,11 +283,11 @@ def find_post_leaks(
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
-    scope: TrackerScope | None = None,
+    scope: TrackerScope,
 ) -> list[LeakFinding]:
     """Filtered cookie values found in tracker-bound POST bodies (and in the
     percent-decoded body of a form-urlencoded one)."""
-    return _find_leaks(Channel.POST_BODY, corpus, filtered, detections, sig, scope)
+    return _find_leaks(Channel.POST_BODY, filtered, sig.tracker_id, scope)
 
 
 def find_url_leaks(
@@ -314,11 +295,11 @@ def find_url_leaks(
     filtered: list[CookieRecord],
     detections: list[PublisherDetection],
     sig: TrackerSignature,
-    scope: TrackerScope | None = None,
+    scope: TrackerScope,
 ) -> list[LeakFinding]:
     """Filtered cookie values in tracker request URLs (path+query only, raw
     or percent-decoded)."""
-    return _find_leaks(Channel.URL_PARAM, corpus, filtered, detections, sig, scope)
+    return _find_leaks(Channel.URL_PARAM, filtered, sig.tracker_id, scope)
 
 
 def transport_audit(
@@ -352,20 +333,17 @@ def audit_leaks(
     sigs: list[TrackerSignature],
     psl: PublicSuffixTable,
 ) -> LeakAuditResult:
-    """Full three-channel leak audit plus transport audit for all trackers."""
+    """Full three-channel leak audit plus transport audit for all trackers,
+    each tracker id audited once over all the signatures carrying it."""
     inventory = build_inventory(corpus, psl)
     persistent = _site_unique_persistent(inventory, build_value_site_index(corpus, psl))
-    by_tracker: dict[str, list[PublisherDetection]] = {}
-    for det in detections:
-        by_tracker.setdefault(det.tracker_id, []).append(det)
     findings: list[LeakFinding] = []
-    for sig in sigs:
-        own = by_tracker.get(sig.tracker_id, [])
-        scope = TrackerScope(corpus, own, sig)
-        filtered = filter_candidates(persistent, sig, own, scope)
+    for tracker_sigs in signatures_by_tracker(sigs).values():
+        scope = TrackerScope(corpus, detections, tracker_sigs)
+        filtered = filter_candidates(persistent, scope)
         # module globals, read per call: wrappers installed on the module see each stage
         for find in (find_header_leaks, find_post_leaks, find_url_leaks):
-            findings.extend(find(corpus, filtered, own, sig, scope))
+            findings.extend(find(corpus, filtered, scope.detections, tracker_sigs[0], scope))
     findings.sort(key=LeakFinding.sort_key)
     return LeakAuditResult(
         inventory_size=len(inventory),

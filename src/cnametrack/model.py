@@ -212,3 +212,12 @@ class TrackerSignature:
         """Match a path+query against any of the ``path_patterns`` (case-sensitive
         ``fnmatch``): one regex over every pattern, compiled on first use."""
         return re.compile("|".join(fnmatch.translate(p) for p in self.path_patterns)).match
+
+
+def signatures_by_tracker(sigs: list[TrackerSignature]) -> dict[str, list[TrackerSignature]]:
+    """Each tracker id's signatures, in list order: signatures sharing an id
+    are one tracker.  Ids come in the order they first appear."""
+    by_tracker: dict[str, list[TrackerSignature]] = {}
+    for sig in sigs:
+        by_tracker.setdefault(sig.tracker_id, []).append(sig)
+    return by_tracker

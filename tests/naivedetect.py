@@ -109,7 +109,9 @@ def detect_publishers(
     psl: PublicSuffixTable,
     max_depth: int = 10,
 ) -> list[PublisherDetection]:
-    """One detection per (publisher eTLD+1, tracker, context), deterministic order."""
+    """One detection per (publisher eTLD+1, tracker, context), deterministic
+    order, with one evidence ref per (tracker id, transaction) however many
+    of the tracker's signatures match."""
     chains = ChainCache(dns, max_depth)
     grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}
     routes: dict[tuple[str, str, Context], set[Mechanism]] = {}
@@ -123,14 +125,16 @@ def detect_publishers(
                 continue
             chain = chains.get(host)
             context = Context.SAME_SITE if psl.etld_plus_one_or_none(host) == site else Context.CROSS_SITE
+            matched: dict[str, set[Mechanism]] = {}  # tracker id -> routes of its signatures
             for sig in sigs:
                 route = signature_match_route(txn, chain, sig, sigs, pool)
-                if route is None:
-                    continue
-                key = (site, sig.tracker_id, context)
+                if route is not None:
+                    matched.setdefault(sig.tracker_id, set()).add(route)
+            for tracker_id, found in matched.items():
+                key = (site, tracker_id, context)
                 grouped.setdefault(key, []).append(
                     TransactionRef(visit.visit_id, idx, txn.request_url, host))
-                routes.setdefault(key, set()).add(route)
+                routes.setdefault(key, set()).update(found)
     detections = []
     for key in sorted(grouped, key=lambda k: (k[0], k[1], k[2].value)):
         site, tracker, context = key

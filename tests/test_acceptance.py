@@ -242,7 +242,7 @@ def test_08_validation_partition(tmp_path):
     external = {"2020-10": ext10, "2020-11": ext11}
     trackers = external_trackers(external, [sig])
     rep = cross_validate(monthly, external, trackers,
-                         {"2020-10": host_paths(ds.corpus, trackers["2020-10"])}, [sig], pool, psl)
+                         {"2020-10": host_paths(ds.corpus, trackers["2020-10"])}, [sig], pool)
     reasons = {e["host"]: e["reason"] for e in rep.correctness}
     assert reasons == {"m.alpha.com": "timing-gap",
                        "m.beta.com": "typo-domain",

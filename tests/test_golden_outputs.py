@@ -7,6 +7,9 @@ path (and ``manifest.json``'s ``input_paths``) is relative and stable.  The
 exit code of each command and the sha256 of each output file must equal
 ``golden/outputs.json``.  One workload is run again in two interpreters with
 different ``PYTHONHASHSEED`` values, to catch output that follows set order.
+Each workload is run once more with every signature listed twice: signatures
+that share a tracker id are one tracker, so no output but ``manifest.json``
+(which records the inputs' digests) may change.
 
 A change that alters an output on purpose replaces the digest file with the
 table this test prints on a mismatch, and names each changed file in
@@ -44,9 +47,12 @@ def _gen():
     return gen
 
 
-def digests(workload: str, seed: int, wdir: Path) -> dict[str, object]:
-    """Each command's exit code and each output file's sha256, by name."""
+def digests(workload: str, seed: int, wdir: Path, edit=None) -> dict[str, object]:
+    """Each command's exit code and each output file's sha256, by name.
+    ``edit(workload, wdir)``, when given, alters the inputs before the run."""
     w = _gen().BUILDERS[workload](seed, wdir)
+    if edit is not None:
+        edit(w, wdir)
     old = os.getcwd()
     os.chdir(wdir)
     try:
@@ -84,6 +90,22 @@ def test_outputs_do_not_follow_hash_seed(tmp_path):
         tables.append(json.loads(proc.stdout))
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[key]
     assert tables[0] == tables[1] == golden, _mismatch(key, tables[0])
+
+
+def _list_signatures_twice(w, wdir: Path):
+    path = wdir / w.static_inputs["signatures"]
+    sigs = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(sigs + sigs), encoding="utf-8")
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_signatures_listed_twice_change_no_output(workload, tmp_path):
+    def outputs(table):
+        return {k: v for k, v in table.items() if Path(k).name != "manifest.json"}
+
+    once = digests(workload, SEEDS[0], tmp_path / "once")
+    twice = digests(workload, SEEDS[0], tmp_path / "twice", _list_signatures_twice)
+    assert outputs(twice) == outputs(once)
 
 
 if __name__ == "__main__":

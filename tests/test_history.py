@@ -322,7 +322,7 @@ class TestStreaming:
         every_path = {m.month: host_paths(m.corpus, {t.host for v in m.corpus for t in v.transactions})
                       for m in months}
         report = cross_validate(monthly, external, external_trackers(external, sigs), every_path,
-                                sigs, pool, psl)
+                                sigs, pool)
         reports.write_json({"correctness": report.correctness, "completeness": report.completeness},
                            ref / "validation.json")
         assert (tmp_path / "val" / "validation.json").read_bytes() == (ref / "validation.json").read_bytes()
@@ -454,7 +454,7 @@ class TestCrossValidate:
         trackers = external_trackers(external, [self.SIG])
         report = cross_validate(monthly, external, trackers,
                                 {"2020-10": host_paths(ds.corpus, trackers["2020-10"])},
-                                [self.SIG], pool, psl)
+                                [self.SIG], pool)
         return report
 
     def test_correctness_archetypes(self, tmp_path, psl):
@@ -481,7 +481,7 @@ class TestCrossValidate:
         ext11.add("m.alpha.com", "CNAME", "x0.2o7.net")
         external = {"2020-10": DnsRecordStore(), "2020-11": ext11}
         report = cross_validate(monthly, external, external_trackers(external, [self.SIG]),
-                                {}, [self.SIG], None, psl)
+                                {}, [self.SIG], None)
         assert [e["reason"] for e in report.correctness] == ["timing-gap"]
 
     def test_completeness_buckets(self, tmp_path, psl):

@@ -71,7 +71,7 @@ class TestFiltering:
         corpus, dns, sig, detections, expected, psl = leak_setup
         persistent = _site_unique_persistent(build_inventory(corpus, psl),
                                              build_value_site_index(corpus, psl))
-        filtered = filter_candidates(persistent, sig, detections)
+        filtered = filter_candidates(persistent, TrackerScope(corpus, detections, [sig]))
         names = {r.name for r in filtered}
         for n in range(12, 14):
             assert f"short{n}" not in names      # too short
@@ -140,7 +140,7 @@ def test_truncated_post_body_warns_once(caplog):
                                SetterKind.UNKNOWN, None, "shop.com")
                   for i in range(3)]
     with caplog.at_level(logging.WARNING, logger="cnametrack.leaks"):
-        assert find_post_leaks([visit], candidates, [det], sig) == []
+        assert find_post_leaks([visit], candidates, [det], sig, TrackerScope([visit], [det], [sig])) == []
     assert [r.message for r in caplog.records].count(
         f"POST body truncated; leak search window exceeded for {url}") == 1
     assert len(caplog.records) == 1
@@ -222,11 +222,10 @@ def _run_logged(fn, logger_name, *args):
 @given(leak_cases())
 def test_single_pass_search_equals_reference(case):
     corpus, filtered, detections = case
-    scope = TrackerScope(corpus, detections, DIFF_SIG)
+    scope = TrackerScope(corpus, detections, [DIFF_SIG])
     for fast, naive in SEARCHES:
         want = _run_logged(naive, "naiveleaks", corpus, filtered, detections, DIFF_SIG)
-        assert _run_logged(fast, "cnametrack.leaks", corpus, filtered, detections, DIFF_SIG) == want
-        assert fast(corpus, filtered, detections, DIFF_SIG, scope) == want[0]
+        assert _run_logged(fast, "cnametrack.leaks", corpus, filtered, detections, DIFF_SIG, scope) == want
 
 
 class TestTransport:

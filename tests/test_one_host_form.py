@@ -87,7 +87,7 @@ def test_validate_partitions_a_fully_qualified_host(tmp_path, psl):
     trackers = external_trackers(external, [OMNITURE])
     paths = {"2020-10": host_paths(corpus, trackers["2020-10"])}
     assert paths == {"2020-10": {"m.alpha.com": {"/b/ss/v1/collect"}}}
-    report = cross_validate(monthly, external, trackers, paths, [OMNITURE], None, psl)
+    report = cross_validate(monthly, external, trackers, paths, [OMNITURE], None)
     assert report.correctness == []
     assert report.completeness == dict.fromkeys(report.completeness, [])
 

@@ -39,9 +39,12 @@ def test_hook_resolves(module, dotted):
 
 def test_audit_leaks_calls_traced_stages(leak_setup, monkeypatch):
     """audit_leaks must reach the traced leak stages through the module
-    namespace, once per signature, or the tracer's leaks.*_s read zero."""
+    namespace, once per tracker, or the tracer's leaks.*_s read zero.  A
+    second signature of one tracker id is the same tracker: its stages are
+    not entered again, and its findings are not reported twice."""
     corpus, _dns, sig, detections, _expected, psl = leak_setup
     other = TrackerSignature("quiet", cname_suffixes=("quiet.example",), path_patterns=("/*",))
+    same = TrackerSignature(sig.tracker_id, cname_suffixes=("cdn.example",), path_patterns=("/*",))
     names = ("filter_candidates", "find_header_leaks", "find_post_leaks", "find_url_leaks")
     calls = dict.fromkeys(names, 0)
     for name in names:
@@ -49,6 +52,6 @@ def test_audit_leaks_calls_traced_stages(leak_setup, monkeypatch):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(leaks, name, counting)
-    result = leaks.audit_leaks(corpus, detections, [sig, other], psl)
+    result = leaks.audit_leaks(corpus, detections, [sig, other, same], psl)
     assert len(result.findings) == 12
     assert calls == dict.fromkeys(names, 2)
