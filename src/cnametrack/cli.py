@@ -1,8 +1,11 @@
 """Command-line entry point wiring all analysis stages.
 
-Subcommands: detect, leaks, defense, history, features, validate, report.
-Data goes to files under --out; diagnostics go to stderr.  Exit codes:
-0 success, 1 input/config error, 2 internal invariant violation.
+Subcommands: detect, leaks, defense, history, features, validate, report;
+each takes only the flags its row of ``COMMANDS`` names.  Data goes to files
+under --out; diagnostics go to stderr.  Exit codes: 0 success, 1 input/config
+error (a missing required flag included), 2 usage error (an unknown flag, a
+flag the command does not take, or --corpus with --har) or internal
+invariant violation.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 from .dnsgraph import DEFAULT_MAX_DEPTH
 from .errors import (KEEP, REQUIRED, STRING, CnametrackError, SchemaViolation, StaleInputs, field_table,
@@ -24,37 +28,49 @@ from .sitectx import PublicSuffixTable
 # loads only what the command needs.
 log = logging.getLogger("cnametrack")
 
+INPUT, SETTING = "input", "setting"  # what manifest.json records a flag's value as
 
-def _common_options() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--corpus", help="capture JSONL corpus")
-    p.add_argument("--har", help="HAR 1.2 capture (alternative corpus input)")
-    p.add_argument("--dns", help="DNS snapshot JSONL")
-    p.add_argument("--external-dns", help="external DNS month-manifest JSON")
-    p.add_argument("--psl", help="public suffix list file (bundled snapshot by default)")
-    p.add_argument("--filters", help="Adblock-style filter list")
-    p.add_argument("--signatures", help="tracker signature JSON")
-    p.add_argument("--ranking", help="rank,domain CSV")
-    p.add_argument("--months", help="month-manifest JSON for historical runs")
-    p.add_argument("--min-sites", type=int, default=100)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility and ignored; runs are single-threaded")
-    p.add_argument("--ua-label", choices=["chrome", "safari", "other"],
-                   help="restrict corpus to one user-agent label")
-    p.add_argument("--out", default=".", help="output directory")
-    return p
+# Each flag: what the manifest records it as (None: nothing), and its argparse settings.
+FLAGS = {
+    "corpus": (INPUT, {"help": "capture JSONL corpus"}),
+    "har": (INPUT, {"help": "HAR 1.2 capture (alternative corpus input)"}),
+    "dns": (INPUT, {"help": "DNS snapshot JSONL"}),
+    "external-dns": (INPUT, {"help": "external DNS month-manifest JSON"}),
+    "psl": (INPUT, {"help": "public suffix list file (bundled snapshot by default)"}),
+    "filters": (INPUT, {"help": "Adblock-style filter list"}),
+    "signatures": (INPUT, {"help": "tracker signature JSON"}),
+    "ranking": (INPUT, {"help": "rank,domain CSV"}),
+    "months": (INPUT, {"help": "month-manifest JSON for historical runs"}),
+    "min-sites": (SETTING, {"type": int, "default": 100}),
+    "max-depth": (SETTING, {"type": int, "default": DEFAULT_MAX_DEPTH}),
+    "rank-bins": (SETTING, {"type": int, "default": 10000}),
+    "ua-label": (SETTING, {"choices": ["chrome", "safari", "other"],
+                           "help": "restrict corpus to one user-agent label"}),
+    "threads": (None, {"type": int, "default": 1,
+                       "help": "accepted for compatibility and ignored; runs are single-threaded"}),
+    "out": (None, {"default": ".", "help": "output directory"}),
+}
+SHARED = ("psl", "ua-label", "out")  # taken by every command
+
+
+class Command(NamedTuple):
+    """A row of ``COMMANDS``.  ``"corpus|har"`` stands for either of the two
+    flags, never both."""
+    func: Callable[[argparse.Namespace], int]
+    required: tuple[str, ...]  # checked in this order, before the command runs
+    takes: tuple[str, ...]  # optional, besides SHARED
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnametrack")
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _common_options()
-    for name, fn in COMMANDS.items():
-        p = sub.add_parser(name, help=fn.__doc__, parents=[common])
-        if name == "report":
-            p.add_argument("--rank-bins", type=int, default=10000)
-        p.set_defaults(func=fn)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.func.__doc__)
+        for entry in (*command.required, *command.takes, *SHARED):
+            group = p.add_mutually_exclusive_group() if "|" in entry else p
+            for flag in entry.split("|"):
+                group.add_argument(f"--{flag}", **FLAGS[flag][1])
+        p.set_defaults(func=command.func)
     return parser
 
 
@@ -66,25 +82,19 @@ def _check_flag_values(args):
             raise CnametrackError(f"--{name.replace('_', '-')} must be at least 1, not {value}")
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name.replace("-", "_"), None) is None:
-            raise CnametrackError(f"missing required flag --{name}")
+def _require(args, *entries):
+    """Exit 1 naming the first of ``entries`` (table entries) not given."""
+    for entry in entries:
+        first, *others = entry.split("|")
+        if not any(getattr(args, flag.replace("-", "_")) for flag in (first, *others)):
+            raise CnametrackError(f"missing required flag --{first}" + "".join(f" (or --{o})" for o in others))
 
 
 def _load_psl(args) -> PublicSuffixTable:
-    if args.psl:
-        return PublicSuffixTable.from_file(args.psl)
-    return PublicSuffixTable.bundled()
-
-
-def _require_corpus(args):
-    if not (args.corpus or args.har):
-        raise CnametrackError("missing required flag --corpus (or --har)")
+    return PublicSuffixTable.from_file(args.psl) if args.psl else PublicSuffixTable.bundled()
 
 
 def _load_corpus(args, psl):
-    _require_corpus(args)
     visits = load_crawl_jsonl(args.corpus, psl) if args.corpus else load_har(args.har, psl)
     return _ua_filter(args, visits)
 
@@ -103,21 +113,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _inputs(args) -> dict[str, str]:
-    return {k: getattr(args, k) for k in
-            ("corpus", "har", "dns", "external_dns", "psl", "filters", "signatures", "ranking",
-             "months")
-            if getattr(args, k, None)}
-
-
-def _config(args) -> dict:
-    return {"min_sites": args.min_sites, "max_depth": args.max_depth,
-            "ua_label": args.ua_label}
+def _recorded(args, role) -> dict:
+    """The values of the flags the command took that the manifest records as ``role``."""
+    names = (flag.replace("-", "_") for flag, (kind, _spec) in FLAGS.items() if kind == role)
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _detection_pipeline(args, psl):
     from .detect import detect_publishers
-    _require(args, "dns", "signatures")
     sigs = load_signatures(args.signatures)  # first: a bad signature fails before a large input is read
     corpus = _load_corpus(args, psl)
     dns = load_dns(args.dns, args.max_depth)
@@ -132,7 +135,7 @@ def cmd_detect(args) -> int:
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     out = _out_dir(args)
     reports.write_detections(detections, out)
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     log.info("wrote %d detections to %s", len(detections), out)
     return 0
 
@@ -146,7 +149,7 @@ def cmd_leaks(args) -> int:
     result = audit_leaks(corpus, detections, sigs, psl)
     out = _out_dir(args)
     reports.write_leaks(result, out)
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     log.info("wrote %d leak findings to %s", len(result.findings), out)
     return 0
 
@@ -156,14 +159,13 @@ def cmd_defense(args) -> int:
     from . import reports
     from .defense import compare_defenses
     from .filterlist import load_filter_list
-    _require(args, "filters")
     psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     rules, stats = load_filter_list(args.filters)
     report = compare_defenses(corpus, detections, rules, dns)
     out = _out_dir(args)
     reports.write_defense(report, out)
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     return 0
 
 
@@ -185,7 +187,6 @@ def _month_entries(args) -> list[list[str]]:
     """The --months manifest's (month, corpus, dns) entries, newest first, all
     checked, and the months' contiguity, before any corpus or DNS file is opened."""
     from .history import check_descending_contiguous, is_month
-    _require(args, "months")
     entries = [read_fields(entry, MONTH_ENTRY, SchemaViolation, None, args.months, f"entry {i}: ")
                for i, entry in enumerate(_load_month_manifest(args.months, list))]
     for i, (month, _corpus, _dns) in enumerate(entries):
@@ -218,7 +219,6 @@ def cmd_history(args) -> int:
     import csv
     from . import reports
     from .history import adoption_windows, backward_iterate
-    _require(args, "signatures")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     monthly = backward_iterate(_load_months(args, _month_entries(args), psl), sigs, psl)
@@ -244,7 +244,7 @@ def cmd_history(args) -> int:
     reports.write_json({"adoptions": [
         {"publisher": p, "tracker": t, "month": mo} for p, t, mo in adoptions
     ]}, out / "adoptions.json")
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     return 0
 
 
@@ -252,7 +252,6 @@ def cmd_features(args) -> int:
     """Candidate discovery and assisted-detection feature extraction."""
     from . import reports
     from .detect import candidate_scan, extract_features, heuristic_flag
-    _require(args, "dns")
     psl = _load_psl(args)
     corpus = _load_corpus(args, psl)
     dns = load_dns(args.dns, args.max_depth)
@@ -273,7 +272,7 @@ def cmd_features(args) -> int:
         })
     out = _out_dir(args)
     reports.write_json({"candidates": rows}, out / "features.json")
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     return 0
 
 
@@ -282,7 +281,6 @@ def cmd_validate(args) -> int:
     from . import reports
     from .dnsgraph import IpPool
     from .history import MonthDataset, backward_iterate, cross_validate, external_trackers, host_paths, is_month
-    _require(args, "signatures", "external_dns")
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     ext_manifest = _load_month_manifest(args.external_dns, dict)
@@ -307,7 +305,7 @@ def cmd_validate(args) -> int:
     reports.write_json({"correctness": report.correctness,
                         "completeness": report.completeness},
                        out / "validation.json")
-    reports.write_manifest(out, _inputs(args), _config(args))
+    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     return 0
 
 
@@ -316,8 +314,7 @@ def cmd_report(args) -> int:
     from . import reports
     cooccurrence = bool(args.corpus or args.har or args.filters)
     if cooccurrence:  # a corpus and a filter list, or neither
-        _require_corpus(args)
-        _require(args, "filters")
+        _require(args, "corpus|har", "filters")
     psl = _load_psl(args)
     out = _out_dir(args)
     if not reports.check_manifest(out):
@@ -341,13 +338,13 @@ def cmd_report(args) -> int:
 
 
 COMMANDS = {
-    "detect": cmd_detect,
-    "leaks": cmd_leaks,
-    "defense": cmd_defense,
-    "history": cmd_history,
-    "features": cmd_features,
-    "validate": cmd_validate,
-    "report": cmd_report,
+    "detect": Command(cmd_detect, ("dns", "signatures", "corpus|har"), ("max-depth", "threads")),
+    "leaks": Command(cmd_leaks, ("dns", "signatures", "corpus|har"), ("max-depth", "threads")),
+    "defense": Command(cmd_defense, ("filters", "dns", "signatures", "corpus|har"), ("max-depth", "threads")),
+    "history": Command(cmd_history, ("signatures", "months"), ("max-depth", "threads")),
+    "features": Command(cmd_features, ("dns", "corpus|har"), ("min-sites", "max-depth", "threads")),
+    "validate": Command(cmd_validate, ("signatures", "external-dns", "months"), ("max-depth", "threads")),
+    "report": Command(cmd_report, (), ("corpus|har", "filters", "ranking", "rank-bins")),
 }
 
 
@@ -358,6 +355,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flag_values(args)
+        _require(args, *COMMANDS[args.command].required)
         return args.func(args)
     except (CnametrackError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -212,7 +212,8 @@ def cross_validate(
 ) -> ValidationReport:
     """Check ``monthly`` against the external DNS snapshots.
 
-    ``trackers`` is ``external_trackers`` of the snapshots.  ``corpus_paths``
+    ``trackers`` is ``external_trackers`` of the snapshots: a detected host
+    in its month's table is backed by the external data.  ``corpus_paths``
     maps a month to ``host_paths`` of its corpus for (at least) the month's
     ``trackers`` hosts, so no corpus has to stay loaded; a month or host
     missing from it counts as never requested.  An undetected host's paths
@@ -225,7 +226,6 @@ def cross_validate(
         "signature-mismatch": [],
         "ip-outside-pool": [],
     }
-    index = SignatureIndex(sigs)
     sigs_of = signatures_by_tracker(sigs)
 
     for monthly_det in monthly:
@@ -235,9 +235,9 @@ def cross_validate(
             continue
         for det in monthly_det.detections:
             for host in sorted({r.host for r in det.evidence}):
-                sig, chain = _external_tracker_chain(host, ext, index)
-                if sig is not None:
+                if host in trackers[month]:
                     continue  # external data agrees
+                chain = ext.chain(host)
                 entry = {"month": month, "publisher": det.publisher_etld1,
                          "tracker": det.tracker_id, "host": host}
                 if chain is None or (not chain.hops and not chain.terminal_ips):

@@ -498,9 +498,10 @@ def test_count_flag_below_one_exits_1(world, tmp_path, capsys, argv, message):
     assert run(["detect", "--corpus", world["corpus"], "--dns", world["dns"],
                 "--signatures", world["signatures"], "--out", out]) == 0
     capsys.readouterr()
-    inputs = ["--corpus", world["corpus"], "--dns", world["dns"], "--signatures", world["signatures"],
-              "--months", world["months"], "--ranking", world["ranking"]]
-    assert run([*argv, *inputs, "--out", out]) == 1
+    inputs = {"detect": ["--corpus", world["corpus"], "--dns", world["dns"], "--signatures", world["signatures"]],
+              "history": ["--months", world["months"], "--signatures", world["signatures"]],
+              "report": ["--corpus", world["corpus"], "--ranking", world["ranking"]]}
+    assert run([*argv, *inputs[argv[0]], "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (out / "rank_bins.csv").exists()
 
@@ -572,10 +573,11 @@ def one_request_world(root, url, answers, sigs, remote_ip=None):
     (root / "months.json").write_text(json.dumps([{"month": month, "corpus": str(corpus),
                                                    "dns": str(dns)}]))
     (root / "external.json").write_text(json.dumps({month: str(dns)}))
-    detect = ["--corpus", corpus, "--dns", dns, "--signatures", sigs]
+    features = ["--corpus", corpus, "--dns", dns]
+    detect = [*features, "--signatures", sigs]
     months = ["--months", root / "months.json", "--signatures", sigs]
     return {"detect": detect, "leaks": detect, "defense": [*detect, "--filters", root / "filters.txt"],
-            "features": detect, "history": months,
+            "features": features, "history": months,
             "validate": [*months, "--external-dns", root / "external.json"]}
 
 
@@ -625,14 +627,16 @@ def test_ua_label_filters_every_month(tmp_path, label, detected):
 @pytest.mark.parametrize("command", ["detect", "leaks", "defense", "history", "validate", "features"])
 def test_bad_cidr_exits_1_naming_the_signature(tmp_path, capsys, command):
     """Every command that loads --signatures rejects a range that does not
-    parse, naming the file and the signature; features does not load them."""
+    parse, naming the file and the signature; features does not take the flag."""
     world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "A", "203.0.113.5")], [
         {"tracker_id": "trk", "cidr_ranges": ["203.0.113.0/33"], "path_patterns": ["/ea/*"]}])
     capsys.readouterr()
-    code = run([command, *world[command], "--out", tmp_path / "out"])
     if command == "features":
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            run([command, *world[command], "--signatures", tmp_path / "sigs.json", "--out", tmp_path / "out"])
+        assert exc.value.code == 2 and "unrecognized arguments: --signatures" in capsys.readouterr().err
         return
+    code = run([command, *world[command], "--out", tmp_path / "out"])
     assert code == 1
     assert capsys.readouterr().err == (f"error: {tmp_path / 'sigs.json'}: signature 0: "
                                        "'203.0.113.0/33' does not appear to be an IPv4 or IPv6 network\n")
@@ -710,3 +714,90 @@ def test_report_needs_a_corpus_and_filters_together(tmp_path, capsys, given, mis
     assert run(["report", *flags[given], "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == f"error: missing required flag {missing}\n"
     assert not (tmp_path / "out" / "cooccurrence.json").exists()
+
+
+# The flags each command takes, -h aside: its row of the command table.
+TAKES = {
+    "detect": {"dns", "signatures", "corpus", "har", "max-depth", "threads"},
+    "leaks": {"dns", "signatures", "corpus", "har", "max-depth", "threads"},
+    "defense": {"filters", "dns", "signatures", "corpus", "har", "max-depth", "threads"},
+    "features": {"dns", "corpus", "har", "min-sites", "max-depth", "threads"},
+    "history": {"signatures", "months", "max-depth", "threads"},
+    "validate": {"signatures", "external-dns", "months", "max-depth", "threads"},
+    "report": {"corpus", "har", "filters", "ranking", "rank-bins"},
+}
+SHARED = {"psl", "ua-label", "out"}
+ALL_FLAGS = set().union(SHARED, *TAKES.values())
+
+
+def test_each_command_takes_exactly_its_flags():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    taken = {name: {opt.removeprefix("--") for action in p._actions for opt in action.option_strings
+                    if opt not in ("-h", "--help")}
+             for name, p in sub.choices.items()}
+    assert taken == {name: flags | SHARED for name, flags in TAKES.items()}
+    assert sum(map(len, taken.values())) == 60
+
+
+def _flag_value(flag, world):
+    if flag in ("min-sites", "max-depth", "rank-bins", "threads"):
+        return 1
+    return "chrome" if flag == "ua-label" else world["detect"][1]  # an existing file
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in TAKES for f in sorted(ALL_FLAGS - TAKES[c] - SHARED)])
+def test_flag_the_command_does_not_take_is_a_usage_error(tmp_path, capsys, command, flag):
+    """Rejected before any input is read: exit 2 naming the flag, and --out stays empty."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, *world.get(command, []), f"--{flag}", _flag_value(flag, world), "--out", out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_history_with_a_corpus_flag_writes_nothing(tmp_path):
+    """history reads corpora only through --months: a --corpus (even a
+    missing one) is a usage error, not a failure after the months ran."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    with pytest.raises(SystemExit) as exc:
+        run(["history", *world["history"], "--corpus", tmp_path / "missing.jsonl", "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_with_har_is_a_usage_error(tmp_path, capsys):
+    flags = cooccurrence_world(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["detect", *flags["corpus"], *flags["har"], "--dns", tmp_path / "dns.jsonl",
+             "--signatures", tmp_path / "sigs.json", "--out", tmp_path / "out2"])
+    assert exc.value.code == 2
+    assert "argument --har: not allowed with argument --corpus" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
+
+
+def test_manifest_records_only_the_flags_the_command_took(tmp_path):
+    """inputs holds the input files given; config holds the command's settings only."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    for command, flags in world.items():
+        out = tmp_path / command
+        assert run([command, *flags, "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["inputs"]) == {str(f)[2:].replace("-", "_") for f in flags[::2]}, command
+        assert set(manifest["config"]) == \
+            ({"min_sites", "max_depth", "ua_label"} if command == "features" else {"max_depth", "ua_label"}), command
+
+
+def test_missing_required_flag_is_checked_before_any_input_is_read(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not JSON")
+    assert run(["history", "--signatures", bad, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == "error: missing required flag --months\n"
+    assert not (tmp_path / "out").exists()
