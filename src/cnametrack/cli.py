@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cnametrack")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.func.__doc__)
+        p = sub.add_parser(name, help=command.func.__doc__, allow_abbrev=False)
         for entry in (*command.required, *command.takes, *SHARED):
             group = p.add_mutually_exclusive_group() if "|" in entry else p
             for flag in entry.split("|"):
@@ -310,7 +310,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Render rank bins, tracker summary, leak rollup and defense matrix."""
+    """Write rank bins (--ranking) and the filter-list co-occurrence fraction (--corpus, --filters)."""
     from . import reports
     cooccurrence = bool(args.corpus or args.har or args.filters)
     if cooccurrence:  # a corpus and a filter list, or neither

@@ -1,12 +1,18 @@
 """Adblock-style filter list parsing and token-indexed network-rule matching.
 
 Supported subset: domain anchors (``||example.com^``), plain URL patterns
-with ``*`` wildcards, ``^`` separators and ``|`` anchors, exception rules
+with ``*`` wildcards, ``^`` separators and ``|`` anchors (a trailing ``|``
+anchors the end of the URL, also after a domain anchor), exception rules
 (``@@`` prefix) and the options ``third-party``, ``~third-party`` /
 ``first-party``, ``script`` / ``image`` (the transaction's content class)
 and ``domain=`` (the page hostname, with suffix semantics).  Cosmetic rules,
 regex rules and any rule carrying an unsupported option are kept but marked
-inert.
+inert: they have no pattern and match nothing.
+
+``parse_rule`` is the one place a rule's facts are decided; matching, the
+index and the sinkhole list read only the ``FilterRule`` fields it sets.
+A rule is ``pure_domain`` when it is ``||domain`` or ``||domain^`` with no
+option: only those (less the exceptions) feed the sinkhole list.
 
 ``load_filter_list`` returns a ``FilterList``: the rules in file order plus
 an index from one *bounded* literal token of each rule to that rule.  A
@@ -19,7 +25,6 @@ confirmed by ``FilterRule.matches``, whose regex is compiled on first use.
 
 from __future__ import annotations
 
-import enum
 import logging
 import re
 from collections.abc import Iterable, Sequence
@@ -38,12 +43,9 @@ SUPPORTED_OPTIONS = {"third-party", "~third-party", "first-party", "script", "im
 _TYPE_OPTIONS = {"script": ContentClass.SCRIPT, "image": ContentClass.IMAGE}
 
 _TOKEN = re.compile(r"[a-z0-9%]+")
-
-
-class RuleKind(enum.Enum):
-    DOMAIN_ANCHOR = "domain-anchor"
-    PLAIN_PATTERN = "plain-pattern"
-    EXCEPTION = "exception"
+_BOUNDED_TOKEN = re.compile(r"(?<![a-z0-9%*])[a-z0-9%]+(?![a-z0-9%*])")
+_WILDCARDS = re.compile(r"([*^])")
+_DOMAIN_ANCHOR = re.compile(r"\|\|([a-z0-9_.-]+)", re.IGNORECASE)
 
 
 def _host_in(host: str, domains: tuple[str, ...]) -> bool:
@@ -53,30 +55,19 @@ def _host_in(host: str, domains: tuple[str, ...]) -> bool:
 @dataclass
 class FilterRule:
     raw: str
-    kind: RuleKind
-    domain: str | None = None
+    is_exception: bool = False  # "@@" prefix
+    domain: str | None = None  # the host of a "||" domain anchor, canonical
+    pure_domain: bool = False  # "||domain" or "||domain^", no option
     options: frozenset[str] = frozenset()
     content_types: frozenset[ContentClass] = frozenset()  # $script / $image
     domain_include: tuple[str, ...] = ()  # domain= values, canonical
     domain_exclude: tuple[str, ...] = ()  # domain=~ values, "~" removed, canonical
-    inert: bool = False
     pattern: str | None = None  # regex source; None for inert rules
     token: str | None = None  # bounded literal token the index keys on
 
     @property
-    def is_exception(self) -> bool:
-        return self.kind is RuleKind.EXCEPTION
-
-    @property
-    def pure_domain(self) -> bool:
-        """True for ``||domain^`` rules with no extra pattern or options."""
-        return (
-            self.domain is not None
-            and not self.options
-            and not self.domain_include
-            and not self.domain_exclude
-            and re.fullmatch(r"@?@?\|\|[^/^*|$]+\^?", self.raw.split("$")[0]) is not None
-        )
+    def inert(self) -> bool:
+        return self.pattern is None
 
     @cached_property
     def regex(self) -> re.Pattern | None:
@@ -86,7 +77,7 @@ class FilterRule:
                 content: ContentClass | None = None) -> bool:
         """``page_host`` is the page's hostname; ``content`` the transaction's
         content class (a ``$script``/``$image`` rule matches nothing without it)."""
-        if self.inert or self.pattern is None:
+        if self.pattern is None:
             return False
         if "third-party" in self.options and relation is not Relation.CROSS_SITE:
             return False
@@ -105,19 +96,12 @@ class FilterRule:
 
 
 def _translate_pattern(pattern: str) -> str:
-    out: list[str] = []
-    for ch in pattern:
-        if ch == "*":
-            out.append(".*")
-        elif ch == "^":
-            out.append(_SEPARATOR)
-        else:
-            out.append(re.escape(ch))
-    return "".join(out)
+    return "".join(".*" if part == "*" else _SEPARATOR if part == "^" else re.escape(part)
+                   for part in _WILDCARDS.split(pattern))
 
 
 def _bounded_token(shape: str) -> str | None:
-    """The longest bounded token of a rule's shape, or None.
+    """The longest bounded token of a rule's shape (the first of equals), or None.
 
     ``shape`` is the matched text as the regex sees it, framed by ``^``
     where the edge forces a token boundary and ``*`` where it does not.  A
@@ -127,21 +111,18 @@ def _bounded_token(shape: str) -> str | None:
     character is a literal the URL must contain there, or ``^``, so it is a
     boundary.
     """
-    shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
-    best = None
-    for m in _TOKEN.finditer(shape):
-        if shape[m.start() - 1] == "*" or shape[m.end()] == "*":
-            continue
-        if best is None or len(m.group()) > len(best):
-            best = m.group()
-    return best
+    if shape.isascii():
+        shape = shape.lower()
+    else:
+        shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
+    return max(_BOUNDED_TOKEN.findall(shape), key=len, default=None)
 
 
 def parse_rule(line: str) -> FilterRule | None:
     """Parse one non-comment, non-cosmetic line; None when unparseable."""
     raw = line
-    exception = line.startswith("@@")
-    if exception:
+    is_exception = line.startswith("@@")
+    if is_exception:
         line = line[2:]
 
     options: set[str] = set()
@@ -162,48 +143,34 @@ def parse_rule(line: str) -> FilterRule | None:
             else:
                 inert = True
 
-    if not line:
+    anchor = _DOMAIN_ANCHOR.match(line)
+    if not line or (anchor is None and line.startswith("||")):
         return None
-    if line.startswith("/") and line.endswith("/") and len(line) > 2:
-        inert = True  # regex rules out of the supported subset
+    if inert or (len(line) > 2 and line[0] == line[-1] == "/"):  # regex rules are unsupported
+        return FilterRule(raw, is_exception)
 
-    domain = None
-    if line.startswith("||"):
-        body = line[2:]
-        m = re.match(r"^([a-z0-9_.-]+)", body, re.IGNORECASE)
-        if not m:
-            return None
-        domain = canonical_host(m.group(1))
-        rest = body[m.end():] or "^"
-        pattern = _SCHEME + r"(?:[^/?#]*\.)?" + re.escape(domain) + _translate_pattern(rest)
+    anchored_end = line.endswith("|")
+    if anchor:
+        domain = canonical_host(anchor[1])
+        rest = line[anchor.end():]
+        body = rest.rstrip("|") if anchored_end else rest or "^"
         # the domain starts after "://" or a "." label separator
-        shape = "^" + domain + rest + "*"
-        kind = RuleKind.DOMAIN_ANCHOR
+        head, start = _SCHEME + r"(?:[^/?#]*\.)?" + re.escape(domain), "^" + domain
     else:
-        anchored_start = line.startswith("|")
-        anchored_end = line.endswith("|")
+        domain = rest = None
         body = line.strip("|")
-        pattern = _translate_pattern(body)
-        if anchored_start:
-            pattern = "^" + pattern
-        if anchored_end:
-            pattern = pattern + "$"
-        shape = ("^" if anchored_start else "*") + body + ("^" if anchored_end else "*")
-        kind = RuleKind.PLAIN_PATTERN
-
-    if exception:
-        kind = RuleKind.EXCEPTION
+        head, start = ("^", "^") if line.startswith("|") else ("", "*")
     return FilterRule(
-        raw=raw,
-        kind=kind,
-        domain=domain,
+        raw,
+        is_exception,
+        domain,
+        pure_domain=rest in ("", "^") and not options and not domain_option,
         options=frozenset(options),
         content_types=frozenset(_TYPE_OPTIONS[o] for o in options if o in _TYPE_OPTIONS),
         domain_include=tuple(canonical_host(d) for d in domain_option if not d.startswith("~")),
         domain_exclude=tuple(canonical_host(d[1:]) for d in domain_option if d.startswith("~")),
-        inert=inert,
-        pattern=None if inert else pattern,
-        token=None if inert else _bounded_token(shape),
+        pattern=head + _translate_pattern(body) + ("$" if anchored_end else ""),
+        token=_bounded_token(start + body + ("^" if anchored_end else "*")),
     )
 
 

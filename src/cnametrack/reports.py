@@ -45,8 +45,7 @@ def sha256_file(path) -> str:
 def write_json(obj, path):
     payload = {"schema_version": SCHEMA_VERSION, **obj} if isinstance(obj, dict) else obj
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_manifest(out_dir, inputs: dict[str, str], config: dict):

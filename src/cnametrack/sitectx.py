@@ -132,32 +132,22 @@ class PublicSuffixTable:
         text = resources.files("cnametrack.data").joinpath("public_suffix_list.dat").read_text("utf-8")
         return cls.from_lines(text.splitlines())
 
-    def _prevailing_rule(self, labels: list[str]) -> tuple[list[str], bool]:
-        """Return (rule labels, is_exception) of the prevailing rule."""
-        best: tuple[list[str], bool] | None = None
-        n = len(labels)
-        for i in range(n):
-            cand = labels[i:]
-            exact = ".".join(cand)
-            wild = ".".join(["*"] + cand[1:])
-            for key in (exact, wild):
-                if key in self._rules:
-                    is_exc = self._rules[key]
-                    rule_labels = key.split(".")
-                    if is_exc:
-                        return rule_labels, True
-                    if best is None or len(rule_labels) > len(best[0]):
-                        best = (rule_labels, False)
-        if best is None:
-            return ["*"], False  # implicit rule: unknown TLD is a one-label suffix
-        return best
-
     def public_suffix(self, host: str) -> str:
-        """Public suffix of a validated lowercase host."""
-        labels = host.split(".")
-        rule, is_exc = self._prevailing_rule(labels)
-        width = len(rule) - 1 if is_exc else len(rule)
-        return ".".join(labels[-width:])
+        """Public suffix of a validated lowercase host, by its prevailing rule.
+
+        One walk over the host's suffixes, longest first, trying each as an
+        exact rule and as a wildcard over its parent: an exception rule
+        gives the parent at once, the first normal rule is the longest (the
+        list puts no rule below an exception), and with no rule the suffix
+        is the last label.
+        """
+        for suffix in label_suffixes(host):
+            _label, dot, parent = suffix.partition(".")
+            for key in (suffix, "*" + dot + parent):
+                is_exception = self._rules.get(key)
+                if is_exception is not None:
+                    return parent if is_exception else suffix
+        return host.rpartition(".")[2]
 
     def etld_plus_one(self, host: str) -> str:
         """Registrable domain (eTLD+1) of host.

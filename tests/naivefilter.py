@@ -2,13 +2,17 @@
 
 This is ``match_plain`` and the sinkhole's domain scan as they stood before
 the token index in ``cnametrack.filterlist`` and the label-suffix set in
-``cnametrack.defense`` replaced them, kept as the oracle for the
-differential tests in tests/test_filterindex.py.  Only the ``page_host`` and
-``content`` arguments, passed through to ``FilterRule.matches``, are new.
-Every URL is matched against every rule; do not use it outside tests.
+``cnametrack.defense`` replaced them, and ``bounded_token``, the
+per-character token scan that the parser's one regex replaced, kept as the
+oracles for the differential tests in tests/test_filterindex.py.  Only the
+``page_host`` and ``content`` arguments, passed through to
+``FilterRule.matches``, are new.  Every URL is matched against every rule;
+do not use it outside tests.
 """
 
 from __future__ import annotations
+
+import re
 
 from cnametrack.defense import BlockDecision, Verdict
 from cnametrack.dnsgraph import DnsRecordStore, resolve_chain
@@ -16,6 +20,21 @@ from cnametrack.errors import CnameCycle
 from cnametrack.filterlist import FilterRule
 from cnametrack.model import ContentClass
 from cnametrack.sitectx import Relation
+
+_TOKEN = re.compile(r"[a-z0-9%]+")
+
+
+def bounded_token(shape: str) -> str | None:
+    """The longest bounded token of a rule's shape (see
+    ``cnametrack.filterlist._bounded_token``), one character at a time."""
+    shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
+    best = None
+    for m in _TOKEN.finditer(shape):
+        if shape[m.start() - 1] == "*" or shape[m.end()] == "*":
+            continue
+        if best is None or len(m.group()) > len(best):
+            best = m.group()
+    return best
 
 
 def match_plain(url: str, relation: Relation, rules: list[FilterRule],

@@ -760,6 +760,27 @@ def test_flag_the_command_does_not_take_is_a_usage_error(tmp_path, capsys, comma
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command,flag", [(c, f) for c in TAKES for f in sorted(TAKES[c] | SHARED)])
+def test_flags_are_matched_only_in_full(tmp_path, capsys, command, flag):
+    """Each flag of a command parses spelled in full; a unique prefix of it is
+    a usage error (exit 2) before any input is read, so --out stays empty."""
+    world = one_request_world(tmp_path, "https://m.shop.com/ea/x", [("m.shop.com", "CNAME", "c.trk.net")],
+                              [{"tracker_id": "trk", "cname_suffixes": ["trk.net"], "path_patterns": ["/ea/*"]}])
+    value = str(_flag_value(flag, world))
+    args = build_parser().parse_args([command, f"--{flag}", value])
+    assert str(getattr(args, flag.replace("-", "_"))) == value
+    prefix = flag[:-1]
+    assert not any(f.startswith(prefix) for f in TAKES[command] | SHARED if f != flag)
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run([command, *world.get(command, []), f"--{prefix}", value, "--out", out])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{prefix} " in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_history_with_a_corpus_flag_writes_nothing(tmp_path):
     """history reads corpora only through --months: a --corpus (even a
     missing one) is a usage error, not a failure after the months ran."""

@@ -317,7 +317,8 @@ class TestCompareDefenses:
 
 class TestOptionsInDefense:
     """``$script``/``$image`` follow each transaction's content class and
-    ``domain=`` the page hostname, in every defense column."""
+    ``domain=`` the page hostname, in every defense column; a rule with an
+    unsupported option blocks nothing in any."""
 
     def _report(self, page_url, urls, classes, rules, dns=None):
         txns = [HttpTransaction(u, content_type_class=c) for u, c in zip(urls, classes)]
@@ -346,6 +347,11 @@ class TestOptionsInDefense:
                                 ["||tracker.net^$domain=~shop.example.com"])
         assert [v.plain for v in blocked.verdicts] == [True]
         assert [v.plain for v in excluded.verdicts] == [False]
+
+    def test_inert_rule_feeds_no_sinkhole(self):
+        report = self._report("https://www.shop.com/", ["https://cdn.t.net/x"], [ContentClass.OTHER],
+                              ["||t.net^$websocket"])
+        assert report.fractions["trk"] == {"plain": 0.0, "uncloaked": 0.0, "sinkhole": 0.0}
 
     def test_uncloaked_verdict_is_per_transaction(self):
         dns = store_with(cnames=[("metrics.shop.com", "x.tracker.net")],

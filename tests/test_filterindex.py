@@ -9,6 +9,7 @@ trailing ``^``, exceptions, inert and token-less rules, and ports.
 """
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ import test_defense
 from cnametrack import defense
 from cnametrack.defense import DomainSet, match_plain, match_sinkhole
 from cnametrack.dnsgraph import DnsRecordStore
-from cnametrack.filterlist import FilterList, load_filter_list, parse_rule, url_tokens
+from cnametrack.filterlist import FilterList, _bounded_token, load_filter_list, parse_rule, url_tokens
 from cnametrack.model import ContentClass
 from cnametrack.sitectx import Relation
 
@@ -34,6 +35,7 @@ _OPTIONS = ["third-party", "~third-party", "first-party", "script", "image", "sc
             "script", "image",
             "domain=shop.com", "domain=shop.example.com|~www.shop.com", "domain=~news.org",
             "websocket"]
+_UNSUPPORTED = ["websocket", "popup", "xmlhttprequest"]
 _PAGE_HOSTS = [None, "shop.com", "www.shop.com", "shop.example.com", "a.shop.example.com", "news.org"]
 _CONTENT = [None, *ContentClass]
 
@@ -61,7 +63,7 @@ def _body(rng: random.Random, specials: bool) -> str:
 
 
 def _rule_text(rng: random.Random) -> str:
-    form = rng.randrange(6)
+    form = rng.randrange(7)
     if form == 0:
         text = f"||{rng.choice(test_defense._DOMAINS)}"
         text += rng.choice(["", "^", "^*", "/", "^|", "%2f"]) + (_body(rng, True) if rng.random() < 0.5 else "")
@@ -69,6 +71,9 @@ def _rule_text(rng: random.Random) -> str:
         text = f"||{rng.choice(['stats.', 'x.', ''])}{rng.choice(test_defense._DOMAINS)}^"
     elif form == 5:
         text = f"/{_word(rng)}[0-9]+/"  # regex rule: inert
+    elif form == 6:  # a port, an unsupported option (inert) or an end anchor after the host
+        text = f"||{rng.choice(['x.', ''])}{rng.choice(test_defense._DOMAINS)}" + rng.choice([
+            f":{rng.choice(['8080', '443', '1'])}^", f"^${rng.choice(_UNSUPPORTED)}", "^|", "|"])
     else:
         text = _body(rng, True)
         if rng.random() < 0.3:
@@ -76,7 +81,7 @@ def _rule_text(rng: random.Random) -> str:
         if rng.random() < 0.3:
             text += "|"
     if rng.random() < 0.4:
-        text += "$" + rng.choice(_OPTIONS)
+        text += ("," if "$" in text else "$") + rng.choice(_OPTIONS)
     if rng.random() < 0.25:
         text = "@@" + text
     return text
@@ -139,7 +144,8 @@ def run_filter_cases(n_cases: int, seed: int) -> dict[str, int]:
     """Compare both engines on random cases; returns what the cases covered."""
     rng = random.Random(seed)
     seen = dict.fromkeys(["blocked", "excepted", "non_ascii", "pruned", "fallback_rule",
-                          "inert_rule", "typed_hit", "domain_opt_hit"], 0)
+                          "inert_rule", "typed_hit", "domain_opt_hit", "port_rule",
+                          "unsupported_option_rule", "end_anchored_domain_rule"], 0)
     for _ in range(n_cases):
         rules, url, relation, page_host, content = _random_filter_case(rng)
         index = FilterList(rules)
@@ -154,6 +160,11 @@ def run_filter_cases(n_cases: int, seed: int) -> dict[str, int]:
         seen["pruned"] += len(index.candidates(tokens)) < sum(not r.is_exception for r in rules)
         seen["fallback_rule"] += any(r.token is None and not r.inert for r in rules)
         seen["inert_rule"] += any(r.inert for r in rules)
+        patterns = [r.raw.removeprefix("@@").partition("$")[0] for r in rules]
+        seen["port_rule"] += any(re.fullmatch(r"\|\|[a-z.]+:\d+\^", p) for p in patterns)
+        seen["unsupported_option_rule"] += any(r.inert and r.raw.removeprefix("@@").startswith("||")
+                                               for r in rules)
+        seen["end_anchored_domain_rule"] += any(p.startswith("||") and p.endswith("|") for p in patterns)
     return seen
 
 
@@ -220,6 +231,17 @@ class TestTokens:
         assert not d.blocked and d.matched_rule is rules[2]
         d = match_plain("https://tracker.net/x", CROSS, rules)
         assert not d.blocked and d.matched_rule is rules[3]
+
+
+@settings(max_examples=500, deadline=None)
+@given(start=st.sampled_from("^*"), end=st.sampled_from("^*"),
+       body=st.text(alphabet="adsKS09%*^/.|\u017f\u212a\u00e9", max_size=16))
+def test_bounded_token_equals_per_character_scan(start, body, end):
+    """The one regex over the lower-cased shape picks the token the
+    per-character scan picked, on either frame and with upper case,
+    non-ASCII letters that fold to ASCII, wildcards and separators."""
+    shape = start + body + end
+    assert _bounded_token(shape) == naivefilter.bounded_token(shape)
 
 
 class TestLazyCompile:

@@ -5,7 +5,6 @@ import pytest
 from cnametrack.defense import pure_domain_rules
 from cnametrack.filterlist import (
     FilterRule,
-    RuleKind,
     load_filter_list,
     parse_rule,
 )
@@ -37,6 +36,12 @@ class TestDomainAnchor:
         ("||tracker.net/pixel", "https://tracker.net/img/pixel.gif", False),
         ("||tracker.net/*/beacon", "https://a.tracker.net/v2/beacon", True),
         ("||tracker.net/*/beacon", "https://a.tracker.net/beacon", False),
+        # a trailing "|" anchors the end of the URL
+        ("||t.net^|", "https://t.net/", True),
+        ("||t.net^|", "https://t.net", True),
+        ("||t.net^|", "https://t.net/x", False),
+        ("||t.net|", "https://t.net", True),
+        ("||t.net|", "https://t.net/", False),
     ]
 
     @pytest.mark.parametrize("rule,url,expected", CASES)
@@ -129,12 +134,12 @@ class TestOptions:
 
     def test_unsupported_option_goes_inert(self):
         rule = parse_rule("||t.net^$websocket")
-        assert rule.inert
+        assert rule.inert and rule.pattern is None and rule.token is None
         assert not rule.matches("https://t.net/x", CROSS, None)
 
     def test_regex_rule_inert(self):
         rule = parse_rule("/banner[0-9]+/")
-        assert rule.inert
+        assert rule.inert and rule.pattern is None and rule.token is None
 
 
 class TestExceptions:
@@ -152,15 +157,21 @@ class TestPureDomain:
         ("||t.net^/pixel", False),
         ("||t.net^*", False),
         ("/ads/", False),
+        ("||t.net^|", False),
+        ("||t.net^$websocket", False),  # inert
+        ("||b.net:8080^", False),  # only port 8080
+        ("||tr%acker.net^", False),  # the anchored host stops at "%"
     ])
     def test_pure_domain(self, raw, expected):
         rule = parse_rule(raw)
         assert rule.pure_domain is expected
 
-    def test_pure_domain_rules_extractor(self):
-        rules = [parse_rule(r) for r in
-                 ["||a.net^", "@@||b.net^", "||c.net^/x", "||a.net^"]]
-        assert pure_domain_rules(rules) == ["a.net"]
+    @pytest.mark.parametrize("texts", [
+        ["||a.net^", "@@||b.net^", "||c.net^/x", "||a.net^"],
+        ["||t.net^$websocket", "||b.net:8080^", "||tr%acker.net^", "||a.net^"],
+    ], ids=["exception-and-path", "inert-port-and-percent"])
+    def test_pure_domain_rules_extractor(self, texts):
+        assert pure_domain_rules([parse_rule(r) for r in texts]) == ["a.net"]
 
 
 class TestLoadFilterList:
