@@ -111,10 +111,7 @@ def _bounded_token(shape: str) -> str | None:
     character is a literal the URL must contain there, or ``^``, so it is a
     boundary.
     """
-    if shape.isascii():
-        shape = shape.lower()
-    else:
-        shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
+    shape = "".join(ch.lower() if ch.isascii() else "*" for ch in shape)
     return max(_BOUNDED_TOKEN.findall(shape), key=len, default=None)
 
 

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import HostIsPublicSuffix, InvalidHostname, open_text
+from .errors import HostIsPublicSuffix, InvalidHostname, SchemaViolation, open_text
 
 _LABEL_RE = re.compile(r"^[a-z0-9_]([a-z0-9_-]{0,61}[a-z0-9_])?$", re.IGNORECASE)
 
@@ -109,7 +109,12 @@ class PublicSuffixTable:
         self._sites: dict[str, str | None] = {}
 
     @classmethod
-    def from_lines(cls, lines) -> "PublicSuffixTable":
+    def from_lines(cls, lines, path=None) -> "PublicSuffixTable":
+        """Rules of a list in the public-suffix format.  A normal rule below
+        an exception rule (``foo.city.kawasaki.jp`` or ``*.city.kawasaki.jp``
+        under ``!city.kawasaki.jp``) raises SchemaViolation: the exception
+        would have to prevail over a longer rule, and ``public_suffix`` takes
+        the longest."""
         rules: dict[str, bool] = {}
         for raw in lines:
             line = raw.strip()
@@ -120,12 +125,17 @@ class PublicSuffixTable:
                 rules[line[1:].lower()] = True
             else:
                 rules[line.lower()] = False
+        for rule, is_exception in rules.items():
+            above = None if is_exception else next(filter(rules.get, label_suffixes(rule)), None)
+            if above:
+                raise SchemaViolation(f"rule {rule!r} lies below the exception rule '!{above}'",
+                                      path=path)
         return cls(rules)
 
     @classmethod
     def from_file(cls, path) -> "PublicSuffixTable":
         with open_text(path) as fh:
-            return cls.from_lines(fh)
+            return cls.from_lines(fh, path)
 
     @classmethod
     def bundled(cls) -> "PublicSuffixTable":
@@ -137,9 +147,9 @@ class PublicSuffixTable:
 
         One walk over the host's suffixes, longest first, trying each as an
         exact rule and as a wildcard over its parent: an exception rule
-        gives the parent at once, the first normal rule is the longest (the
-        list puts no rule below an exception), and with no rule the suffix
-        is the last label.
+        gives the parent at once, the first normal rule is the longest (no
+        normal rule lies below an exception: ``from_lines`` rejects such a
+        list), and with no rule the suffix is the last label.
         """
         for suffix in label_suffixes(host):
             _label, dot, parent = suffix.partition(".")

@@ -65,6 +65,15 @@ class TestDetect:
         assert run(["detect", "--dns", world["dns"],
                     "--signatures", world["signatures"], "--out", tmp_path]) == 1
 
+    def test_psl_with_a_rule_below_an_exception_exits_1(self, world, tmp_path, capsys):
+        psl = tmp_path / "psl.dat"
+        psl.write_text("*.kawasaki.jp\n!city.kawasaki.jp\nfoo.city.kawasaki.jp\n")
+        assert run(["detect", "--corpus", world["corpus"], "--dns", world["dns"],
+                    "--signatures", world["signatures"], "--psl", psl, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (f"error: {psl}: rule 'foo.city.kawasaki.jp' lies below "
+                                           "the exception rule '!city.kawasaki.jp'\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file(self, world, tmp_path):
         assert run(["detect", "--corpus", "/nonexistent.jsonl",
                     "--dns", world["dns"], "--signatures", world["signatures"],

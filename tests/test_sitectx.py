@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cnametrack.errors import HostIsPublicSuffix, InvalidHostname
+from cnametrack.errors import HostIsPublicSuffix, InvalidHostname, SchemaViolation
 from cnametrack.sitectx import (
     CookieAttributes,
     Origin,
@@ -66,6 +66,17 @@ class TestPublicSuffixConformance:
         # !www.ck overrides *.ck
         assert psl.etld_plus_one("www.ck") == "www.ck"
         assert psl.etld_plus_one("deep.www.ck") == "www.ck"
+
+    @pytest.mark.parametrize("rule", ["foo.city.kawasaki.jp", "*.city.kawasaki.jp"])
+    def test_normal_rule_below_an_exception_is_refused(self, rule):
+        # The exception would have to prevail over the longer rule.
+        with pytest.raises(SchemaViolation, match=r"rule '.*' lies below the exception rule '!city\.kawasaki\.jp'"):
+            PublicSuffixTable.from_lines(["*.kawasaki.jp", "!city.kawasaki.jp", rule])
+
+    def test_rules_beside_an_exception_load(self):
+        psl = PublicSuffixTable.from_lines(["jp", "*.kawasaki.jp", "!city.kawasaki.jp", "foo.kawasaki.jp"])
+        assert psl.public_suffix("a.city.kawasaki.jp") == "kawasaki.jp"
+        assert psl.public_suffix("b.a.foo.kawasaki.jp") == "foo.kawasaki.jp"
 
     def test_private_section_rules_apply(self, psl):
         assert psl.etld_plus_one("foo.github.io") == "foo.github.io"
