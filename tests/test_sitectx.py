@@ -70,7 +70,7 @@ class TestPublicSuffixConformance:
     @pytest.mark.parametrize("rule", ["foo.city.kawasaki.jp", "*.city.kawasaki.jp"])
     def test_normal_rule_below_an_exception_is_refused(self, rule):
         # The exception would have to prevail over the longer rule.
-        with pytest.raises(SchemaViolation, match=r"rule '.*' lies below the exception rule '!city\.kawasaki\.jp'"):
+        with pytest.raises(SchemaViolation, match=r"lies below the exception rule '!city\.kawasaki\.jp'"):
             PublicSuffixTable.from_lines(["*.kawasaki.jp", "!city.kawasaki.jp", rule])
 
     def test_rules_beside_an_exception_load(self):
