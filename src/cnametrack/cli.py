@@ -216,24 +216,20 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
 
 def cmd_history(args) -> int:
     """Backward-iterating monthly detection with IP-pool accumulation."""
-    import csv
     from . import reports
     from .history import adoption_windows, backward_iterate
     psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     monthly = backward_iterate(_load_months(args, _month_entries(args), psl), sigs, psl)
     out = _out_dir(args)
-    with open(out / "timeline.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["month", "tracker", "same_site_count", "cross_site_count"])
-        rows = {}
-        for m in monthly:
-            for pub, tracker, ctx in m.publishers:
-                key = (m.month, tracker)
-                rows.setdefault(key, [0, 0])
-                rows[key][0 if ctx.value == "same-site" else 1] += 1
-        for (month, tracker), (s, c) in sorted(rows.items()):
-            w.writerow([month, tracker, s, c])
+    rows = {}
+    for m in monthly:
+        for pub, tracker, ctx in m.publishers:
+            key = (m.month, tracker)
+            rows.setdefault(key, [0, 0])
+            rows[key][0 if ctx.value == "same-site" else 1] += 1
+    reports.write_csv(out / "timeline.csv", ["month", "tracker", "same_site_count", "cross_site_count"],
+                      ([month, tracker, s, c] for (month, tracker), (s, c) in sorted(rows.items())))
     for m in monthly:
         reports.write_json(
             {"month": m.month, "pool": m.pool_snapshot,

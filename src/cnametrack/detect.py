@@ -122,21 +122,21 @@ def _chain(dns: DnsRecordStore, host: str, warned: set[str]) -> CnameChain | Non
 
 
 class SignatureIndex:
-    """Signatures looked up by what can reach them instead of scanned.
+    """Which signatures reach a host, and by which route: the one place the
+    CNAME and IP routes are decided.
 
     Positions refer to ``sigs``, so iterating them sorted keeps signature
     order.  ``cname_positions`` maps chain hops, canonical as every
-    ``DnsRecordStore`` holds them, to the signatures carrying one of their
-    label suffixes: a hop matches suffix ``s`` iff it equals ``s`` or ends
-    with ``"." + s``, exactly ``TrackerSignature.host_matches``.
-    ``address_positions`` memoizes, per address string, the signatures whose
-    tracker ``pool`` holds it (declared ranges are in the pool, filed by
-    ``IpPool.add_signatures``); the pool must not change while the index is
-    in use.  Only an index given a pool looks addresses up.
+    ``DnsRecordStore`` and ``split_url`` give them, to the signatures
+    carrying one of their label suffixes: a hop matches suffix ``s`` iff it
+    equals ``s`` or ends with ``"." + s``.  ``address_positions`` memoizes,
+    per address string, the signatures whose tracker ``pool`` holds it
+    (declared ranges are in the pool, filed by ``IpPool.add_signatures``);
+    the pool must not change while the index is in use.  Only an index given
+    a pool looks addresses up.
     """
 
     def __init__(self, sigs: list[TrackerSignature], pool: IpPool | None = None):
-        self.sigs = sigs
         self.pool = pool
         self._by_suffix: dict[str, list[int]] = {}
         self._by_tracker: dict[str, list[int]] = {}
@@ -287,27 +287,14 @@ def heuristic_flag(features: FeatureVector) -> Flag:
     return Flag.INCONCLUSIVE
 
 
-def signature_match_route(
-    txn: HttpTransaction,
-    chain: CnameChain | None,
-    sig: TrackerSignature,
-    pool: IpPool,
-) -> Mechanism | None:
-    """How (if at all) a transaction matches a signature.
-
-    CNAME route: any chain hop carries one of the signature's host suffixes.
-    IP route: the pool holds the remote or a terminal address for the
-    signature's tracker id (see ``IpPool.add_signatures``).  Either way the
-    request path+query must match one of the path patterns.
-    """
+def signature_match_route(txn: HttpTransaction, sig: TrackerSignature, by_cname: bool) -> Mechanism | None:
+    """How a transaction matches a signature that ``SignatureIndex`` found
+    reaching its host: by the CNAME route when ``by_cname`` (a chain hop
+    carries one of its suffixes), else by the IP route.  None when the
+    request path+query matches none of the path patterns."""
     if not sig.path_match(txn.path_and_query):
         return None
-    if chain is not None and any(sig.host_matches(hop) for hop in chain.hops):
-        return Mechanism.CNAME
-    addrs = chain.terminal_ips if chain is not None else ()
-    if any(pool.contains(addr, sig.tracker_id) for addr in (*addrs, txn.remote_ip) if addr):
-        return Mechanism.DIRECT_A_RECORD
-    return None
+    return Mechanism.CNAME if by_cname else Mechanism.DIRECT_A_RECORD
 
 
 def detect_publishers(
@@ -320,21 +307,24 @@ def detect_publishers(
 ) -> list[PublisherDetection]:
     """One detection per (publisher eTLD+1, tracker, context), deterministic order.
 
-    Each transaction is checked, with ``signature_match_route`` and in
-    signature order, against only the signatures that can reach it: those
-    carrying a label suffix of a chain hop, and those whose tracker id the
-    pool credits with a terminal or remote address.  Every signature's declared
-    ranges are filed into ``pool`` (a fresh one when None) first, so a range
-    counts for every signature of its tracker id.  A transaction is one
-    evidence ref of a tracker however many of its signatures match it; the
-    routes of all of them count for the mechanism.  A host whose chain cycles
-    is skipped, with one warning per host in ``warned_cycles``.
+    A ``SignatureIndex`` decides, once per host, the signatures a chain hop
+    reaches by the CNAME route and those whose tracker id the pool credits
+    with a terminal address; a transaction's remote address adds to the
+    latter.  Each transaction is then checked, with ``signature_match_route``
+    and in signature order, against only those signatures.  Every
+    signature's declared ranges are filed into ``pool`` (a fresh one when
+    None) first, so a range counts for every signature of its tracker id.  A
+    transaction is one evidence ref of a tracker however many of its
+    signatures match it; the routes of all of them count for the mechanism.
+    A host whose chain cycles is skipped, with one warning per host in
+    ``warned_cycles``.
     """
     warned = set() if warned_cycles is None else warned_cycles
     pool = IpPool() if pool is None else pool
     pool.add_signatures(sigs)
     index = SignatureIndex(sigs, pool)
-    hosts: dict[str, tuple[CnameChain | None, frozenset[int], str | None]] = {}
+    # host -> (signatures its chain reaches by CNAME, by CNAME or terminal address, its eTLD+1)
+    hosts: dict[str, tuple[frozenset[int], frozenset[int], str | None]] = {}
     grouped: dict[tuple[str, str, Context], list[TransactionRef]] = {}
     routes: dict[tuple[str, str, Context], set[Mechanism]] = {}
     for visit in corpus:
@@ -348,12 +338,12 @@ def detect_publishers(
             facts = hosts.get(host)
             if facts is None:
                 chain = _chain(dns, host, warned)
-                candidates = frozenset()
+                by_cname = candidates = frozenset()
                 if chain is not None:
-                    candidates = index.cname_positions(chain.hops).union(
-                        *map(index.address_positions, chain.terminal_ips))
-                facts = hosts[host] = (chain, candidates, psl.etld_plus_one_or_none(host))
-            chain, candidates, host_site = facts
+                    by_cname = index.cname_positions(chain.hops)
+                    candidates = by_cname.union(*map(index.address_positions, chain.terminal_ips))
+                facts = hosts[host] = (by_cname, candidates, psl.etld_plus_one_or_none(host))
+            by_cname, candidates, host_site = facts
             if txn.remote_ip:
                 candidates = candidates | index.address_positions(txn.remote_ip)
             if not candidates:
@@ -362,7 +352,7 @@ def detect_publishers(
             evidence_of: set[str] = set()  # the trackers this transaction is already evidence for
             for pos in sorted(candidates):
                 sig = sigs[pos]
-                route = signature_match_route(txn, chain, sig, pool)
+                route = signature_match_route(txn, sig, pos in by_cname)
                 if route is None:
                     continue
                 key = (site, sig.tracker_id, context)

@@ -173,11 +173,13 @@ class NetworkIndex:
 
 class IpPool:
     """Tracker address ownership: single IPs plus CIDR ranges, each with the
-    set of tracker ids that hold it.  It is the one table the IP route reads:
+    set of tracker ids that hold it.  It is the one table the IP route reads,
+    through ``owners`` as ``SignatureIndex.address_positions`` asks it:
     ``add_signatures`` files every signature's declared ranges under its
     tracker id, and ``history`` adds the addresses confirmed tracking hosts
-    resolve to.  It lives for a whole run, so it also parses each address
-    string once for every stage and month."""
+    resolve to, for every tracker a host is confirmed for.  It lives for a
+    whole run, so it also parses each address string once for every stage
+    and month."""
 
     def __init__(self):
         self._singles: dict[ipaddress._BaseAddress, set[str]] = {}
@@ -246,15 +248,16 @@ class IpPool:
         return dict(sorted(per.items()))
 
 
-def accumulate_ips(confirmed_hosts: dict[str, str], store: DnsRecordStore, pool: IpPool) -> IpPool:
+def accumulate_ips(confirmed: set[tuple[str, str]], store: DnsRecordStore, pool: IpPool) -> IpPool:
     """Fold terminal addresses of confirmed tracking hosts into the pool.
 
-    confirmed_hosts maps hostname -> tracker id (hosts whose transactions
-    already matched that tracker's signature); a host whose chain cycles in
-    this snapshot adds nothing.  Declared ranges are not added here:
-    ``detect_publishers`` files them with ``IpPool.add_signatures``.
+    ``confirmed`` holds (hostname, tracker id) pairs, hosts whose
+    transactions already matched that tracker's signature; a host confirmed
+    for several trackers credits its addresses to each.  A host whose chain
+    cycles in this snapshot adds nothing.  Declared ranges are not added
+    here: ``detect_publishers`` files them with ``IpPool.add_signatures``.
     """
-    for host, tracker_id in sorted(confirmed_hosts.items()):
+    for host, tracker_id in sorted(confirmed):
         chain = store.chain(host)
         for ip in chain.terminal_ips if chain is not None else ():
             pool.add_address(ip, tracker_id)

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 _SEPARATOR = r"(?:[^a-zA-Z0-9_.%-]|$)"
 _SCHEME = r"^[a-z][a-z0-9+.-]*://"
 
-SUPPORTED_OPTIONS = {"third-party", "~third-party", "first-party", "script", "image"}
+SUPPORTED_OPTIONS = {"third-party", "first-party"}  # what ``FilterRule.options`` holds
 _TYPE_OPTIONS = {"script": ContentClass.SCRIPT, "image": ContentClass.IMAGE}
 
 _TOKEN = re.compile(r"[a-z0-9%]+")
@@ -58,7 +58,7 @@ class FilterRule:
     is_exception: bool = False  # "@@" prefix
     domain: str | None = None  # the host of a "||" domain anchor, canonical
     pure_domain: bool = False  # "||domain" or "||domain^", no option
-    options: frozenset[str] = frozenset()
+    options: frozenset[str] = frozenset()  # "third-party" / "first-party"
     content_types: frozenset[ContentClass] = frozenset()  # $script / $image
     domain_include: tuple[str, ...] = ()  # domain= values, canonical
     domain_exclude: tuple[str, ...] = ()  # domain=~ values, "~" removed, canonical
@@ -123,6 +123,7 @@ def parse_rule(line: str) -> FilterRule | None:
         line = line[2:]
 
     options: set[str] = set()
+    content_types: set[ContentClass] = set()
     domain_option: list[str] = []
     inert = False
     if "$" in line:
@@ -137,6 +138,8 @@ def parse_rule(line: str) -> FilterRule | None:
                 options.add("first-party")
             elif opt in SUPPORTED_OPTIONS:
                 options.add(opt)
+            elif opt in _TYPE_OPTIONS:
+                content_types.add(_TYPE_OPTIONS[opt])
             else:
                 inert = True
 
@@ -161,9 +164,9 @@ def parse_rule(line: str) -> FilterRule | None:
         raw,
         is_exception,
         domain,
-        pure_domain=rest in ("", "^") and not options and not domain_option,
+        pure_domain=rest in ("", "^") and not options and not content_types and not domain_option,
         options=frozenset(options),
-        content_types=frozenset(_TYPE_OPTIONS[o] for o in options if o in _TYPE_OPTIONS),
+        content_types=frozenset(content_types),
         domain_include=tuple(canonical_host(d) for d in domain_option if not d.startswith("~")),
         domain_exclude=tuple(canonical_host(d[1:]) for d in domain_option if d.startswith("~")),
         pattern=head + _translate_pattern(body) + ("$" if anchored_end else ""),

@@ -78,12 +78,10 @@ def check_descending_contiguous(months: list[str], where: str | None = None):
         raise NonContiguousMonths(f"{prefix}months {prev} -> {cur} are not contiguous ({fault})")
 
 
-def _confirmed_hosts(detections: list[PublisherDetection]) -> dict[str, str]:
-    hosts: dict[str, str] = {}
-    for det in detections:
-        for ref in det.evidence:
-            hosts.setdefault(ref.host, det.tracker_id)
-    return hosts
+def _confirmed_hosts(detections: list[PublisherDetection]) -> set[tuple[str, str]]:
+    """(host, tracker id) for each evidence host of each detection: a host
+    that is evidence for several trackers is confirmed for each of them."""
+    return {(ref.host, det.tracker_id) for det in detections for ref in det.evidence}
 
 
 def backward_iterate(
@@ -104,7 +102,7 @@ def backward_iterate(
     can be reused (e.g. by cross_validate)."""
     if pool is None:
         pool = IpPool()
-    confirmed: dict[str, str] = {}
+    confirmed: set[tuple[str, str]] = set()
     warned_cycles: set[str] = set()  # each cycle host is reported once, not once per month
     out: list[MonthlyDetection] = []
     for month_ds in months:
@@ -150,15 +148,6 @@ class ValidationReport:
     completeness: dict[str, list[dict]]
 
 
-def _external_tracker_chain(host, store, index: SignatureIndex):
-    """First signature, in list order, whose suffix the host's external chain
-    reaches, if any."""
-    if (chain := store.chain(host)) is None:
-        return None, None
-    positions = index.cname_positions(chain.hops)
-    return (index.sigs[min(positions)] if positions else None), chain
-
-
 def _near_miss_suffix(host: str, sigs: list[TrackerSignature]) -> str | None:
     """Known tracker suffix within edit distance 1 of the host's suffix part."""
     for sig in sigs:
@@ -185,9 +174,9 @@ def external_trackers(
     for month, ext in external_dns.items():
         hosts = trackers[month] = {}
         for host in sorted(ext.hostnames()):
-            sig = _external_tracker_chain(host, ext, index)[0]
-            if sig is not None:
-                hosts[host] = sig
+            chain = ext.chain(host)
+            if chain is not None and (positions := index.cname_positions(chain.hops)):
+                hosts[host] = sigs[min(positions)]
     return trackers
 
 

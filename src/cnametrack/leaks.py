@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass
 from urllib.parse import unquote
 
-from .detect import PublisherDetection, TransactionRef, evidence_transactions, page_site
+from .detect import PublisherDetection, SignatureIndex, TransactionRef, evidence_transactions, page_site
 from .model import ContentClass, PageVisit, TrackerSignature, signatures_by_tracker, split_url
 from .sitectx import CookieAttributes, PublicSuffixTable
 
@@ -151,23 +151,24 @@ def _site_unique_persistent(
 
 class TrackerScope:
     """One tracker, as its candidate filter and channel searches see it, each
-    fact derived once: ``sigs``, every signature carrying its tracker id;
-    ``detections``, its own; and its evidence transactions as (site, ref,
-    txn, initiated by the tracker's own script)."""
+    fact derived once: ``detections``, its own; its evidence transactions as
+    (site, ref, txn, initiated by the tracker's own script); and a
+    ``SignatureIndex`` of ``sigs``, every signature carrying its tracker id."""
 
     def __init__(self, corpus: list[PageVisit], detections: list[PublisherDetection],
                  sigs: list[TrackerSignature]):
-        self.sigs = sigs
         self.detections = [d for d in detections if d.tracker_id == sigs[0].tracker_id]
         self._hosts = {ref.host for det in self.detections for ref in det.evidence}
+        self._index = SignatureIndex(sigs)
         self.evidence = [(det.publisher_etld1, ref, txn,
                           any(self.owns(split_url(url)[0]) for url in txn.initiators))
                          for det, ref, _visit, txn in evidence_transactions(corpus, self.detections)]
 
     def owns(self, host: str | None) -> bool:
-        """Whether ``host`` is the tracker's: seen in its evidence, or under
-        one of its signatures' suffixes."""
-        return bool(host) and (host in self._hosts or any(sig.host_matches(host) for sig in self.sigs))
+        """Whether ``host``, canonical, is the tracker's: seen in its
+        evidence, or reached by one of its signatures' suffixes as detection
+        reaches a chain hop."""
+        return bool(host) and (host in self._hosts or bool(self._index.cname_positions((host,))))
 
 
 def filter_candidates(persistent: list[CookieRecord], scope: TrackerScope) -> list[CookieRecord]:

@@ -203,10 +203,6 @@ class TrackerSignature:
             raise ValueError(f"{excerpt(self.tracker_id)}: path_patterns must be non-empty")
         object.__setattr__(self, "networks", tuple(map(_network, self.cidr_ranges)))
 
-    def host_matches(self, host: str) -> bool:
-        host = canonical_host(host)
-        return any(host == s or host.endswith("." + s) for s in self.cname_suffixes)
-
     @cached_property
     def path_match(self):
         """Match a path+query against any of the ``path_patterns`` (case-sensitive

@@ -42,10 +42,16 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def write_json(obj, path):
-    payload = {"schema_version": SCHEMA_VERSION, **obj} if isinstance(obj, dict) else obj
+def write_json(obj: dict, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **obj}, sort_keys=True, indent=2) + "\n")
+
+
+def write_csv(path, header: list[str], rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_manifest(out_dir, inputs: dict[str, str], config: dict):
@@ -125,12 +131,9 @@ def write_detections(detections: list[PublisherDetection], out_dir):
     out_dir = Path(out_dir)
     write_json({"detections": [detection_to_dict(d) for d in detections]},
                out_dir / "publishers.json")
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["publisher", "tracker", "context", "mechanism", "evidence_count"])
-        for d in detections:
-            w.writerow([d.publisher_etld1, d.tracker_id, d.context.value,
-                        d.cloaking_mechanism.value, len(d.evidence)])
+    write_csv(out_dir / "summary.csv", ["publisher", "tracker", "context", "mechanism", "evidence_count"],
+              ([d.publisher_etld1, d.tracker_id, d.context.value, d.cloaking_mechanism.value,
+                len(d.evidence)] for d in detections))
 
 
 def leak_finding_to_dict(f: LeakFinding) -> dict:
@@ -158,27 +161,19 @@ def write_leaks(result: LeakAuditResult, out_dir):
     rollup: dict[tuple[str, str], set[str]] = {}
     for f in result.findings:
         rollup.setdefault((f.tracker_id, f.channel.value), set()).add(f.site)
-    with open(out_dir / "leak_rollup.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tracker", "channel", "distinct_sites"])
-        for (tracker, channel), sites in sorted(rollup.items()):
-            w.writerow([tracker, channel, len(sites)])
-    with open(out_dir / "transport.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["site", "kind", "tracker", "url"])
-        for t in result.transport:
-            w.writerow([t.site, t.kind.value, t.tracker_id, t.carrier.url])
+    write_csv(out_dir / "leak_rollup.csv", ["tracker", "channel", "distinct_sites"],
+              ([tracker, channel, len(sites)] for (tracker, channel), sites in sorted(rollup.items())))
+    write_csv(out_dir / "transport.csv", ["site", "kind", "tracker", "url"],
+              ([t.site, t.kind.value, t.tracker_id, t.carrier.url] for t in result.transport))
 
 
 def write_defense(report: DefenseReport, out_dir):
     out_dir = Path(out_dir)
-    with open(out_dir / "defense_matrix.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tracker", "plain_blocked_fraction", "uncloaked_blocked_fraction",
-                    "sinkhole_blocked_fraction", "evidence_transactions"])
-        for tracker, fr in sorted(report.fractions.items()):
-            w.writerow([tracker, f"{fr['plain']:.4f}", f"{fr['uncloaked']:.4f}",
-                        f"{fr['sinkhole']:.4f}", report.counts[tracker]])
+    write_csv(out_dir / "defense_matrix.csv",
+              ["tracker", "plain_blocked_fraction", "uncloaked_blocked_fraction",
+               "sinkhole_blocked_fraction", "evidence_transactions"],
+              ([tracker, f"{fr['plain']:.4f}", f"{fr['uncloaked']:.4f}", f"{fr['sinkhole']:.4f}",
+                report.counts[tracker]] for tracker, fr in sorted(report.fractions.items())))
     write_json({
         "verdicts": [
             {"visit_id": v.visit_id, "index": v.index, "url": v.url,
@@ -219,12 +214,10 @@ def rank_bins(
 
 
 def write_rank_bins(bins: list[dict], out_dir):
-    with open(Path(out_dir) / "rank_bins.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bin_start", "bin_end", "sites", "same_site_pct", "cross_site_pct"])
-        for b in bins:
-            w.writerow([b["bin_start"], b["bin_end"], b["sites"],
-                        f"{b['same_site_pct']:.4f}", f"{b['cross_site_pct']:.4f}"])
+    write_csv(Path(out_dir) / "rank_bins.csv",
+              ["bin_start", "bin_end", "sites", "same_site_pct", "cross_site_pct"],
+              ([b["bin_start"], b["bin_end"], b["sites"], f"{b['same_site_pct']:.4f}",
+                f"{b['cross_site_pct']:.4f}"] for b in bins))
 
 
 def cooccurrence_fraction(

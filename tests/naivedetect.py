@@ -1,11 +1,14 @@
 """Reference signature matching: every transaction against every signature.
 
-This is ``signature_match_route`` and the ``detect_publishers`` loop, and
-history's ``_external_tracker_chain``, as they stood before the signature
-index in ``cnametrack.detect`` replaced the scans, ``classified_transactions``
-as it stood before request origins were memoized, and ``ChainCache`` as it
-stood before chains were memoized in ``DnsRecordStore``, kept as the oracles
-for the differential tests in tests/test_detectindex.py.  The IP route
+This is ``signature_match_route`` and the ``detect_publishers`` loop,
+history's ``_external_tracker_chain`` and ``TrackerSignature.host_matches``
+as they stood before the signature index in ``cnametrack.detect`` replaced
+the scans and became the one rule for which signatures reach a host
+(``host_matches`` is also the leak references' ownership scan),
+``classified_transactions`` as it stood before request origins were
+memoized, and ``ChainCache`` as it stood before chains were memoized in
+``DnsRecordStore``, kept as the oracles for the differential tests in
+tests/test_detectindex.py.  The IP route
 follows the per-tracker rule: a declared range counts for every signature
 sharing its tracker id.  The oracle finds such ranges by parsing the
 ``cidr_ranges`` of every signature with that id, and reads the pool it is
@@ -29,7 +32,7 @@ from cnametrack.detect import (
 from cnametrack.dnsgraph import CnameChain, DnsRecordStore, IpPool, resolve_chain
 from cnametrack.errors import CnameCycle, InvalidHostname
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
-from cnametrack.sitectx import Origin, PublicSuffixTable, classify_relation
+from cnametrack.sitectx import Origin, PublicSuffixTable, canonical_host, classify_relation
 
 log = logging.getLogger("cnametrack.detect")  # where ChainCache warned
 
@@ -61,6 +64,13 @@ class ChainCache:
         return self._cache[host]
 
 
+def host_matches(sig: TrackerSignature, host: str) -> bool:
+    """Whether ``host`` equals one of the signature's suffixes or ends with
+    ``"." + suffix``."""
+    host = canonical_host(host)
+    return any(host == s or host.endswith("." + s) for s in sig.cname_suffixes)
+
+
 def declared_networks(sig: TrackerSignature, sigs: list[TrackerSignature]) -> list:
     """The parsed ``cidr_ranges`` of every signature sharing ``sig``'s tracker id."""
     return [ipaddress.ip_network(cidr, strict=False)
@@ -84,7 +94,7 @@ def signature_match_route(
     """
     if not any(fnmatchcase(txn.path_and_query, pat) for pat in sig.path_patterns):
         return None
-    if chain is not None and any(sig.host_matches(hop) for hop in chain.hops):
+    if chain is not None and any(host_matches(sig, hop) for hop in chain.hops):
         return Mechanism.CNAME
     candidates = list(chain.terminal_ips) if chain is not None else []
     if txn.remote_ip:
@@ -151,7 +161,7 @@ def _external_tracker_chain(host, store, sigs, max_depth=10):
     except CnameCycle:
         return None, None
     for sig in sigs:
-        if any(sig.host_matches(hop) for hop in chain.hops):
+        if any(host_matches(sig, hop) for hop in chain.hops):
             return sig, chain
     return None, chain
 

@@ -14,6 +14,7 @@ from urllib.parse import unquote
 from cnametrack.detect import PublisherDetection, evidence_transactions
 from cnametrack.leaks import Channel, CookieRecord, LeakFinding
 from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
+from naivedetect import host_matches
 
 log = logging.getLogger(__name__)
 
@@ -31,7 +32,7 @@ def _active_initiators(txn: HttpTransaction, sig: TrackerSignature, tracker_host
 
     for url in txn.initiators:
         host = (urlsplit(url).hostname or "").lower()
-        if host and (host in tracker_hosts or sig.host_matches(host)):
+        if host and (host in tracker_hosts or host_matches(sig, host)):
             return True
     return False
 

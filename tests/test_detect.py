@@ -13,11 +13,10 @@ from cnametrack.detect import (
     detect_publishers,
     extract_features,
     heuristic_flag,
-    signature_match_route,
 )
-from cnametrack.dnsgraph import DnsRecordStore, IpPool, resolve_chain
+from cnametrack.dnsgraph import DnsRecordStore, IpPool
 from cnametrack.ingest import load_crawl_jsonl, load_dns, load_signatures
-from cnametrack.model import HttpTransaction, TrackerSignature
+from cnametrack.model import HttpTransaction, PageVisit, TrackerSignature
 
 
 def build_store(dns_lines):
@@ -47,68 +46,58 @@ def month0(tmp_path_factory, signatures):
 
 
 class TestSignatureRouting:
+    """The route a transaction takes, as the mechanism ``detect_publishers``
+    reports on a world of one visit with one request."""
+
     SIG = TrackerSignature("trk", cname_suffixes=("trk.net",),
                            cidr_ranges=("203.0.113.0/28",),
                            path_patterns=("/ea/*",))
+    OTHER = TrackerSignature("other", cname_suffixes=("other.net",), path_patterns=("/ea/*",))
 
-    @staticmethod
-    def _pool(*sigs):
-        """A pool holding the declared ranges of ``sigs``, as ``detect_publishers`` files them."""
-        pool = IpPool()
-        pool.add_signatures(sigs)
-        return pool
-
-    def _chain(self, cnames=(), a_records=()):
+    def _mechanisms(self, psl, url, cnames=(), a_records=(), remote_ip=None, pool=None):
+        """tracker id -> mechanism of the detections of ``SIG`` and ``OTHER``."""
         store = DnsRecordStore()
         for h, t in cnames:
             store.add(h, "CNAME", t)
         for h, ip in a_records:
             store.add(h, "A", ip)
-        return store
+        visit = PageVisit("https://www.shop.com/", "v0")
+        visit.transactions.append(HttpTransaction(url, remote_ip=remote_ip))
+        detections = detect_publishers([visit], store, [self.SIG, self.OTHER], pool, psl)
+        return {d.tracker_id: d.cloaking_mechanism for d in detections}
 
-    def test_cname_route(self):
-        store = self._chain([("m.shop.com", "x.trk.net")],
-                            [("x.trk.net", "198.51.100.1")])
-        txn = HttpTransaction("https://m.shop.com/ea/collect")
-        chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.CNAME
+    def test_cname_route(self, psl):
+        got = self._mechanisms(psl, "https://m.shop.com/ea/collect",
+                               [("m.shop.com", "x.trk.net")], [("x.trk.net", "198.51.100.1")])
+        assert got == {"trk": Mechanism.CNAME}
 
-    def test_path_pattern_gates(self):
-        store = self._chain([("m.shop.com", "x.trk.net")],
-                            [("x.trk.net", "198.51.100.1")])
-        txn = HttpTransaction("https://m.shop.com/other/path")
-        chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is None
+    def test_path_pattern_gates(self, psl):
+        got = self._mechanisms(psl, "https://m.shop.com/other/path",
+                               [("m.shop.com", "x.trk.net")], [("x.trk.net", "198.51.100.1")])
+        assert got == {}
 
-    def test_direct_a_record_via_cidr(self):
-        store = self._chain(a_records=[("m.shop.com", "203.0.113.4")])
-        txn = HttpTransaction("https://m.shop.com/ea/collect")
-        chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.DIRECT_A_RECORD
+    def test_direct_a_record_via_cidr(self, psl):
+        got = self._mechanisms(psl, "https://m.shop.com/ea/collect",
+                               a_records=[("m.shop.com", "203.0.113.4")])
+        assert got == {"trk": Mechanism.DIRECT_A_RECORD}
 
-    def test_direct_a_record_via_remote_ip(self):
-        txn = HttpTransaction("https://m.shop.com/ea/collect",
-                              remote_ip="203.0.113.4")
-        assert signature_match_route(txn, None, self.SIG, self._pool(self.SIG)) is Mechanism.DIRECT_A_RECORD
+    def test_direct_a_record_via_remote_ip(self, psl):
+        got = self._mechanisms(psl, "https://m.shop.com/ea/collect", remote_ip="203.0.113.4")
+        assert got == {"trk": Mechanism.DIRECT_A_RECORD}
 
-    def test_direct_a_record_via_pool(self):
+    def test_direct_a_record_via_pool(self, psl):
         pool = IpPool()
         pool.add_address("198.18.0.9", "trk")
-        txn = HttpTransaction("https://m.shop.com/ea/collect",
-                              remote_ip="198.18.0.9")
-        assert signature_match_route(txn, None, self.SIG, pool) is Mechanism.DIRECT_A_RECORD
-        # the pool entry is per-tracker: another signature must not match
-        other = TrackerSignature("other", cname_suffixes=("other.net",),
-                                 path_patterns=("/ea/*",))
-        assert signature_match_route(txn, None, other, pool) is None
+        got = self._mechanisms(psl, "https://m.shop.com/ea/collect", remote_ip="198.18.0.9", pool=pool)
+        # the pool entry is per-tracker: the other signature does not match
+        assert got == {"trk": Mechanism.DIRECT_A_RECORD}
+        assert self._mechanisms(psl, "https://m.shop.com/ea/collect", remote_ip="198.18.0.9") == {}
 
-    def test_cname_route_wins_over_ip(self):
-        store = self._chain([("m.shop.com", "x.trk.net")],
-                            [("x.trk.net", "203.0.113.4")])
-        txn = HttpTransaction("https://m.shop.com/ea/collect",
-                              remote_ip="203.0.113.4")
-        chain = resolve_chain("m.shop.com", store)
-        assert signature_match_route(txn, chain, self.SIG, self._pool(self.SIG)) is Mechanism.CNAME
+    def test_cname_route_wins_over_ip(self, psl):
+        got = self._mechanisms(psl, "https://m.shop.com/ea/collect",
+                               [("m.shop.com", "x.trk.net")], [("x.trk.net", "203.0.113.4")],
+                               remote_ip="203.0.113.4")
+        assert got == {"trk": Mechanism.CNAME}
 
 
 class TestPlantedDetection:

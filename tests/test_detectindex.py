@@ -205,7 +205,7 @@ class TestSignatureIndex:
     ]
 
     def _naive(self, hops):
-        return {i for i, s in enumerate(self.SIGS) if any(s.host_matches(h) for h in hops)}
+        return {i for i, s in enumerate(self.SIGS) if any(naivedetect.host_matches(s, h) for h in hops)}
 
     def test_label_suffixes_equal_host_matches(self):
         index = SignatureIndex(self.SIGS)
@@ -225,23 +225,29 @@ class TestSignatureIndex:
         assert index.address_positions("not-an-ip") == set()
         assert index.address_positions("::ffff:203.0.113.9") == set()
 
-    def test_external_chain_takes_first_signature_in_list_order(self):
+    def test_external_trackers_take_first_signature_in_list_order(self):
         store = DnsRecordStore()
         store.add("m.shop.com", "CNAME", "x.b.trk.net")
         sigs = [self.SIGS[1], self.SIGS[0]]
-        sig, chain = history._external_tracker_chain("m.shop.com", store, SignatureIndex(sigs))
-        assert sig is sigs[0] and chain.hops == ("x.b.trk.net",)
+        got = history.external_trackers({"2020-01": store}, sigs)
+        assert list(got) == ["2020-01"] and list(got["2020-01"]) == ["m.shop.com"]
+        assert got["2020-01"]["m.shop.com"] is sigs[0]
         assert naivedetect._external_tracker_chain("m.shop.com", store, sigs)[0] is sigs[0]
 
-    def test_external_chain_equals_reference(self):
+    def test_external_trackers_equal_reference(self):
         rng = random.Random(3)
+        found = 0
         for _ in range(300):
             _corpus, store, sigs, _pool = _random_world(rng)
-            index = SignatureIndex(sigs)
-            for host in list(store.hostnames()):
-                got = history._external_tracker_chain(host, store, index)
-                want = naivedetect._external_tracker_chain(host, store, sigs)
-                assert got[0] is want[0] and got[1] == want[1], host
+            got = history.external_trackers({"m": store}, sigs)["m"]
+            want = {}
+            for host in sorted(store.hostnames()):
+                sig = naivedetect._external_tracker_chain(host, store, sigs)[0]
+                if sig is not None:
+                    want[host] = sig
+            assert list(got) == list(want) and all(got[h] is want[h] for h in want), (got, want)
+            found += len(want)
+        assert found >= 100
 
 
 _PAGES = ["https://www.shop.com/", "http://shop.com:8080/", "https://192.0.2.1/", "ftp://shop.com/",

@@ -31,10 +31,13 @@ _SEPARATORS = ["/", ".", "-", "_", "?", "=", "&", ":", "|"]
 # under re.IGNORECASE U+017F (long s) matches "s" and U+212A (Kelvin sign) "k"
 _NON_ASCII = ["\u017f", "\u212a", "\u00e9"]
 _FOLDS = {"s": "\u017f", "\u017f": "s", "k": "\u212a", "\u212a": "k"}
+# typed and domain= options are drawn often (repeats weight the draw): a typed
+# rule decides a case only when the case's content class is one it names
 _OPTIONS = ["third-party", "~third-party", "first-party", "script", "image", "script,image",
-            "script", "image",
+            "script,image", "script,image,domain=~news.org",
             "domain=shop.com", "domain=shop.example.com|~www.shop.com", "domain=~news.org",
-            "websocket"]
+            "script,image,domain=~news.org", "script,image,domain=~www.shop.com",
+            "script,image,domain=shop.com|shop.example.com", "websocket"]
 _UNSUPPORTED = ["websocket", "popup", "xmlhttprequest"]
 _PAGE_HOSTS = [None, "shop.com", "www.shop.com", "shop.example.com", "a.shop.example.com", "news.org"]
 _CONTENT = [None, *ContentClass]
@@ -172,6 +175,7 @@ def test_index_equals_linear_scan_randomized():
     seen = run_filter_cases(4000, seed=20261018)
     # the generator reaches every kind of input the index could get wrong
     assert all(n >= 20 for n in seen.values()), seen
+    assert seen["typed_hit"] >= 40 and seen["domain_opt_hit"] >= 40, seen
 
 
 @settings(max_examples=300, deadline=None)

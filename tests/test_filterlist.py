@@ -154,6 +154,8 @@ class TestPureDomain:
         ("||t.net^", True),
         ("||t.net", True),
         ("||t.net^$third-party", False),
+        ("||t.net^$script", False),
+        ("||t.net^$domain=shop.com", False),
         ("||t.net^/pixel", False),
         ("||t.net^*", False),
         ("/ads/", False),
@@ -165,6 +167,11 @@ class TestPureDomain:
     def test_pure_domain(self, raw, expected):
         rule = parse_rule(raw)
         assert rule.pure_domain is expected
+
+    def test_each_option_kept_once(self):
+        rule = parse_rule("||t.net^$script,image,~third-party")
+        assert rule.options == {"first-party"}
+        assert rule.content_types == {ContentClass.SCRIPT, ContentClass.IMAGE}
 
     @pytest.mark.parametrize("texts", [
         ["||a.net^", "@@||b.net^", "||c.net^/x", "||a.net^"],

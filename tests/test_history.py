@@ -140,6 +140,35 @@ class TestBackwardIterate:
             # m.shop.com, confirmed in 2020-02, reaches 198.51.100.2 in two hops
             assert pool.owners("198.51.100.2") == older_owners, depth
 
+    def test_shared_host_credits_every_tracker(self, psl):
+        """A host that is evidence for two trackers adds the addresses it
+        resolves to in older months to the pool of each, so the outcome does
+        not depend on how the trackers are named."""
+        def run(cname_id, range_id):
+            sigs = [TrackerSignature(cname_id, cname_suffixes=("atrack.net",), path_patterns=("/*",)),
+                    TrackerSignature(range_id, cidr_ranges=("10.0.0.0/24",), path_patterns=("/*",))]
+            months = []
+            for name, ip in (("2020-03", "10.0.0.5"), ("2020-02", "192.0.2.9"), ("2020-01", "192.0.2.77")):
+                store = DnsRecordStore()
+                store.add("m.shop.com", "CNAME", "x.atrack.net")
+                store.add("x.atrack.net", "A", ip)
+                visit = PageVisit("https://www.shop.com/", f"v-{name}",
+                                  transactions=[HttpTransaction("https://m.shop.com/p.js")])
+                months.append(MonthDataset(name, [visit], store))
+            return backward_iterate(months, sigs, psl)
+
+        def renamed(monthly, names):
+            return [(m.month,
+                     sorted((names[d.tracker_id], d.publisher_etld1, d.context.value,
+                             d.cloaking_mechanism.value, [(r.visit_id, r.index) for r in d.evidence])
+                            for d in m.detections),
+                     {names[t]: counts for t, counts in m.pool_snapshot.items()})
+                    for m in monthly]
+
+        first = renamed(run("aaa", "zzz"), {"aaa": "cname", "zzz": "range"})
+        assert first == renamed(run("zzz", "aaa"), {"zzz": "cname", "aaa": "range"})
+        assert [[d[0] for d in dets] for _month, dets, _pool in first] == [["cname", "range"]] * 3
+
 
 def cycle_world(root):
     """Two months of one host: on a tracker in 2020-02, on a CNAME cycle in

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import corpusgen
+from cnametrack.detect import SignatureIndex
 from cnametrack.errors import MalformedHar, SchemaViolation
 from cnametrack.ingest import (
     load_crawl_jsonl,
@@ -722,8 +723,9 @@ class TestSignaturesAndRanking:
         path = corpusgen.write_signatures(tmp_path / "sigs.json")
         sigs = load_signatures(path)
         assert [s.tracker_id for s in sigs] == ["eulertrack", "pixelstats"]
-        assert sigs[0].host_matches("x.eulertrack.net")
-        assert not sigs[0].host_matches("eulertrack.net.evil.com")
+        index = SignatureIndex(sigs)
+        assert index.cname_positions(["x.eulertrack.net"]) == {0}
+        assert index.cname_positions(["eulertrack.net.evil.com"]) == set()
 
     @pytest.mark.parametrize("markers", [
         [{"name": "uid"}], [{"location": "cookie"}], [5], ["uid"], [["cookie", "uid"]], 5, None,
