@@ -1,11 +1,13 @@
 """Command-line entry point wiring all analysis stages.
 
 Subcommands: detect, leaks, defense, history, features, validate, report;
-each takes only the flags its row of ``COMMANDS`` names.  Data goes to files
-under --out; diagnostics go to stderr.  Exit codes: 0 success, 1 input/config
-error (a missing required flag included), 2 usage error (an unknown flag, a
-flag the command does not take, or --corpus with --har) or internal
-invariant violation.
+each takes only the flags its row of ``COMMANDS`` names, writes its data
+files under --out and returns nothing.  ``main`` loads the public suffix
+table the command is given and writes manifest.json once it returns.
+Diagnostics go to stderr.  Exit codes: 0 success, 1 input/config error (a
+missing required flag included), 2 usage error (an unknown flag, a flag the
+command does not take, or --corpus with --har) or internal invariant
+violation.
 """
 
 from __future__ import annotations
@@ -56,9 +58,10 @@ SHARED = ("psl", "ua-label", "out")  # taken by every command
 class Command(NamedTuple):
     """A row of ``COMMANDS``.  ``"corpus|har"`` stands for either of the two
     flags, never both."""
-    func: Callable[[argparse.Namespace], int]
+    func: Callable[[argparse.Namespace, PublicSuffixTable], None]
     required: tuple[str, ...]  # checked in this order, before the command runs
     takes: tuple[str, ...]  # optional, besides SHARED
+    manifest: bool = True  # main writes manifest.json to --out once func returns
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
             group = p.add_mutually_exclusive_group() if "|" in entry else p
             for flag in entry.split("|"):
                 group.add_argument(f"--{flag}", **FLAGS[flag][1])
-        p.set_defaults(func=command.func)
     return parser
 
 
@@ -88,10 +90,6 @@ def _require(args, *entries):
         first, *others = entry.split("|")
         if not any(getattr(args, flag.replace("-", "_")) for flag in (first, *others)):
             raise CnametrackError(f"missing required flag --{first}" + "".join(f" (or --{o})" for o in others))
-
-
-def _load_psl(args) -> PublicSuffixTable:
-    return PublicSuffixTable.from_file(args.psl) if args.psl else PublicSuffixTable.bundled()
 
 
 def _load_corpus(args, psl):
@@ -128,45 +126,36 @@ def _detection_pipeline(args, psl):
     return corpus, dns, sigs, detections
 
 
-def cmd_detect(args) -> int:
+def cmd_detect(args, psl) -> None:
     """Detect CNAME-tracking publishers and write publishers.json + summary.csv."""
     from . import reports
-    psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     out = _out_dir(args)
     reports.write_detections(detections, out)
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     log.info("wrote %d detections to %s", len(detections), out)
-    return 0
 
 
-def cmd_leaks(args) -> int:
+def cmd_leaks(args, psl) -> None:
     """Run the cookie-leak and transport audit over detected tracker traffic."""
     from . import reports
     from .leaks import audit_leaks
-    psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     result = audit_leaks(corpus, detections, sigs, psl)
     out = _out_dir(args)
     reports.write_leaks(result, out)
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
     log.info("wrote %d leak findings to %s", len(result.findings), out)
-    return 0
 
 
-def cmd_defense(args) -> int:
+def cmd_defense(args, psl) -> None:
     """Compare plain / uncloaked / sinkhole blocking over tracker transactions."""
     from . import reports
     from .defense import compare_defenses
     from .filterlist import load_filter_list
-    psl = _load_psl(args)
     corpus, dns, sigs, detections = _detection_pipeline(args, psl)
     rules, stats = load_filter_list(args.filters)
     report = compare_defenses(corpus, detections, rules, dns)
     out = _out_dir(args)
     reports.write_defense(report, out)
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
-    return 0
 
 
 def _load_month_manifest(path, shape: type):
@@ -214,11 +203,10 @@ def _load_months(args, entries, psl, seen=None) -> Iterator[MonthDataset]:
     return map(read, entries)
 
 
-def cmd_history(args) -> int:
+def cmd_history(args, psl) -> None:
     """Backward-iterating monthly detection with IP-pool accumulation."""
     from . import reports
     from .history import adoption_windows, backward_iterate
-    psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     monthly = backward_iterate(_load_months(args, _month_entries(args), psl), sigs, psl)
     out = _out_dir(args)
@@ -240,15 +228,12 @@ def cmd_history(args) -> int:
     reports.write_json({"adoptions": [
         {"publisher": p, "tracker": t, "month": mo} for p, t, mo in adoptions
     ]}, out / "adoptions.json")
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
-    return 0
 
 
-def cmd_features(args) -> int:
+def cmd_features(args, psl) -> None:
     """Candidate discovery and assisted-detection feature extraction."""
     from . import reports
     from .detect import candidate_scan, extract_features, heuristic_flag
-    psl = _load_psl(args)
     corpus = _load_corpus(args, psl)
     dns = load_dns(args.dns, args.max_depth)
     candidates = candidate_scan(corpus, dns, psl, min_sites=args.min_sites)
@@ -268,16 +253,13 @@ def cmd_features(args) -> int:
         })
     out = _out_dir(args)
     reports.write_json({"candidates": rows}, out / "features.json")
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
-    return 0
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args, psl) -> None:
     """Cross-validate historical detections against external DNS data."""
     from . import reports
     from .dnsgraph import IpPool
     from .history import MonthDataset, backward_iterate, cross_validate, external_trackers, host_paths, is_month
-    psl = _load_psl(args)
     sigs = load_signatures(args.signatures)
     ext_manifest = _load_month_manifest(args.external_dns, dict)
     for month, path in ext_manifest.items():
@@ -301,17 +283,14 @@ def cmd_validate(args) -> int:
     reports.write_json({"correctness": report.correctness,
                         "completeness": report.completeness},
                        out / "validation.json")
-    reports.write_manifest(out, _recorded(args, INPUT), _recorded(args, SETTING))
-    return 0
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, psl) -> None:
     """Write rank bins (--ranking) and the filter-list co-occurrence fraction (--corpus, --filters)."""
     from . import reports
     cooccurrence = bool(args.corpus or args.har or args.filters)
     if cooccurrence:  # a corpus and a filter list, or neither
         _require(args, "corpus|har", "filters")
-    psl = _load_psl(args)
     out = _out_dir(args)
     if not reports.check_manifest(out):
         raise StaleInputs(f"inputs changed since the manifest in {out} was written")
@@ -330,7 +309,6 @@ def cmd_report(args) -> int:
         frac = reports.cooccurrence_fraction(corpus, detections, rules, psl)
         reports.write_json({"third_party_cooccurrence_fraction": frac},
                            out / "cooccurrence.json")
-    return 0
 
 
 COMMANDS = {
@@ -340,7 +318,8 @@ COMMANDS = {
     "history": Command(cmd_history, ("signatures", "months"), ("max-depth", "threads")),
     "features": Command(cmd_features, ("dns", "corpus|har"), ("min-sites", "max-depth", "threads")),
     "validate": Command(cmd_validate, ("signatures", "external-dns", "months"), ("max-depth", "threads")),
-    "report": Command(cmd_report, (), ("corpus|har", "filters", "ranking", "rank-bins")),
+    # report reads the manifest detect wrote to --out, and records none of its own
+    "report": Command(cmd_report, (), ("corpus|har", "filters", "ranking", "rank-bins"), manifest=False),
 }
 
 
@@ -351,8 +330,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flag_values(args)
-        _require(args, *COMMANDS[args.command].required)
-        return args.func(args)
+        command = COMMANDS[args.command]
+        _require(args, *command.required)
+        command.func(args, PublicSuffixTable.from_file(args.psl) if args.psl else PublicSuffixTable.bundled())
+        if command.manifest:  # last: its presence means every output was written
+            from . import reports
+            reports.write_manifest(args.out, _recorded(args, INPUT), _recorded(args, SETTING))
+        return 0
     except (CnametrackError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

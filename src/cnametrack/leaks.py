@@ -158,7 +158,7 @@ class TrackerScope:
     def __init__(self, corpus: list[PageVisit], detections: list[PublisherDetection],
                  sigs: list[TrackerSignature]):
         self.detections = [d for d in detections if d.tracker_id == sigs[0].tracker_id]
-        self._hosts = {ref.host for det in self.detections for ref in det.evidence}
+        self._owned = dict.fromkeys((ref.host for det in self.detections for ref in det.evidence), True)
         self._index = SignatureIndex(sigs)
         self.evidence = [(det.publisher_etld1, ref, txn,
                           any(self.owns(split_url(url)[0]) for url in txn.initiators))
@@ -167,8 +167,10 @@ class TrackerScope:
     def owns(self, host: str | None) -> bool:
         """Whether ``host``, canonical, is the tracker's: seen in its
         evidence, or reached by one of its signatures' suffixes as detection
-        reaches a chain hop."""
-        return bool(host) and (host in self._hosts or bool(self._index.cname_positions((host,))))
+        reaches a chain hop.  Each host's answer is kept."""
+        if host and host not in self._owned:
+            self._owned[host] = bool(self._index.cname_positions((host,)))
+        return bool(host) and self._owned[host]
 
 
 def filter_candidates(persistent: list[CookieRecord], scope: TrackerScope) -> list[CookieRecord]:

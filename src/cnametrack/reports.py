@@ -155,9 +155,10 @@ def leak_finding_to_dict(f: LeakFinding) -> dict:
 
 def write_leaks(result: LeakAuditResult, out_dir):
     out_dir = Path(out_dir)
+    encode = json.JSONEncoder(sort_keys=True).encode  # one encoder: json.dumps makes one per call
     with open(out_dir / "leaks.jsonl", "w", encoding="utf-8") as fh:
         for f in result.findings:
-            fh.write(json.dumps(leak_finding_to_dict(f), sort_keys=True) + "\n")
+            fh.write(encode(leak_finding_to_dict(f)) + "\n")
     rollup: dict[tuple[str, str], set[str]] = {}
     for f in result.findings:
         rollup.setdefault((f.tracker_id, f.channel.value), set()).add(f.site)

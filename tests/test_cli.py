@@ -8,7 +8,6 @@ import pytest
 
 import corpusgen
 from cnametrack.cli import build_parser, main
-from cnametrack.errors import StaleInputs
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +59,16 @@ class TestDetect:
         assert len(rows) == len(doc["detections"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["inputs"]) == {"corpus", "dns", "signatures"}
+
+    def test_unwritable_output_leaves_no_manifest(self, world, tmp_path, capsys):
+        """manifest.json comes last: a run that fails on one output records none."""
+        out = tmp_path / "out"
+        (out / "summary.csv").mkdir(parents=True)
+        assert run(["detect", "--corpus", world["corpus"], "--dns", world["dns"],
+                    "--signatures", world["signatures"], "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory:")
+        assert (out / "publishers.json").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_missing_corpus_flag(self, world, tmp_path):
         assert run(["detect", "--dns", world["dns"],
@@ -185,7 +194,7 @@ class TestHistoryValidate:
                 if e["reason"] == "unexplained"] == []
 
 
-    def test_report_sees_changed_external_dns(self, world, tmp_path):
+    def test_report_sees_changed_external_dns(self, world, tmp_path, capsys):
         ext, ext_path = self._external_manifest(world, tmp_path)
         out = tmp_path / "out"
         assert run(["validate", "--months", world["months"],
@@ -195,9 +204,9 @@ class TestHistoryValidate:
         assert "external_dns" in manifest["inputs"]
         ext.pop(corpusgen.MONTHS[-1])
         ext_path.write_text(json.dumps(ext))
-        args = build_parser().parse_args(["report", "--out", str(out)])
-        with pytest.raises(StaleInputs):
-            args.func(args)
+        capsys.readouterr()
+        assert run(["report", "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: inputs changed since the manifest in {out} was written\n"
 
 
     @pytest.mark.parametrize("manifest,where", [

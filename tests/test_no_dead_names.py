@@ -7,7 +7,10 @@ Every record field has a reader the same way: each annotated field of a
 dataclass or ``NamedTuple`` in the package is read as an attribute
 (``x.field``) somewhere in those places outside its own class's
 ``__init__`` and ``__post_init__``.  A field nothing reads is carried for
-nothing."""
+nothing.
+
+Every parameter is read: each parameter of each function or lambda in the
+package is loaded as a name in that function's body."""
 
 import ast
 import re
@@ -19,6 +22,11 @@ PACKAGE = Path(cnametrack.__file__).parent
 ROOT = PACKAGE.parent.parent
 USERS = [PACKAGE, ROOT / "demos", ROOT / "perfbench"]
 ALLOWED = {("cli.py", "main")}  # the console entry point
+# perfbench/tracer.py reads these arguments by position to count what each
+# channel search is given (ROADMAP item 9), so they stay though unread.
+UNREAD_PARAMETERS = {("leaks.py", search, param)
+                     for search in ("find_header_leaks", "find_post_leaks", "find_url_leaks")
+                     for param in ("corpus", "detections")}
 DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
@@ -117,3 +125,24 @@ def test_every_record_field_is_read():
                        for p, line in loads.get(name, ())):
                 dead.append(f"{path.relative_to(PACKAGE)} {cls.name}.{name}")
     assert not dead, dead
+
+
+def _unread_parameters(tree: ast.AST):
+    """(function name, parameter) of each parameter its function's body never
+    loads; a nested function's load counts for the function around it."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            a = node.args
+            for arg in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg):
+                if arg is not None and arg.arg not in loads:
+                    yield getattr(node, "name", "<lambda>"), arg.arg
+
+
+def test_every_parameter_is_read():
+    unread = {(str(path.relative_to(PACKAGE)), func, param)
+              for path in sorted(PACKAGE.rglob("*.py"))
+              for func, param in _unread_parameters(ast.parse(path.read_text(encoding="utf-8"), str(path)))}
+    assert unread == UNREAD_PARAMETERS, sorted(unread ^ UNREAD_PARAMETERS)
